@@ -80,7 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=OUTPUT_FORMATS, default="text")
     p.add_argument("--display", choices=DISPLAY_MODES, default="raw")
-    p.add_argument("--verify", type=int, metavar="N", help="verify numerically at N")
+    p.add_argument(
+        "--verify",
+        type=int,
+        metavar="N",
+        help="verify numerically: sum N terms directly, then add the exact tail",
+    )
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--table", help="path to a reduction table JSON file")
     p.add_argument("--input", help="JSON file with one request record or a list")
@@ -88,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _request_from_record(record: dict) -> CliRequest:
+    if not isinstance(record, dict):
+        raise CliError("a request record must be a JSON object")
     try:
         f_text = record["F"]
     except KeyError:
@@ -129,6 +136,13 @@ def _request_from_record(record: dict) -> CliRequest:
     if display not in DISPLAY_MODES:
         raise CliError(f"unknown display mode {display!r}")
     verify_n = record.get("verify")
+    if verify_n is not None:
+        verify_n = int(verify_n)
+        if verify_n < 1:
+            raise CliError(f"--verify N needs N >= 1, got {verify_n}")
+    tolerance = float(record.get("tolerance", 1e-8))
+    if not 0 < tolerance < math.inf:
+        raise CliError(f"--tolerance must be positive and finite, got {tolerance}")
     echo = {
         "F": f_text,
         "m": int(m),
@@ -142,8 +156,8 @@ def _request_from_record(record: dict) -> CliRequest:
         spec=spec,
         output_format=fmt,
         display_mode=display,
-        verify_n=int(verify_n) if verify_n is not None else None,
-        tolerance=float(record.get("tolerance", 1e-8)),
+        verify_n=verify_n,
+        tolerance=tolerance,
         reduction_table_path=record.get("table"),
         binomial=binomial,
         prefactor=prefactor,
@@ -157,7 +171,7 @@ def _join_dash_values(argv):
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--z", "--F") and i + 1 < len(argv):
+        if tok in ("--z", "--F", "--tolerance") and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -166,16 +180,18 @@ def _join_dash_values(argv):
     return out
 
 
-def parse_request(argv):
-    """Parse CLI arguments into one CliRequest or a list of them."""
+def _records(argv) -> tuple[list, bool]:
+    """The request records that argv names, and whether they came from --input."""
     args = _build_parser().parse_args(_join_dash_values(list(argv)))
     if args.input:
         if args.F or args.s or args.binomial:
             raise CliError("--input cannot be combined with --F/--s/--binomial")
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        records = data if isinstance(data, list) else [data]
-        return [_request_from_record(r) for r in records]
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise CliError(f"cannot read --input {args.input!r}: {exc.strerror or exc}")
+        return (data if isinstance(data, list) else [data]), True
     if not args.F:
         raise CliError("--F is required (or use --input)")
     record = {
@@ -201,7 +217,14 @@ def parse_request(argv):
             raise CliError(f"cannot parse --s {args.s!r}")
     if args.verify is not None:
         record["verify"] = args.verify
-    return _request_from_record(record)
+    return [record], False
+
+
+def parse_request(argv):
+    """Parse CLI arguments into one CliRequest or a list of them."""
+    records, batch = _records(argv)
+    requests = [_request_from_record(r) for r in records]
+    return requests if batch else requests[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +385,11 @@ def run(request: CliRequest) -> tuple[int, str]:
     cf = closed_form(request.spec).scaled(request.prefactor)
     table = None
     if request.display_mode == "reduced":
-        table = (
-            load_reduction_table(request.reduction_table_path)
-            if request.reduction_table_path
-            else default_reduction_table()
-        )
+        path = request.reduction_table_path
+        try:
+            table = load_reduction_table(path) if path else default_reduction_table()
+        except OSError as exc:
+            raise CliError(f"cannot read --table {path!r}: {exc.strerror or exc}")
     report = None
     if request.verify_n is not None:
         display_cf = apply_reductions(cf, table) if table is not None else cf
@@ -393,25 +416,30 @@ def run(request: CliRequest) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
+    """Run every request; the exit code is the worst of the records' codes.
+
+    A record that is malformed or fails to run is reported on stderr (with
+    its index in an --input batch) and counts as exit code 2; the records
+    after it still run, and each record's output is printed in order.
+    """
     try:
-        requests = parse_request(argv if argv is not None else sys.argv[1:])
+        records, batch = _records(argv if argv is not None else sys.argv[1:])
     except (CliError, ParseError, DivergentSeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help / bad flags
         return int(exc.code or 0)
-    batch = requests if isinstance(requests, list) else [requests]
     worst = 0
-    outputs = []
-    for req in batch:
+    for i, record in enumerate(records):
         try:
-            code, text = run(req)
+            code, text = run(_request_from_record(record))
         except (CliError, DivergentSeriesError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        outputs.append(text)
+            where = f"record {i}: " if batch else ""
+            print(f"error: {where}{exc}", file=sys.stderr)
+            code = 2
+        else:
+            print(text)
         worst = max(worst, code)
-    print("\n".join(outputs))
     return worst
 
 

@@ -5,19 +5,24 @@ level is an exact Hurwitz zeta tail, and each outer level is accumulated
 backward from a cutoff whose tail is corrected with an Euler-Maclaurin style
 closure: the level function times its known power decay is fitted to a short
 log-polynomial expansion, and the resulting tail sums are exact s-derivatives
-of the Hurwitz zeta.  Raw series are summed in high-precision floating point
-at geometrically spaced checkpoints and extrapolated with a fitted power-law
-model (log-aware at doubling steps), so verification never reuses the symbolic
-machinery it is checking.
+of the Hurwitz zeta.  A raw series is summed directly in high-precision
+floating point for its first N terms, and its tail is added exactly from the
+summand's large-n expansion in ln^d(x)/x^q, x = n + z, each term of which
+sums to a Hurwitz zeta derivative; so verification never reuses the symbolic
+machinery it is checking.  Partial sums at doubling checkpoints and their
+extrapolated limit (series_checkpoints, extrapolate_checkpoints) remain as an
+independent second opinion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import mp, mpf, matrix, lu_solve, qr_solve, log as mplog, zeta as mpzeta
+from mpmath import mp, mpf, matrix, lu_solve, qr_solve, bernfrac
+from mpmath import log as mplog, psi as mppsi, zeta as mpzeta
 
 from .engine import ClosedForm, SeriesSpec, ZetaVector, check_vector
 from .qsym import as_shift
@@ -48,6 +53,11 @@ class VerificationReport:
     passed: bool
     n_used: int
     message: str = ""
+
+
+def _digits_for(abs_err: float) -> int:
+    """Working precision, in decimal digits, for a target absolute error."""
+    return max(30, int(-mp.log10(mpf(abs_err))) + 12)
 
 
 def _check_desk_vector(v) -> ZetaVector:
@@ -110,6 +120,8 @@ def _fitted_tail(values, s, omega, zz, cutoff, logdeg) -> mpf:
     return tail
 
 
+# (vector, shift) -> (requested abs_err, result); an entry serves any request
+# at least as loose as its budget or its achieved bound
 _MHZ_CACHE: dict = {}
 
 
@@ -134,11 +146,11 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
     zq = as_shift(z)
     if abs_err <= 0:
         raise ValueError("abs_err must be positive")
-    key = (vec, zq, round(-mp.log10(mpf(abs_err))))
+    key = (vec, zq)
     hit = _MHZ_CACHE.get(key)
-    if hit is not None:
-        return hit
-    dps = max(30, int(-mp.log10(mpf(abs_err))) + 12)
+    if hit is not None and min(hit[0], hit[1].abs_err_bound) <= abs_err:
+        return hit[1]
+    dps = _digits_for(abs_err)
     with mp.workdps(dps):
         if len(vec) == 1:
             value = _mhz_once(vec, zq, 0)
@@ -156,7 +168,7 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
                 delta = abs(value - coarse)
             bound = float(delta + mpf(10) ** (5 - dps))
             result = NumericResult(value, bound)
-    _MHZ_CACHE[key] = result
+    _MHZ_CACHE[key] = (abs_err, result)
     return result
 
 
@@ -164,7 +176,7 @@ def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult
     """Evaluate a closed form numerically, propagating per-term bounds."""
     nterms = sum(len(mono) for mono in cf.terms) + 1
     budget = abs_err / max(nterms, 1)
-    dps = max(30, int(-mp.log10(mpf(abs_err))) + 12)
+    dps = _digits_for(abs_err)
     with mp.workdps(dps):
         total = mpf(cf.constant.numerator) / cf.constant.denominator
         bound = mpf(0)
@@ -337,12 +349,122 @@ def extrapolate_checkpoints(values: Sequence) -> tuple:
     return est, abs(est - partner) + floor
 
 
-def _oscillation_failure(values: Sequence) -> bool:
-    diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    flips = sum(
-        1 for a, b in zip(diffs, diffs[1:]) if a * b < 0 and abs(b) >= abs(a)
-    )
-    return flips >= 2
+# ---------------------------------------------------------------------------
+# Raw-series limit: exact head plus expanded tail
+# ---------------------------------------------------------------------------
+
+# With x = n + z, each H_n^(r)(z) is a constant plus ln x (r = 1 only) plus a
+# power series in 1/x with Bernoulli-number coefficients, and each
+# 1/(x+i)^e is x^-e (1 + i/x)^-e.  Multiplied through F, the summand becomes
+# sum c[j, d] ln^d(x) / x^(S+j) with S = sum(s), and the sum of one such term
+# over n > M is (-1)^d zeta^(d)(S+j, M+1+z).  Expansions are dicts
+# {(j, d): c} standing for sum c ln^d(x) / x^j.
+
+LHS_HEAD_FLOOR = 20
+_MAX_ORDER = 64
+
+
+def _series_mul(a: dict, b: dict, order: int) -> dict:
+    """Product of two expansions, dropping powers of 1/x beyond order."""
+    out: dict = {}
+    for (j1, d1), c1 in a.items():
+        for (j2, d2), c2 in b.items():
+            if j1 + j2 <= order:
+                key = (j1 + j2, d1 + d2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _harmonic_expansion(r: int, zz: mpf, order: int) -> dict:
+    """H_n^(r)(z) for large x = n + z, through 1/x^order.
+
+    H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for
+    r = 1 (DLMF 5.11.2), and zeta(r, x+1) ~ sum_k B_k (r)_(k-1)/k! x^(1-r-k)
+    with B_1 = -1/2 and (r)_(-1) = 1/(r-1) (DLMF 25.11.43); for r = 1 the
+    k = 0 term is ln x instead.
+    """
+    if r == 1:
+        out = {(0, 0): -mppsi(0, 1 + zz), (0, 1): mpf(1)}
+    else:
+        out = {(0, 0): mpzeta(r, 1 + zz)}
+        if r - 1 <= order:
+            out[(r - 1, 0)] = mpf(-1) / (r - 1)
+    rising = Fraction(1)  # (r)_(k-1) / k!
+    for k in range(1, order + 2 - r):
+        if k > 1:
+            rising = rising * (r + k - 2) / k
+        c = -Fraction(*bernfrac(k)) * rising
+        if c:
+            out[(r - 1 + k, 0)] = mpf(c.numerator) / c.denominator
+    return out
+
+
+def _summand_expansion(spec: SeriesSpec, zz: mpf, order: int) -> dict:
+    """x^S times the summand F(H..)/prod (x+i)^s_i, through 1/x^order."""
+    harmonics = [
+        _harmonic_expansion((i + 1) * spec.m, zz, order)
+        for i in range(spec.F.max_variable())
+    ]
+    out: dict = {}
+    for exps, c in spec.F.terms.items():
+        term = {(0, 0): mpf(c.numerator) / c.denominator}
+        for h, e in zip(harmonics, exps):
+            for _ in range(e):
+                term = _series_mul(term, h, order)
+        for key, v in term.items():
+            out[key] = out.get(key, 0) + v
+    for i, e in enumerate(spec.s):
+        if i and e:
+            binomial = {
+                (j, 0): mpf((-i) ** j * math.comb(e + j - 1, j)) for j in range(order + 1)
+            }
+            out = _series_mul(out, binomial, order)
+    return out
+
+
+def _tail_order(coeffs: dict, S: int, j: int, a: mpf) -> mpf:
+    """Sum over n > M of the order-j terms, with a = M + 1 + z."""
+    total = mpf(0)
+    for (jj, d), c in coeffs.items():
+        if jj == j and c:
+            total += c * (-1) ** d * mpzeta(S + j, a, d)
+    return total
+
+
+def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
+    """(estimate, terms summed) of the raw series; see verify_identity."""
+    n_head = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s)))
+    n_half = (n_head + 1) // 2
+    summer = _SeriesSummer(spec)
+    head_half = summer.advance_to(n_half)
+    head = summer.advance_to(n_head)
+    zz, S = summer.zz, sum(spec.s)
+    target = mpf(tol) / 1000
+    # H^(r) has no terms of orders 1..r-2, so fewer vanishing orders in a row
+    # say nothing about the next ones
+    run = max(2, spec.m * spec.F.max_variable() - 1)
+    order = max(8, run)
+    coeffs = _summand_expansion(spec, zz, order)
+    at_half: list = []
+    # grow the expansion until `run` consecutive orders of the tail from the
+    # half point are negligible; those are the omitted ones
+    while True:
+        j = len(at_half)
+        if j > order:
+            if order >= _MAX_ORDER:
+                break
+            order *= 2
+            coeffs = _summand_expansion(spec, zz, order)
+        at_half.append(_tail_order(coeffs, S, j, n_half + 1 + zz))
+        if j >= run - 1 and sum(abs(t) for t in at_half[-run:]) <= target:
+            break
+    kept = len(at_half) - run
+    at_full = [_tail_order(coeffs, S, j, n_head + 1 + zz) for j in range(len(at_half))]
+    est = head + sum(at_full[:kept], mpf(0))
+    est_half = head_half + sum(at_half[:kept], mpf(0))
+    omitted = sum(abs(t) for t in at_full[kept:])
+    floor = n_head * mpf(10) ** (3 - mp.dps) * max(1, abs(est))
+    return NumericResult(est, float(omitted + abs(est - est_half) + floor)), n_head
 
 
 def verify_identity(
@@ -353,44 +475,34 @@ def verify_identity(
 ) -> VerificationReport:
     """Numerically certify that a closed form matches its series.
 
-    The raw series is summed at checkpoints N, 2N, 4N, ... and the limit is
-    extrapolated with the fitted power-law model; checkpoints are extended
-    (within desk caps) until the model's own error estimate is within tol/2.
+    The LHS is the raw series, never the symbolic machinery: its first N
+    terms are summed directly, and the terms past N are added exactly from
+    the summand's large-n expansion in ln^d(x)/x^q, x = n + z, each term of
+    which sums to (-1)^d zeta^(d)(q, N+1+z).  The expansion grows until two
+    consecutive orders of the tail past ceil(N/2) are below tol/1000 (more
+    when F holds H^(r) with r > 3, whose expansion skips orders 1..r-2).  The
+    LHS bound is the tail past N of those omitted orders, plus the change
+    in the estimate when the head stops at ceil(N/2) instead (a wrong
+    coefficient or constant weighs differently in the two tails), plus a
+    working-precision floor.  N is raised to 2 * (LHS_HEAD_FLOOR + len(s))
+    when smaller, so that the expansions converge from ceil(N/2) on;
+    ``n_used`` is the head actually summed.  Precision follows tol as in
+    closed_form_numeric.  ``passed`` means |LHS - RHS| <= tol + LHS bound +
+    RHS bound.
     """
     if cf.shift != spec.z or cf.order != spec.m:
         raise ValueError("closed form metadata does not match the series spec")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if N < 1:
+        raise ValueError("N must be positive")
+    if N > DESK_MAX_TERMS:
+        raise DeskLimitError(f"N={N} exceeds desk cap {DESK_MAX_TERMS}")
     rhs = closed_form_numeric(cf, abs_err=min(tol / 8, 1e-10))
-    with mp.workdps(30):
-        summer = _SeriesSummer(spec)
-        checkpoints = [N, 2 * N, 4 * N]
-        sums = [summer.advance_to(M) for M in checkpoints]
-        while True:
-            est, err = extrapolate_checkpoints(sums)
-            nxt = checkpoints[-1] * 2
-            converged = err <= tol / 4 and (
-                len(checkpoints) >= 5 or abs(sums[-1] - sums[-2]) <= err
-            )
-            if converged or len(checkpoints) > 9 or nxt > DESK_MAX_TERMS:
-                break
-            checkpoints.append(nxt)
-            sums.append(summer.advance_to(nxt))
-        message = ""
-        if _oscillation_failure(sums):
-            return VerificationReport(
-                NumericResult(est, float(err)),
-                rhs,
-                float("inf"),
-                False,
-                checkpoints[-1],
-                "non-convergent extrapolation: oscillating increments",
-            )
-        discrepancy = float(abs(est - rhs.value))
-        combined = tol + float(err) + rhs.abs_err_bound
-        passed = discrepancy <= combined
-        if not passed:
-            message = f"discrepancy {discrepancy:.3e} exceeds budget {combined:.3e}"
-    return VerificationReport(
-        NumericResult(est, float(err)), rhs, discrepancy, passed, checkpoints[-1], message
-    )
+    with mp.workdps(_digits_for(tol)):
+        lhs, n_used = _series_limit(spec, N, tol)
+        discrepancy = float(abs(lhs.value - rhs.value))
+    combined = tol + lhs.abs_err_bound + rhs.abs_err_bound
+    passed = discrepancy <= combined
+    message = "" if passed else f"discrepancy {discrepancy:.3e} exceeds budget {combined:.3e}"
+    return VerificationReport(lhs, rhs, discrepancy, passed, n_used, message)

@@ -208,3 +208,91 @@ class TestMain:
         assert main(["--F", "x1", "--m", "1", "--z", "0", "--s", "0,1"]) == 2
         err = capsys.readouterr().err
         assert "diverges" in err
+
+
+class TestExitCodes:
+    """Bad input exits 2 with one 'error:' line on stderr, never a traceback."""
+
+    ARGS = ["--F", "x1", "--m", "1", "--z", "0", "--s", "0,2"]
+
+    def assert_input_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert captured.out == ""
+        return lines[0]
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        line = self.assert_input_error(capsys, ["--input", str(tmp_path / "none.json")])
+        assert "none.json" in line
+
+    def test_unreadable_input_file(self, capsys, tmp_path):
+        self.assert_input_error(capsys, ["--input", str(tmp_path)])
+
+    def test_missing_table_file(self, capsys, tmp_path):
+        argv = self.ARGS + ["--display", "reduced", "--table", str(tmp_path / "none.json")]
+        line = self.assert_input_error(capsys, argv)
+        assert "none.json" in line
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_verify_n(self, capsys, n):
+        line = self.assert_input_error(capsys, self.ARGS + ["--verify", n])
+        assert f"got {n}" in line
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
+    def test_bad_tolerance(self, capsys, tol):
+        line = self.assert_input_error(
+            capsys, self.ARGS + ["--verify", "100", "--tolerance", tol]
+        )
+        assert "tolerance" in line
+
+    def test_bad_record_values_in_input_file(self, capsys, tmp_path):
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps({"F": "x1", "z": "0", "s": [0, 2], "verify": 0}))
+        line = self.assert_input_error(capsys, ["--input", str(path)])
+        assert line.startswith("error: record 0:")
+
+
+class TestBatch:
+    def test_bad_middle_record(self, capsys, tmp_path):
+        path = tmp_path / "batch.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"F": "x1", "z": "0", "s": [0, 2]},
+                    # weight-11 zeta values exceed the desk caps of the verifier
+                    {"F": "x1^9", "z": "0", "s": [0, 2], "verify": 100},
+                    {"F": "x1 +", "z": "0", "s": [0, 2]},
+                    "x1",
+                    {"F": "x1", "m": 2, "z": "0", "s": [1, 1], "verify": 100},
+                ]
+            )
+        )
+        assert main(["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 3
+        assert err[0].startswith("error: record 1:") and "exceeds" in err[0]
+        assert err[1].startswith("error: record 2:")
+        assert err[2].startswith("error: record 3:")
+        values = [l for l in captured.out.splitlines() if l.startswith("value = ")]
+        assert values == ["value = zeta(1,2)", "value = zeta(3)"]
+        assert "verify: PASS" in captured.out
+
+    def test_worst_code_wins(self, capsys, tmp_path):
+        bad_table = tmp_path / "bad.json"
+        bad_table.write_text(
+            '{"shift": "0", "rules": [{"source": [3], "constant": "1",'
+            ' "terms": [{"factors": [[4]], "coeff": "1"}]}]}'
+        )
+        record = {"F": "x1", "m": 2, "z": "0", "s": [1, 1], "verify": 100}
+        path = tmp_path / "batch.json"
+        path.write_text(
+            json.dumps(
+                [dict(record, display="reduced", table=str(bad_table)), record]
+            )
+        )
+        assert main(["--input", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.index("verify: FAIL") < out.index("verify: PASS")

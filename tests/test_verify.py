@@ -211,3 +211,137 @@ class TestReducedFunctionalOnMonomials:
             sums = monomial_checkpoint_sums(comp, s, m, z, checkpoints)
             est, err = extrapolate_checkpoints(sums)
             assert abs(est - mpf(rhs.value)) < 1e-6 + float(err)
+
+
+X2 = Polynomial.variable(2)
+E2 = (X1 * X1 - X2) * F(1, 2)  # e_2 = (H^2 - H^(2)) / 2
+
+
+class TestSeriesLimit:
+    """The LHS: a directly summed head plus the exactly expanded tail."""
+
+    # (spec, closed form from depth-1 values only, 50-digit reference)
+    REFERENCES = {
+        "1/n^2": (
+            SeriesSpec(Polynomial.constant(1), 1, 0, (2,)),
+            ClosedForm(F(0), {((2,),): 1}, F(0), 1),
+            lambda: zeta(2),
+        ),
+        "H_n/(n+1)^2": (
+            SeriesSpec(X1, 1, 0, (0, 2)),
+            ClosedForm(F(0), {((3,),): 1}, F(0), 1),
+            lambda: zeta(3),
+        ),
+        "H_n/n^3": (
+            SeriesSpec(X1, 1, 0, (3,)),
+            ClosedForm(F(0), {((4,),): F(5, 4)}, F(0), 1),
+            lambda: zeta(4) * 5 / 4,
+        ),
+        # telescopes: sum H_n(z)/((n+1+z)(n+2+z)) = 1/(1+z)
+        "H_n(-1/2)/((n+1/2)(n+3/2))": (
+            SeriesSpec(X1, 1, F(-1, 2), (0, 1, 1)),
+            ClosedForm(F(2), {}, F(-1, 2), 1),
+            lambda: mpf(2),
+        ),
+    }
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-20])
+    @pytest.mark.parametrize("label", sorted(REFERENCES))
+    def test_bound_covers_true_error(self, label, tol):
+        spec, cf, reference = self.REFERENCES[label]
+        rep = verify_identity(spec, cf, tol=tol, N=200)
+        lhs = rep.lhs_estimate
+        with mp.workdps(50):
+            err = abs(lhs.value - reference())
+        assert err <= lhs.abs_err_bound, (float(err), lhs.abs_err_bound)
+        assert rep.passed and lhs.abs_err_bound + rep.rhs_value.abs_err_bound <= tol
+
+    def test_expansion_with_skipped_orders(self):
+        # H^(6) expands as zeta(6) - x^-5/5 + ..., with no orders 1..4; with
+        # the stuffle sum_n H_n^(6)/n^2 + H_n^(2)/n^6 = zeta(2)zeta(6) + zeta(8)
+        gap = SeriesSpec(Polynomial.variable(3), 2, 0, (2,))
+        other = SeriesSpec(X1, 2, 0, (6,))
+        reps = [
+            verify_identity(spec, closed_form(spec), tol=1e-12, N=100)
+            for spec in (gap, other)
+        ]
+        for rep in reps:
+            assert rep.passed
+            assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-12
+        with mp.workdps(50):
+            err = abs(sum(r.lhs_estimate.value for r in reps) - zeta(2) * zeta(6) - zeta(8))
+        assert err <= sum(r.lhs_estimate.abs_err_bound for r in reps)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SeriesSpec(E2, 1, 0, (0, 0, 2)),
+            SeriesSpec(X1 * X1 - X2, 2, F(-1, 3), (1, 1)),
+            SeriesSpec(X1 * X1 * X1, 1, F(-1, 2), (0, 1, 0, 1)),
+        ],
+    )
+    def test_n_and_2n_agree_within_bounds(self, spec):
+        cf = closed_form(spec)
+        one = verify_identity(spec, cf, tol=1e-10, N=300)
+        two = verify_identity(spec, cf, tol=1e-10, N=600)
+        assert (one.n_used, two.n_used) == (300, 600)
+        with mp.workdps(30):
+            gap = abs(one.lhs_estimate.value - two.lhs_estimate.value)
+        assert gap <= one.lhs_estimate.abs_err_bound + two.lhs_estimate.abs_err_bound
+
+    def test_e2_over_shifted_square_is_certified(self):
+        spec = SeriesSpec(E2, 1, 0, (0, 0, 2))
+        rep = verify_identity(spec, closed_form(spec), tol=1e-8, N=10000)
+        assert rep.passed and rep.n_used == 10000
+        assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-8
+
+    def test_offset_of_ten_tol_fails(self):
+        # an offset of 10 * tol fails only if the LHS bound stays well below it
+        spec = SeriesSpec(E2, 1, 0, (0, 0, 2))
+        bad = closed_form(spec) + ClosedForm(F(1, 10**7), {}, F(0), 1)
+        rep = verify_identity(spec, bad, tol=1e-8, N=10000)
+        assert not rep.passed
+        assert "exceeds budget" in rep.message
+
+    def test_head_floor(self):
+        spec = SeriesSpec(X1, 2, 0, (1, 1))
+        rep = verify_identity(spec, closed_form(spec), tol=1e-8, N=1)
+        assert rep.passed and rep.n_used == 44  # 2 * (20 + len(s))
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_rejects_nonpositive_n(self, N):
+        spec = SeriesSpec(X1, 2, 0, (1, 1))
+        with pytest.raises(ValueError):
+            verify_identity(spec, closed_form(spec), N=N)
+
+    def test_head_within_desk_cap(self):
+        from zetaform.verify import DESK_MAX_TERMS
+
+        spec = SeriesSpec(X1, 2, 0, (1, 1))
+        with pytest.raises(DeskLimitError):
+            verify_identity(spec, closed_form(spec), N=DESK_MAX_TERMS + 1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf"), float("nan")])
+    def test_rejects_bad_tolerance(self, tol):
+        spec = SeriesSpec(X1, 2, 0, (1, 1))
+        with pytest.raises(ValueError):
+            verify_identity(spec, closed_form(spec), tol=tol, N=100)
+
+
+class TestMhzCache:
+    def test_loose_then_tight_request_meets_tight_budget(self, monkeypatch):
+        from zetaform import verify
+
+        # a level sum converging like 1/cutoff: at abs_err 3e-7 the cutoff
+        # doubling stops with a bound of 5e-8, too loose for a later 3.2e-8
+        # request
+        monkeypatch.setattr(verify, "_MHZ_CACHE", {})
+        monkeypatch.setattr(
+            verify, "_mhz_once", lambda vec, zq, cutoff: mpf(1) + mpf("1.5e-4") / cutoff
+        )
+        loose = mhz_numeric((1, 2), 0, 3e-7)
+        assert 3.2e-8 < loose.abs_err_bound <= 3e-7
+        tight = mhz_numeric((1, 2), 0, 3.2e-8)
+        assert tight.abs_err_bound <= 3.2e-8
+        # the tighter entry now serves looser requests
+        assert mhz_numeric((1, 2), 0, 1e-6) is tight

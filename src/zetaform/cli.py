@@ -26,7 +26,6 @@ from .engine import (
     closed_form,
     default_reduction_table,
     load_reduction_table,
-    monomial_key,
 )
 from .expr import ParseError, parse_polynomial
 from .reducer import DivergentSeriesError
@@ -92,42 +91,60 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _is_json(value, *types) -> bool:
+    # bool is an int subclass; int() would silently truncate a float
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _field(record: dict, name: str, what: str, *types, default=None):
+    """record[name], or `default` when absent or null; CliError on a wrong JSON type.
+
+    The lists a record holds (s, binomial) are lists of JSON integers.
+    """
+    value = record.get(name)
+    if value is None:
+        return default
+    items = value if isinstance(value, list) else ()
+    if not _is_json(value, *types) or not all(_is_json(v, int) for v in items):
+        raise CliError(f"'{name}' must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def _request_from_record(record: dict) -> CliRequest:
     if not isinstance(record, dict):
         raise CliError("a request record must be a JSON object")
-    try:
-        f_text = record["F"]
-    except KeyError:
+    f_text = _field(record, "F", "a string", str)
+    if f_text is None:
         raise CliError("record is missing the numerator expression 'F'")
     try:
         poly = parse_polynomial(f_text)
     except ParseError as exc:
         raise CliError(f"cannot parse F={f_text!r}: {exc}")
-    m = record.get("m", 1)
-    z_text = str(record.get("z", "0"))
+    m = _field(record, "m", "an integer", int, default=1)
+    z_text = str(_field(record, "z", "a string or an integer", str, int, default="0"))
     try:
         z = Fraction(z_text)
     except ValueError:
         raise CliError(f"cannot parse z={z_text!r} as a rational")
-    binomial = record.get("binomial")
-    s = record.get("s")
+    binomial = _field(record, "binomial", "a list of integers", list)
+    s = _field(record, "s", "a list of integers", list)
     if (binomial is None) == (s is None):
         raise CliError("exactly one of 's' and 'binomial' is required")
     prefactor = Fraction(1)
     if binomial is not None:
-        p_exp, k = (int(v) for v in binomial)
+        if len(binomial) != 2:
+            raise CliError("'binomial' needs exactly p,k")
+        p_exp, k = binomial
         if p_exp < 0 or k < 1:
             raise CliError("binomial shorthand needs p >= 0, k >= 1")
         s_vec = (p_exp,) + (1,) * k
         prefactor = Fraction(math.factorial(k))
         binomial = (p_exp, k)
     else:
-        s_vec = tuple(int(v) for v in s)
+        s_vec = tuple(s)
     try:
-        spec = SeriesSpec(poly, int(m), z, s_vec)
-    except DivergentSeriesError as exc:
-        raise CliError(str(exc))
-    except ValueError as exc:
+        spec = SeriesSpec(poly, m, z, s_vec)
+    except ValueError as exc:  # DivergentSeriesError included
         raise CliError(str(exc))
     fmt = record.get("format", "text")
     display = record.get("display", "raw")
@@ -135,17 +152,19 @@ def _request_from_record(record: dict) -> CliRequest:
         raise CliError(f"unknown format {fmt!r}")
     if display not in DISPLAY_MODES:
         raise CliError(f"unknown display mode {display!r}")
-    verify_n = record.get("verify")
-    if verify_n is not None:
-        verify_n = int(verify_n)
-        if verify_n < 1:
-            raise CliError(f"--verify N needs N >= 1, got {verify_n}")
-    tolerance = float(record.get("tolerance", 1e-8))
+    verify_n = _field(record, "verify", "an integer", int)
+    if verify_n is not None and verify_n < 1:
+        raise CliError(f"--verify N needs N >= 1, got {verify_n}")
+    tol_value = _field(record, "tolerance", "a number", int, float, str, default=1e-8)
+    try:
+        tolerance = float(tol_value)
+    except (OverflowError, ValueError):
+        raise CliError(f"cannot parse tolerance={tol_value!r} as a number")
     if not 0 < tolerance < math.inf:
         raise CliError(f"--tolerance must be positive and finite, got {tolerance}")
     echo = {
         "F": f_text,
-        "m": int(m),
+        "m": m,
         "z": z_text,
         "s": list(s_vec),
         "binomial": list(binomial) if binomial else None,
@@ -158,7 +177,7 @@ def _request_from_record(record: dict) -> CliRequest:
         display_mode=display,
         verify_n=verify_n,
         tolerance=tolerance,
-        reduction_table_path=record.get("table"),
+        reduction_table_path=_field(record, "table", "a string", str),
         binomial=binomial,
         prefactor=prefactor,
         echo=echo,
@@ -232,10 +251,6 @@ def parse_request(argv):
 # ---------------------------------------------------------------------------
 
 
-def _frac_text(fr: Fraction) -> str:
-    return str(fr)
-
-
 def _frac_latex(fr: Fraction) -> str:
     if fr.denominator == 1:
         return str(fr.numerator)
@@ -266,11 +281,11 @@ def _assemble(parts: list[tuple[Fraction, str]], latex: bool) -> str:
     chunks = []
     for coeff, symbol in parts:
         if not symbol:
-            body = _frac_latex(abs(coeff)) if latex else _frac_text(abs(coeff))
+            body = _frac_latex(abs(coeff)) if latex else str(abs(coeff))
         elif abs(coeff) == 1:
             body = symbol
         else:
-            num = _frac_latex(abs(coeff)) if latex else _frac_text(abs(coeff))
+            num = _frac_latex(abs(coeff)) if latex else str(abs(coeff))
             body = f"{num}{symbol}" if latex else f"{num}*{symbol}"
         if not chunks:
             chunks.append(body if coeff >= 0 else f"-{body}")
@@ -308,12 +323,10 @@ def closed_form_to_json(cf: ClosedForm) -> dict:
 
 
 def closed_form_from_json(data: dict) -> ClosedForm:
-    terms = {
-        monomial_key(tuple(tuple(int(e) for e in v) for v in t["factors"])): Fraction(
-            t["coeff"]
-        )
+    terms = (
+        (tuple(tuple(int(e) for e in v) for v in t["factors"]), Fraction(t["coeff"]))
         for t in data["terms"]
-    }
+    )
     return ClosedForm(Fraction(data["constant"]), terms, Fraction(data["z"]), int(data["m"]))
 
 

@@ -16,19 +16,27 @@ recursions whose only atoms are zeta vectors and finite harmonic values.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Optional
 
-from .qsym import Composition, Polynomial, as_shift, poly_to_qsym
+from .qsym import (
+    Composition,
+    Polynomial,
+    _LinComb,
+    add_term,
+    as_shift,
+    poly_to_qsym,
+    sort_key,
+)
 from .reducer import (
     Index,
     as_index,
     canonicalize,
     classify,
     expand_double_one,
+    partial_fraction,
 )
 
 ZetaVector = tuple[int, ...]
@@ -44,16 +52,8 @@ def check_vector(v: ZetaVector) -> ZetaVector:
     return vec
 
 
-def vector_sort_key(v: ZetaVector) -> tuple:
-    return (sum(v), len(v), v)
-
-
 def monomial_key(factors) -> ZetaMonomial:
-    return tuple(sorted((check_vector(v) for v in factors), key=vector_sort_key))
-
-
-def monomial_sort_key(mono: ZetaMonomial) -> tuple:
-    return (sum(sum(v) for v in mono), sum(len(v) for v in mono), mono)
+    return tuple(sorted((check_vector(v) for v in factors), key=sort_key))
 
 
 def harmonic_value(a: int, ell: int, z) -> Fraction:
@@ -64,67 +64,56 @@ def harmonic_value(a: int, ell: int, z) -> Fraction:
     return sum((Fraction(1) / (j + zq) ** ell for j in range(1, a + 1)), Fraction(0))
 
 
-@dataclass
-class ClosedForm:
-    """Exact rational constant plus zeta-monomial combination at fixed (z, m)."""
+class ClosedForm(_LinComb):
+    """Exact rational constant plus zeta-monomial combination at fixed (z, m).
 
-    constant: Fraction
-    terms: dict
-    shift: Fraction
-    order: int
+    The shared rational linear combination (`qsym._LinComb`) over zeta
+    monomials, sorted tuples of zeta vectors, plus the constant and the
+    (shift, order) the zeta values belong to.  The constructor validates and
+    sorts every monomial; sums and multiples reuse the canonical keys.
+    """
 
-    def __post_init__(self):
-        self.constant = Fraction(self.constant)
-        self.shift = Fraction(self.shift)
-        clean = {}
-        for mono, coeff in self.terms.items():
-            key = monomial_key(mono)
-            c = Fraction(coeff)
-            if c:
-                clean[key] = clean.get(key, Fraction(0)) + c
-        self.terms = {k: v for k, v in clean.items() if v}
+    __slots__ = ("constant", "shift", "order")
 
-    def _check_compatible(self, other: "ClosedForm") -> None:
+    def __init__(self, constant, terms, shift, order):
+        super().__init__(terms)
+        self.constant = Fraction(constant)
+        self.shift = Fraction(shift)
+        self.order = order
+
+    _validate_key = staticmethod(monomial_key)
+    __mul__ = _LinComb.__rmul__  # scalars only: closed forms have no product
+
+    def _like(self, terms: dict) -> "ClosedForm":
+        out = super()._like(terms)
+        out.constant, out.shift, out.order = Fraction(0), self.shift, self.order
+        return out
+
+    def _add_scaled(self, other: "ClosedForm", c) -> None:
         if self.shift != other.shift or self.order != other.order:
             raise ValueError(
                 "cannot combine closed forms with different (shift, order): "
                 f"({self.shift}, {self.order}) vs ({other.shift}, {other.order})"
             )
+        super()._add_scaled(other, c)
+        self.constant += c * other.constant
 
-    def __add__(self, other: "ClosedForm") -> "ClosedForm":
+    def __eq__(self, other) -> bool:
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return ClosedForm(self.constant + other.constant, terms, self.shift, self.order)
+        mine = (self.constant, self.terms, self.shift, self.order)
+        return mine == (other.constant, other.terms, other.shift, other.order)
 
-    def __sub__(self, other: "ClosedForm") -> "ClosedForm":
-        return self + (-1) * other
+    def __bool__(self) -> bool:
+        return bool(self.constant or self.terms)
 
-    def scaled(self, scalar) -> "ClosedForm":
-        c = Fraction(scalar)
-        return ClosedForm(
-            c * self.constant,
-            {mono: c * coeff for mono, coeff in self.terms.items()},
-            self.shift,
-            self.order,
-        )
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return self.scaled(scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __repr__(self) -> str:
+        fields = (self.constant, self.terms, self.shift, self.order)
+        return f"ClosedForm({', '.join(map(repr, fields))})"
 
     def zeta_coefficient(self, vector) -> Fraction:
         """Coefficient of a single zeta value (depth-one monomial)."""
         return self.terms.get((check_vector(vector),), Fraction(0))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(kv[0]))
 
     def is_constant(self) -> bool:
         return not self.terms
@@ -164,14 +153,17 @@ class _Evaluator:
         self._pair: dict = {}
         self._t: dict = {}
 
-    def _empty(self) -> ClosedForm:
+    def _zero(self) -> ClosedForm:
         return ClosedForm(Fraction(0), {}, self.z, self.m)
 
     def _const(self, value: Fraction) -> ClosedForm:
         return ClosedForm(value, {}, self.z, self.m)
 
-    def _zeta(self, vector: ZetaVector, coeff: Fraction) -> ClosedForm:
-        return ClosedForm(Fraction(0), {(check_vector(vector),): coeff}, self.z, self.m)
+    def _zetas(self, *vectors: ZetaVector) -> ClosedForm:
+        out = self._zero()
+        for vec in vectors:
+            add_term(out.terms, (vec,), Fraction(1))
+        return out
 
     def pair_value(self, b: int, comp: Composition) -> ClosedForm:
         """Value of the adjacent-pair family (0^b, 1, 1) on a basis element.
@@ -185,34 +177,24 @@ class _Evaluator:
         hit = self._pair.get(key)
         if hit is not None:
             return hit
-        m, z = self.m, self.z
+        m = self.m
         if not comp:
-            cf = self._const(Fraction(1, 1) / (b + 1 + z))
+            cf = self._const(Fraction(1, 1) / (b + 1 + self.z))
         elif b == 0:
-            vec = tuple(m * a for a in comp[:-1]) + (m * comp[-1] + 1,)
-            cf = self._zeta(vec, Fraction(1))
-        elif comp == (1,):
-            cf = self._const(
-                Fraction((-1) ** (m - 1), b**m) * harmonic_value(b, 1, z)
-            )
-            for r in range(m - 1):
-                cf = cf + self._zeta((m - r,), Fraction((-1) ** r, b ** (r + 1)))
+            cf = self._zetas(tuple(m * a for a in comp[:-1]) + (m * comp[-1] + 1,))
         elif comp[-1] == 1:
-            prefix = comp[:-1]
-            cf = self._empty()
-            for r in range(1, b + 1):
-                cf = cf + self.pair_value(r, prefix)
-            cf = cf.scaled(Fraction((-1) ** (m - 1), b**m))
-            pv = tuple(m * a for a in prefix)
-            for r in range(m - 1):
-                cf = cf + self._zeta(pv + (m - r,), Fraction((-1) ** r, b ** (r + 1)))
+            cf = self._split(b, 1, comp)
         else:
+            # split only the factor 1/(x^m (x+b)) of 1/(x^(m*last) (x+b)),
+            # x = n+z: the poles at 0 are zeta values, the one at -b is the
+            # pair value on the composition with its last part lowered
             lowered = comp[:-1] + (comp[-1] - 1,)
-            cf = self.pair_value(b, lowered).scaled(Fraction((-1) ** m, b**m))
-            base = tuple(m * a for a in comp)
-            for r in range(m):
-                vec = base[:-1] + (base[-1] - r,)
-                cf = cf + self._zeta(vec, Fraction((-1) ** r, b ** (r + 1)))
+            base = tuple(m * a for a in lowered)
+            pf = partial_fraction(m, 1, b)
+            cf = self._zero()
+            for l, c in pf.pole_at_zero:
+                add_term(cf.terms, (base[:-1] + (base[-1] + l,),), c)
+            cf._add_scaled(self.pair_value(b, lowered), pf.pole_at_a[0][1])
         self._pair[key] = cf
         return cf
 
@@ -220,8 +202,7 @@ class _Evaluator:
         """Telescoping step: the (0^a, p) value minus the (0^(a+1), p) value.
 
         Defined for a >= 1, p >= 1; for p = 1 it coincides with the
-        adjacent-pair family at shift a.  Splitting the two trailing factors
-        1/((n_k+z)^{m*last} (n_k+a+z)^p) by partial fractions reduces depth.
+        adjacent-pair family at shift a.
         """
         if p == 1:
             return self.pair_value(a, comp)
@@ -229,70 +210,49 @@ class _Evaluator:
         hit = self._t.get(key)
         if hit is not None:
             return hit
-        m, z = self.m, self.z
         if not comp:
-            cf = self._const(Fraction(1, 1) / (a + 1 + z) ** p)
-        elif len(comp) == 1:
-            w = m * comp[0]
-            cf = self._empty()
-            for l in range(2, w + 1):
-                c = Fraction(
-                    math.comb(w + p - l - 1, p - 1) * (-1) ** (w - l), a ** (p + w - l)
-                )
-                cf = cf + self._zeta((l,), c)
-            for l in range(2, p + 1):
-                c = Fraction(
-                    math.comb(w + p - l - 1, w - 1) * (-1) ** w, a ** (p + w - l)
-                )
-                cf = cf + self._zeta((l,), c)
-            const = Fraction(0)
-            for l in range(1, p + 1):
-                c = Fraction(
-                    math.comb(w + p - l - 1, w - 1) * (-1) ** (w - 1), a ** (p + w - l)
-                )
-                const += c * harmonic_value(a, l, z)
-            cf = cf + self._const(const)
+            cf = self._const(Fraction(1, 1) / (a + 1 + self.z) ** p)
         else:
-            w = m * comp[-1]
-            prefix = comp[:-1]
-            pv = tuple(m * x for x in prefix)
-            cf = self._empty()
-            for l in range(2, w + 1):
-                c = Fraction(
-                    math.comb(w + p - l - 1, p - 1) * (-1) ** (w - l), a ** (p + w - l)
-                )
-                cf = cf + self._zeta(pv + (l,), c)
-            for l in range(2, p + 1):
-                c = Fraction(
-                    math.comb(w + p - l - 1, w - 1) * (-1) ** w, a ** (p + w - l)
-                )
-                cf = cf + self._zeta(pv + (l,), c)
-            for l in range(1, p + 1):
-                c = Fraction(
-                    math.comb(w + p - l - 1, w - 1) * (-1) ** (w - 1), a ** (p + w - l)
-                )
-                inner = self._empty()
-                for j in range(1, a + 1):
-                    inner = inner + self.t_value(j, l, prefix)
-                cf = cf + inner.scaled(c)
+            cf = self._split(a, p, comp)
         self._t[key] = cf
+        return cf
+
+    def _split(self, a: int, p: int, comp: Composition) -> ClosedForm:
+        """Split 1/((n_k+z)^w (n_k+a+z)^p), w = m*last, by `partial_fraction`.
+
+        A pole of order l >= 2, at 0 or at -a, gives zeta(prefix, l); the
+        zeta parts of the two simple poles cancel.  Moving a pole at -a to 0
+        costs a finite sum over the shifts 1..a: the harmonic value
+        H_a^(l)(z) when the prefix is empty, else the prefix's t values.
+        """
+        prefix = comp[:-1]
+        pv = tuple(self.m * x for x in prefix)
+        pf = partial_fraction(self.m * comp[-1], p, a)
+        cf = self._zero()
+        for l, c in pf.pole_at_zero[1:] + pf.pole_at_a[1:]:
+            add_term(cf.terms, (pv + (l,),), c)
+        for l, c in pf.pole_at_a:
+            if prefix:
+                for j in range(1, a + 1):
+                    cf._add_scaled(self.t_value(j, l, prefix), -c)
+            else:
+                cf.constant -= c * harmonic_value(a, l, self.z)
         return cf
 
     def power_value(self, a: int, p: int, comp: Composition) -> ClosedForm:
         """Value of the lone-power family (0^a, p), p >= 2, on a basis element."""
         if p < 2:
             raise ValueError("power family requires p >= 2")
-        m, z = self.m, self.z
         if not comp:
-            return self._zeta((p,), Fraction(1)) + self._const(-harmonic_value(a, p, z))
-        base = tuple(m * x for x in comp)
+            cf = self._zetas((p,))
+            cf.constant = -harmonic_value(a, p, self.z)
+            return cf
+        base = tuple(self.m * x for x in comp)
         if a == 0:
-            return self._zeta(base[:-1] + (base[-1] + p,), Fraction(1)) + self._zeta(
-                base + (p,), Fraction(1)
-            )
-        cf = self._zeta(base + (p,), Fraction(1))
+            return self._zetas(base[:-1] + (base[-1] + p,), base + (p,))
+        cf = self._zetas(base + (p,))
         for j in range(1, a):
-            cf = cf - self.t_value(j, p, comp)
+            cf._add_scaled(self.t_value(j, p, comp), -1)
         return cf
 
     def key_value(self, key: Index, comp: Composition) -> ClosedForm:
@@ -300,10 +260,9 @@ class _Evaluator:
         if kind == "power":
             return self.power_value(x, y, comp)
         if kind == "pair":
-            cf = self._empty()
+            cf = self._zero()
             for k2, c2 in expand_double_one(x, y).items():
-                b = len(k2) - 2
-                cf = cf + self.pair_value(b, comp).scaled(c2)
+                cf._add_scaled(self.pair_value(len(k2) - 2, comp), c2)
             return cf
         raise ValueError(f"not a canonical key: {key!r}")
 
@@ -317,26 +276,25 @@ def closed_form(spec: SeriesSpec) -> ClosedForm:
     u = poly_to_qsym(spec.F)
     comb = canonicalize(spec.s)
     ev = _Evaluator(spec.m, spec.z)
-    total = ClosedForm(Fraction(0), {}, spec.z, spec.m)
-    for key, c1 in sorted(comb.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        for comp, c2 in sorted(u.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            part = ev.key_value(key, comp).scaled(c1 * c2)
+    total = ev._zero()
+    for key, c1 in comb.items():
+        for comp, c2 in u.terms.items():
+            part = ev.key_value(key, comp)
             bound = _max_emitted_weight(spec.m, comp, spec.s)
             if part.max_weight() > bound:
                 raise AssertionError(
                     f"emitted weight {part.max_weight()} exceeds bound {bound}"
                 )
-            total = total + part
+            total._add_scaled(part, c1 * c2)
     return total
 
 
 def index_value(index, comp, m: int, z) -> ClosedForm:
     """Closed form of one exponent-vector functional on one basis element."""
-    zq = as_shift(z)
-    ev = _Evaluator(m, zq)
-    total = ClosedForm(Fraction(0), {}, zq, m)
+    ev = _Evaluator(m, as_shift(z))
+    total = ev._zero()
     for key, coeff in canonicalize(as_index(index)).items():
-        total = total + ev.key_value(key, tuple(comp)).scaled(coeff)
+        total._add_scaled(ev.key_value(key, tuple(comp)), coeff)
     return total
 
 
@@ -418,30 +376,29 @@ def apply_reductions(cf: ClosedForm, table: Optional[ReductionTable]) -> ClosedF
     """
     if table is None or table.shift != cf.shift or not table.rules:
         return cf
-    constant = cf.constant
-    work = dict(cf.terms)
+    work = cf
     for _ in range(100):
-        new: dict = {}
+        new = cf._like({})
+        new.constant = work.constant
         changed = False
-        for mono, coeff in work.items():
+        for mono, coeff in work.terms.items():
             pos = next((i for i, v in enumerate(mono) if v in table.rules), None)
             if pos is None:
-                new[mono] = new.get(mono, Fraction(0)) + coeff
+                add_term(new.terms, mono, coeff)
                 continue
             changed = True
             rule = table.rules[mono[pos]]
             rest = mono[:pos] + mono[pos + 1 :]
             if rule.constant:
                 if rest:
-                    new[rest] = new.get(rest, Fraction(0)) + coeff * rule.constant
+                    add_term(new.terms, rest, coeff * rule.constant)
                 else:
-                    constant += coeff * rule.constant
+                    new.constant += coeff * rule.constant
             for tmono, tc in rule.terms:
-                combined = monomial_key(rest + tmono)
-                new[combined] = new.get(combined, Fraction(0)) + coeff * tc
-        work = {k: v for k, v in new.items() if v}
+                add_term(new.terms, tuple(sorted(rest + tmono, key=sort_key)), coeff * tc)
+        work = new
         if not changed:
             break
     else:
         raise RuntimeError("reduction table substitution did not terminate")
-    return ClosedForm(constant, work, cf.shift, cf.order)
+    return work

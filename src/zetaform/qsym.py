@@ -33,9 +33,24 @@ def as_shift(z) -> Fraction:
     return zq
 
 
-def composition_sort_key(comp: Composition) -> tuple:
-    # canonical ordering: weight, then depth, then parts
-    return (sum(comp), len(comp), comp)
+def sort_key(key) -> tuple:
+    """The canonical order of basis keys: weight, then depth, then the parts.
+
+    A key is a tuple of integers (a composition, an exponent vector, a zeta
+    vector) or a tuple of such tuples (a product of zeta values), whose
+    weight and depth add up over its factors.
+    """
+    flat = [e for v in key for e in v] if key and isinstance(key[0], tuple) else key
+    return (sum(flat), len(flat), key)
+
+
+def add_term(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff in place, dropping the key when it cancels."""
+    total = terms.get(key, 0) + coeff
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
 
 
 def compositions(n: int) -> Iterator[Composition]:
@@ -60,22 +75,21 @@ def compositions_with_length(n: int, k: int) -> Iterator[Composition]:
 
 
 class _LinComb:
-    """Shared plumbing for dict-backed rational linear combinations."""
+    """Shared plumbing for dict-backed rational linear combinations.
+
+    The constructor is the boundary for keys from outside: it validates and
+    normalizes each one.  Arithmetic keeps keys canonical, so its results are
+    built through `_like` and `_add_scaled` without validating them again.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data: dict = {}
+        self.terms = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, coeff in items:
-                key = self._validate_key(key)
-                c = Fraction(coeff)
-                if key in data:
-                    data[key] += c
-                else:
-                    data[key] = c
-        self.terms = {k: v for k, v in data.items() if v}
+                add_term(self.terms, self._validate_key(key), Fraction(coeff))
 
     @classmethod
     def _validate_key(cls, key):  # pragma: no cover - overridden
@@ -84,6 +98,28 @@ class _LinComb:
     @classmethod
     def _mul_keys(cls, a, b):  # pragma: no cover - overridden
         raise NotImplementedError
+
+    def _like(self, terms: dict):
+        """A new element with self's type and fixed fields holding `terms`.
+
+        The terms must already be canonical and nonzero.  Subclasses with
+        extra fields extend this hook instead of copying the arithmetic.
+        """
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    def _add_scaled(self, other, c) -> None:
+        """self += c * other, in place: only for an element not yet handed out."""
+        for key, coeff in other.terms.items():
+            add_term(self.terms, key, c * coeff)
+
+    def _combine(self, *parts):
+        """The sum of c * x over the (x, c) pairs, with self's fixed fields."""
+        out = self._like({})
+        for x, c in parts:
+            out._add_scaled(x, c)
+        return out
 
     @classmethod
     def zero(cls):
@@ -106,41 +142,35 @@ class _LinComb:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return type(self)(out)
+        return self._combine((self, 1), (other, 1))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-1) * other
+        return self._combine((self, 1), (other, -1))
 
     def __neg__(self):
-        return (-1) * self
+        return self.scaled(-1)
 
-    def _scaled(self, scalar: Scalar):
-        c = Fraction(scalar)
-        if not c:
-            return type(self)()
-        return type(self)({k: c * v for k, v in self.terms.items()})
+    def scaled(self, scalar):
+        return self._combine((self, Fraction(scalar)))
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            out: dict = {}
+            out = self._like({})
             for ka, ca in self.terms.items():
                 for kb, cb in other.terms.items():
                     c = ca * cb
                     for key, mult in self._mul_keys(ka, kb):
-                        out[key] = out.get(key, Fraction(0)) + c * mult
-            return type(self)(out)
+                        add_term(out.terms, key, c * mult)
+            return out
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self.scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self.scaled(other)
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -152,11 +182,7 @@ class _LinComb:
         return result
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
-
-    @staticmethod
-    def _sort_key(key):
-        return (sum(key), len(key), key)
+        return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {v}" for k, v in self.sorted_terms())
@@ -202,10 +228,6 @@ class QSymExpr(_LinComb):
     @classmethod
     def monomial(cls, comp: Iterable[int]) -> "QSymExpr":
         return cls({tuple(comp): 1})
-
-    def weight_range(self) -> tuple[int, int]:
-        weights = [sum(c) for c in self.terms] or [0]
-        return min(weights), max(weights)
 
 
 class Polynomial(_LinComb):

@@ -50,10 +50,6 @@ def as_index(s) -> Index:
     return vec
 
 
-def index_weight(s) -> int:
-    return sum(s)
-
-
 @dataclass(frozen=True)
 class PartialFractionExpansion:
     """Coefficients of 1/(x^k (x+a)^m) against 1/x^l and 1/(x+a)^l."""

@@ -296,3 +296,57 @@ class TestBatch:
         assert main(["--input", str(path)]) == 1
         out = capsys.readouterr().out
         assert out.index("verify: FAIL") < out.index("verify: PASS")
+
+
+class TestRecordTypes:
+    GOOD = {"F": "x1", "z": "0", "s": [0, 2]}
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("F", 5),
+            ("m", 1.7),
+            ("m", True),
+            ("z", -0.5),
+            ("z", [0]),
+            ("s", 5),
+            ("s", [2.9]),
+            ("s", [0, True]),
+            ("binomial", [4, 5.0]),
+            ("binomial", "4,5"),
+            ("verify", [1]),
+            ("verify", 100.0),
+            ("tolerance", [1e-8]),
+            ("tolerance", True),
+            ("table", 7),
+        ],
+    )
+    def test_wrong_json_type_is_one_error_line(self, capsys, tmp_path, field, value):
+        record = dict(self.GOOD, **{field: value})
+        if field == "binomial":
+            del record["s"]
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(record))
+        assert main(["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: record 0: ") and f"'{field}'" in err[0]
+
+    def test_wrong_arity_binomial(self, capsys, tmp_path):
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({"F": "x1", "z": "0", "binomial": [1, 2, 3]}))
+        assert main(["--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: record 0: 'binomial'")
+
+    def test_accepted_json_types(self, capsys, tmp_path):
+        path = tmp_path / "rec.json"
+        path.write_text(
+            json.dumps(
+                {"F": "x1", "m": 2, "z": 0, "s": [1, 1], "verify": 100, "tolerance": "1e-6"}
+            )
+        )
+        assert main(["--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "value = zeta(3)" in out and "verify: PASS" in out

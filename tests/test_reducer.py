@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetaform.reducer import (
     DivergentSeriesError,
@@ -199,3 +200,29 @@ class TestCanonicalize:
                 continue
             seen += 1
             assert canonicalize(s) == full_reduce(s), s
+
+
+def summand(key, n, z):
+    """1 / prod_i (n+i+z)^key[i], exactly."""
+    out = F(1)
+    for i, e in enumerate(key):
+        out /= (n + i + z) ** e
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=6).filter(lambda s: sum(s) >= 2),
+    st.sampled_from((F(0), F(-1, 2), F(-1, 3))),
+)
+def test_reduction_preserves_the_summand(s, z):
+    # times prod_i (n+i+z)^(largest exponent at i), the difference of the two
+    # sides is a polynomial in n, so more zeros than its degree prove it is 0
+    s = tuple(s)
+    for comb in (reduce_index(s), canonicalize(s)):
+        keys = [s, *comb]
+        width = max(len(k) for k in keys)
+        degree = sum(max(k[i] for k in keys if i < len(k)) for i in range(width))
+        for n in range(1, degree + 2):
+            got = sum(c * summand(k, n, z) for k, c in comb.items())
+            assert got == summand(s, n, z), (s, z, n)

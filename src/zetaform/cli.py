@@ -222,18 +222,13 @@ def _records(argv) -> tuple[list, bool]:
         "tolerance": args.tolerance,
         "table": args.table,
     }
-    if args.binomial is not None:
-        try:
-            record["binomial"] = [int(v) for v in args.binomial.split(",")]
-        except ValueError:
-            raise CliError(f"cannot parse --binomial {args.binomial!r}")
-        if len(record["binomial"]) != 2:
-            raise CliError("--binomial needs exactly p,k")
-    if args.s is not None:
-        try:
-            record["s"] = [int(v) for v in args.s.split(",")]
-        except ValueError:
-            raise CliError(f"cannot parse --s {args.s!r}")
+    for name in ("binomial", "s"):
+        text = getattr(args, name)
+        if text is not None:
+            try:
+                record[name] = [int(v) for v in text.split(",")]
+            except ValueError:
+                raise CliError(f"cannot parse --{name} {text!r}")
     if args.verify is not None:
         record["verify"] = args.verify
     return [record], False
@@ -258,22 +253,12 @@ def _frac_latex(fr: Fraction) -> str:
     return rf"{sign}\frac{{{abs(fr.numerator)}}}{{{fr.denominator}}}"
 
 
-def _vector_text(vec, shift: Fraction, t_mode: bool) -> str:
+def _vector_symbol(vec, shift: Fraction, t_mode: bool, latex: bool) -> str:
     args = ",".join(str(v) for v in vec)
     if t_mode:
         return f"t({args})"
-    if shift == 0:
-        return f"zeta({args})"
-    return f"zeta({args}; {shift})"
-
-
-def _vector_latex(vec, shift: Fraction, t_mode: bool) -> str:
-    args = ",".join(str(v) for v in vec)
-    if t_mode:
-        return f"t({args})"
-    if shift == 0:
-        return rf"\zeta({args})"
-    return rf"\zeta({args}; {shift})"
+    name = r"\zeta" if latex else "zeta"
+    return f"{name}({args})" if shift == 0 else f"{name}({args}; {shift})"
 
 
 def _assemble(parts: list[tuple[Fraction, str]], latex: bool) -> str:
@@ -302,10 +287,8 @@ def _closed_form_parts(cf: ClosedForm, t_mode: bool, latex: bool):
         shown = coeff
         if t_mode:
             shown = coeff * Fraction(2) ** sum(sum(v) for v in mono)
-        render_one = _vector_latex if latex else _vector_text
-        symbol = "".join(
-            render_one(v, cf.shift, t_mode) for v in mono
-        ) if latex else "*".join(render_one(v, cf.shift, t_mode) for v in mono)
+        symbols = (_vector_symbol(v, cf.shift, t_mode, latex) for v in mono)
+        symbol = ("" if latex else "*").join(symbols)
         parts.append((shown, symbol))
     return parts
 
@@ -323,11 +306,19 @@ def closed_form_to_json(cf: ClosedForm) -> dict:
 
 
 def closed_form_from_json(data: dict) -> ClosedForm:
-    terms = (
-        (tuple(tuple(int(e) for e in v) for v in t["factors"]), Fraction(t["coeff"]))
-        for t in data["terms"]
-    )
-    return ClosedForm(Fraction(data["constant"]), terms, Fraction(data["z"]), int(data["m"]))
+    """Inverse of closed_form_to_json; a float or a boolean is a CliError.
+
+    int() would truncate a float and Fraction() take its binary value, so
+    vector entries and m must be JSON integers, the rationals strings or integers.
+    """
+    ints = [e for t in data["terms"] for v in t["factors"] for e in v] + [data["m"]]
+    rationals = [t["coeff"] for t in data["terms"]] + [data["constant"], data["z"]]
+    bad = [e for e in ints if not _is_json(e, int)]
+    bad += [r for r in rationals if not _is_json(r, str, int)]
+    if bad:
+        raise CliError(f"closed form JSON: {json.dumps(bad[0])} where an exact value belongs")
+    terms = ((tuple(map(tuple, t["factors"])), Fraction(t["coeff"])) for t in data["terms"])
+    return ClosedForm(Fraction(data["constant"]), terms, Fraction(data["z"]), data["m"])
 
 
 def render(

@@ -1,28 +1,29 @@
 """Independent numeric oracle for closed forms and raw series.
 
-Multiple Hurwitz zeta values are evaluated by nested summation: the innermost
-level is an exact Hurwitz zeta tail, and each outer level is accumulated
-backward from a cutoff whose tail is corrected with an Euler-Maclaurin style
-closure: the level function times its known power decay is fitted to a short
-log-polynomial expansion, and the resulting tail sums are exact s-derivatives
-of the Hurwitz zeta.  A raw series is summed directly in high-precision
-floating point for its first N terms, and its tail is added exactly from the
-summand's large-n expansion in ln^d(x)/x^q, x = n + z, each term of which
-sums to a Hurwitz zeta derivative; so verification never reuses the symbolic
-machinery it is checking.  Partial sums at doubling checkpoints and their
-extrapolated limit (series_checkpoints, extrapolate_checkpoints) remain as an
-independent second opinion.
+Multiple Hurwitz zeta values are evaluated by nested backward summation from
+a cutoff of 40: the innermost level starts from an exact Hurwitz zeta tail,
+and every outer level, itself a tail sum, from its large-n expansion in
+powers of 1/(n+z), whose exact rational coefficients come level by level from
+the Hurwitz zeta expansion with Bernoulli numbers (DLMF 25.11.43).  A raw
+series is summed directly in high-precision floating point for its first N
+terms, and its tail is added exactly from the summand's large-n expansion in
+ln^d(x)/x^q, x = n + z, each term of which sums to a Hurwitz zeta
+derivative; both sides share that Hurwitz zeta expansion, so verification
+never reuses the symbolic machinery it is checking.  Partial sums at doubling
+checkpoints and their extrapolated limit (series_checkpoints,
+extrapolate_checkpoints) remain as an independent second opinion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
 from mpmath import mp, mpf, matrix, lu_solve, qr_solve, bernfrac
-from mpmath import log as mplog, psi as mppsi, zeta as mpzeta
+from mpmath import psi as mppsi, zeta as mpzeta
 
 from .engine import ClosedForm, SeriesSpec, ZetaVector, check_vector
 from .qsym import as_shift
@@ -69,78 +70,100 @@ def _check_desk_vector(v) -> ZetaVector:
     return vec
 
 
-def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
-    """One evaluation at a fixed cutoff; precision from the ambient context."""
-    zz = mpf(zq.numerator) / zq.denominator
-    k = len(svec)
-    if k == 1:
-        return mpzeta(svec[0], 1 + zz)
-    # decay order of each level function
-    omega = [0] * (k + 1)
-    omega[k - 1] = svec[k - 1] - 1
-    for j in range(k - 2, -1, -1):
-        omega[j] = svec[j] + omega[j + 1] - 1
-    nxt: list = []
-    for j in range(k - 1, -1, -1):
-        s = svec[j]
-        cur = [mpf(0)] * (cutoff + 1)
-        if j == k - 1:
-            cur[cutoff] = mpzeta(s, cutoff + 1 + zz)
-            for n in range(cutoff, 0, -1):
-                cur[n - 1] = cur[n] + (n + zz) ** (-s)
-        else:
-            cur[cutoff] = _fitted_tail(nxt, s, omega[j + 1], zz, cutoff, k - 1 - j)
-            for n in range(cutoff, 0, -1):
-                cur[n - 1] = cur[n] + (n + zz) ** (-s) * nxt[n]
-        nxt = cur
-    return nxt[0]
+@lru_cache(maxsize=None)
+def _zeta_tail_coeffs(sigma: int, order: int) -> tuple:
+    """zeta(sigma, x+1) ~ sum c / x^p for large x, as ((p, c), ...) with p <= order.
 
-
-def _fitted_tail(values, s, omega, zz, cutoff, logdeg) -> mpf:
-    """Tail of sum_{t>cutoff} (t+z)^-s * values[t] via a log-power fit.
-
-    values[t]*(t+z)^omega is fitted on [cutoff/2, cutoff] against
-    ln^d(t+z) / (t+z)^q for d <= logdeg, q <= 2; each basis tail is an exact
-    s-derivative of the Hurwitz zeta at cutoff+1+z.
+    zeta(sigma, x+1) ~ sum_k B_k (sigma)_(k-1)/k! x^(1-sigma-k) with B_1 = -1/2
+    and (sigma)_(-1) = 1/(sigma-1) (DLMF 25.11.43).  For sigma = 1 the k = 0
+    term is left out: -psi(x+1) has -ln x there.  Exact rationals, no z.
     """
-    logdeg = min(logdeg, 3)
-    basis = [(d, q) for q in range(3) for d in range(logdeg + 1)]
-    npts = len(basis)
-    pts = [cutoff - round(i * (cutoff / 2) / (npts - 1)) for i in range(npts)]
-    rows, rhs = [], []
-    for t in pts:
-        x = t + zz
-        L = mplog(x)
-        rows.append([L**d * x ** (-q) for (d, q) in basis])
-        rhs.append(values[t] * x**omega)
-    coeffs = lu_solve(matrix(rows), matrix(rhs))
-    tail = mpf(0)
-    for c, (d, q) in zip(coeffs, basis):
-        tail += c * (-1) ** d * mpzeta(s + omega + q, cutoff + 1 + zz, d)
-    return tail
+    out = [(sigma - 1, Fraction(1, sigma - 1))] if 1 < sigma <= order + 1 else []
+    rising = Fraction(1)  # (sigma)_(k-1) / k!
+    for k in range(1, order + 2 - sigma):
+        if k > 1:
+            rising = rising * (sigma + k - 2) / k
+        c = Fraction(*bernfrac(k)) * rising
+        if c:
+            out.append((sigma - 1 + k, c))
+    return tuple(out)
+
+
+def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
+    """One evaluation at a fixed cutoff; precision from the ambient context.
+
+    Level j is f_j(n) = sum_{t>n} (t+z)^-s_j f_(j+1)(t), with f_k = 1 and the
+    value f_0(0).  Each level starts at n = cutoff, the innermost from its
+    exact Hurwitz zeta tail and every outer one from its expansion at
+    x = cutoff + z, and runs backward to n = 0.
+    """
+    zz = mpf(zq.numerator) / zq.denominator
+    f = [mpf(1)] * (cutoff + 1)
+    for j in range(len(svec) - 1, -1, -1):
+        if j == len(svec) - 1:
+            acc = mpzeta(svec[j], cutoff + 1 + zz)
+        else:
+            acc, inv = mpf(0), 1 / (cutoff + zz)
+            for c in reversed(_level_values(svec[j:], mp.dps)[:-2]):
+                acc = acc * inv + c
+        for n in range(cutoff, 0, -1):
+            f[n], acc = acc, acc + (n + zz) ** (-svec[j]) * f[n]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _level_expansion(svec: ZetaVector, dps: int) -> tuple:
+    """Coefficients c_p of f(n) ~ sum_p c_p / x^p, x = n + z, p <= dps + 22.
+
+    f(n) = sum_{n < t_1 < ... < t_k} prod (t_i + z)^-s_i.  Going inward to
+    outward, each term c / x^q of the inner level's expansion contributes c
+    times the expansion of zeta(s_1 + q, x + 1).  Orders up to dps + 20 are
+    kept; the last two are the first omitted ones.  No z dependence.
+    """
+    top = dps + 22
+    inner = _level_expansion(svec[1:], dps) if len(svec) > 1 else (Fraction(1),)
+    out = [Fraction(0)] * (top + 1)
+    for q, c in enumerate(inner):
+        if c:
+            for p, b in _zeta_tail_coeffs(svec[0] + q, top):
+                out[p] += c * b
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _level_values(svec: ZetaVector, dps: int) -> tuple:
+    """_level_expansion(svec, dps) in floating point at dps digits."""
+    with mp.workdps(dps):
+        return tuple(mpf(c.numerator) / c.denominator for c in _level_expansion(svec, dps))
+
+
+def _omitted_orders(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
+    """The first two omitted orders of the outer levels' expansions at the cutoff."""
+    x = cutoff + mpf(zq.numerator) / zq.denominator
+    total = mpf(0)
+    for j in range(len(svec) - 1):
+        *kept, c1, c2 = _level_values(svec[j:], mp.dps)
+        total += (abs(c1) + abs(c2) / x) * x ** (-len(kept))
+    return total
 
 
 # (vector, shift) -> (requested abs_err, result); an entry serves any request
 # at least as loose as its budget or its achieved bound
 _MHZ_CACHE: dict = {}
-
-
-def _cutoff_for(abs_err: float, depth: int) -> int:
-    if depth == 1:
-        return 0
-    if abs_err >= 1e-7:
-        return 3000
-    if abs_err >= 1e-11:
-        return 10000
-    return 20000
+MHZ_CUTOFF = 40
+MHZ_MAX_CUTOFF = 20480
 
 
 def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
-    """Multiple Hurwitz zeta value with a heuristic error bound.
+    """Multiple Hurwitz zeta value with an error bound.
 
-    Desk-scale only (depth <= 5, weight <= 10).  The bound is taken from the
-    change under a cutoff doubling, plus the requested target; the cutoff is
-    escalated until that change is within budget.
+    Desk-scale only (depth <= 5, weight <= 10).  The bound is the first two
+    omitted orders of the outer levels' expansions at the cutoff, plus the
+    change in the value when the cutoff is halved (the truncation error
+    there is about 2^order times larger, and it also exposes a wrong
+    coefficient), plus a working-precision floor.  The cutoff starts at
+    MHZ_CUTOFF (0 at depth 1, an exact Hurwitz zeta) and doubles, up to
+    MHZ_MAX_CUTOFF, while that change exceeds abs_err / 4.
     """
     vec = _check_desk_vector(v)
     zq = as_shift(z)
@@ -152,22 +175,16 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
         return hit[1]
     dps = _digits_for(abs_err)
     with mp.workdps(dps):
-        if len(vec) == 1:
-            value = _mhz_once(vec, zq, 0)
-            result = NumericResult(value, float(mpf(10) ** (5 - dps)))
-        else:
-            cutoff = _cutoff_for(abs_err, len(vec))
-            coarse = _mhz_once(vec, zq, cutoff // 2)
-            value = _mhz_once(vec, zq, cutoff)
+        cutoff = MHZ_CUTOFF if len(vec) > 1 else 0
+        value, delta = _mhz_once(vec, zq, cutoff), mpf(0)
+        if cutoff:
+            delta = abs(value - _mhz_once(vec, zq, cutoff // 2))
+        while delta > abs_err / 4 and cutoff < MHZ_MAX_CUTOFF:
+            cutoff *= 2
+            value, coarse = _mhz_once(vec, zq, cutoff), value
             delta = abs(value - coarse)
-            for _ in range(2):
-                if delta <= abs_err / 4:
-                    break
-                cutoff *= 2
-                coarse, value = value, _mhz_once(vec, zq, cutoff)
-                delta = abs(value - coarse)
-            bound = float(delta + mpf(10) ** (5 - dps))
-            result = NumericResult(value, bound)
+        bound = _omitted_orders(vec, zq, cutoff) + delta + mpf(10) ** (5 - dps)
+        result = NumericResult(value, float(bound))
     _MHZ_CACHE[key] = (abs_err, result)
     return result
 
@@ -379,23 +396,14 @@ def _harmonic_expansion(r: int, zz: mpf, order: int) -> dict:
     """H_n^(r)(z) for large x = n + z, through 1/x^order.
 
     H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for
-    r = 1 (DLMF 5.11.2), and zeta(r, x+1) ~ sum_k B_k (r)_(k-1)/k! x^(1-r-k)
-    with B_1 = -1/2 and (r)_(-1) = 1/(r-1) (DLMF 25.11.43); for r = 1 the
-    k = 0 term is ln x instead.
+    r = 1 (DLMF 5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).
     """
     if r == 1:
         out = {(0, 0): -mppsi(0, 1 + zz), (0, 1): mpf(1)}
     else:
         out = {(0, 0): mpzeta(r, 1 + zz)}
-        if r - 1 <= order:
-            out[(r - 1, 0)] = mpf(-1) / (r - 1)
-    rising = Fraction(1)  # (r)_(k-1) / k!
-    for k in range(1, order + 2 - r):
-        if k > 1:
-            rising = rising * (r + k - 2) / k
-        c = -Fraction(*bernfrac(k)) * rising
-        if c:
-            out[(r - 1 + k, 0)] = mpf(c.numerator) / c.denominator
+    for p, c in _zeta_tail_coeffs(r, order):
+        out[(p, 0)] = -mpf(c.numerator) / c.denominator
     return out
 
 

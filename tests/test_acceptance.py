@@ -319,3 +319,23 @@ def test_criterion_9_random_desk_specs():
         not failures,
         f"{50 - len(failures)}/50 passed",
     )
+
+
+def test_random_desk_specs_certified_at_tight_tolerance():
+    # fresh specs, not criterion 9's; "certified" means the reported bounds
+    # alone fit the tolerance, whatever the discrepancy
+    specs = _random_desk_specs(count=100, seed=20261018)
+    assert {spec.z for spec in specs} == {F(0), F(-1, 2), F(-1, 3)}
+    assert {spec.m for spec in specs} == {1, 2}
+    tol = 1e-10
+    failures = []
+    for i, spec in enumerate(specs):
+        rep = verify_identity(spec, closed_form(spec), tol=tol, N=200)
+        certified = rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= tol
+        if not (rep.passed and certified):
+            failures.append((i, spec, rep.discrepancy, rep.message))
+    report(
+        "random differential (100 fresh desk specs at tol 1e-10, certified)",
+        not failures,
+        f"{100 - len(failures)}/100 passed and certified; failures: {failures}",
+    )

@@ -350,3 +350,31 @@ class TestRecordTypes:
         assert main(["--input", str(path)]) == 0
         out = capsys.readouterr().out
         assert "value = zeta(3)" in out and "verify: PASS" in out
+
+
+class TestClosedFormFromJsonTypes:
+    GOOD = {"constant": "0", "terms": [{"factors": [[2]], "coeff": "1"}], "z": "0", "m": 1}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"terms": [{"factors": [[2.7]], "coeff": "1"}], "m": 1.9},
+            {"terms": [{"factors": [[2.0]], "coeff": "1"}]},
+            {"terms": [{"factors": [[1, True]], "coeff": "1"}]},
+            {"terms": [{"factors": [[True, 2]], "coeff": "1"}]},
+            {"m": 1.0},
+            {"m": True},
+            {"constant": 0.1},
+            {"terms": [{"factors": [[2]], "coeff": 0.5}]},
+            {"terms": [{"factors": [[2]], "coeff": False}]},
+            {"z": -0.5},
+        ],
+    )
+    def test_float_or_boolean_is_rejected(self, change):
+        with pytest.raises(CliError):
+            closed_form_from_json({**self.GOOD, **change})
+
+    def test_integers_and_strings_load(self):
+        data = {**self.GOOD, "constant": 2, "z": "-1/2", "m": 2}
+        cf = closed_form_from_json(data)
+        assert cf == ClosedForm(F(2), {((2,),): 1}, F(-1, 2), 2)

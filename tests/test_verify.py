@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -345,3 +346,36 @@ class TestMhzCache:
         assert tight.abs_err_bound <= 3.2e-8
         # the tighter entry now serves looser requests
         assert mhz_numeric((1, 2), 0, 1e-6) is tight
+
+
+class TestSumTheorem:
+    # depth k < w: weight w has no admissible vector of depth w or more
+    @pytest.mark.parametrize(
+        "w, k", [(w, k) for w in range(3, 8) for k in range(2, 6) if k < w]
+    )
+    def test_admissible_vectors_sum_to_zeta_w(self, w, k):
+        # sum of zeta(s) over s of weight w, depth k, last entry >= 2 is
+        # zeta(w); mpmath's zeta(w) is an independent reference
+        vecs = [
+            c[:-1] + (c[-1] + 1,) for c in itertools.product(range(1, w), repeat=k)
+            if sum(c) == w - 1
+        ]
+        results = [mhz_numeric(v, 0, 1e-20) for v in vecs]
+        assert all(r.abs_err_bound <= 1e-20 for r in results)
+        with mp.workdps(40):
+            total = mp.fsum(r.value for r in results)
+            err = abs(total - zeta(w))
+        assert err <= sum(r.abs_err_bound for r in results), (w, k, err)
+
+
+class TestLevelExpansion:
+    @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3)])
+    def test_cutoffs_20_and_40_agree(self, z):
+        # with exact level expansions only the omitted orders differ, and at
+        # 60 digits those are far below 1e-40; one wrong coefficient is not
+        from zetaform.verify import _mhz_once
+
+        with mp.workdps(60):
+            for vec in [(1, 2), (2, 1, 3), (1, 1, 1, 1, 2), (3, 1, 1, 2)]:
+                delta = abs(_mhz_once(vec, z, 20) - _mhz_once(vec, z, 40))
+                assert delta < mpf(10) ** -40, (vec, delta)

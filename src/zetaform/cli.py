@@ -110,6 +110,13 @@ def _field(record: dict, name: str, what: str, *types, default=None):
     return value
 
 
+def _rational(value, name: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"cannot parse {name}={value!r} as a rational")
+
+
 def _request_from_record(record: dict) -> CliRequest:
     if not isinstance(record, dict):
         raise CliError("a request record must be a JSON object")
@@ -122,10 +129,7 @@ def _request_from_record(record: dict) -> CliRequest:
         raise CliError(f"cannot parse F={f_text!r}: {exc}")
     m = _field(record, "m", "an integer", int, default=1)
     z_text = str(_field(record, "z", "a string or an integer", str, int, default="0"))
-    try:
-        z = Fraction(z_text)
-    except ValueError:
-        raise CliError(f"cannot parse z={z_text!r} as a rational")
+    z = _rational(z_text, "z")
     binomial = _field(record, "binomial", "a list of integers", list)
     s = _field(record, "s", "a list of integers", list)
     if (binomial is None) == (s is None):
@@ -306,19 +310,31 @@ def closed_form_to_json(cf: ClosedForm) -> dict:
 
 
 def closed_form_from_json(data: dict) -> ClosedForm:
-    """Inverse of closed_form_to_json; a float or a boolean is a CliError.
+    """Inverse of closed_form_to_json; any malformed payload is a CliError.
 
     int() would truncate a float and Fraction() take its binary value, so
-    vector entries and m must be JSON integers, the rationals strings or integers.
+    vector entries and m must be JSON integers, the rationals strings or
+    integers.  As for a series, m >= 1 and z lies in (-1, 0].
     """
-    ints = [e for t in data["terms"] for v in t["factors"] for e in v] + [data["m"]]
-    rationals = [t["coeff"] for t in data["terms"]] + [data["constant"], data["z"]]
+    try:
+        terms = [(t["factors"], t["coeff"]) for t in data["terms"]]
+        ints = [e for factors, _ in terms for v in factors for e in v] + [data["m"]]
+        rationals = [data["constant"], data["z"]] + [c for _, c in terms]
+    except (KeyError, TypeError) as exc:
+        raise CliError(f"closed form JSON: malformed payload ({type(exc).__name__}: {exc})")
     bad = [e for e in ints if not _is_json(e, int)]
     bad += [r for r in rationals if not _is_json(r, str, int)]
     if bad:
         raise CliError(f"closed form JSON: {json.dumps(bad[0])} where an exact value belongs")
-    terms = ((tuple(map(tuple, t["factors"])), Fraction(t["coeff"])) for t in data["terms"])
-    return ClosedForm(Fraction(data["constant"]), terms, Fraction(data["z"]), data["m"])
+    constant, z, *coeffs = map(_rational, rationals, ["constant", "z"] + ["coeff"] * len(terms))
+    m = data["m"]
+    if m < 1 or not -1 < z <= 0:
+        raise CliError(f"closed form JSON needs m >= 1 and z in (-1, 0], got m={m}, z={data['z']}")
+    factors = (tuple(map(tuple, f)) for f, _ in terms)
+    try:
+        return ClosedForm(constant, zip(factors, coeffs), z, m)
+    except ValueError as exc:  # a zeta vector with an entry < 1 or a last entry < 2
+        raise CliError(f"closed form JSON: {exc}")
 
 
 def render(
@@ -386,7 +402,7 @@ def mp_str(value) -> str:
 
 def run(request: CliRequest) -> tuple[int, str]:
     """Execute one request: pipeline, optional verification, rendering."""
-    cf = closed_form(request.spec).scaled(request.prefactor)
+    cf = closed_form(request.spec)
     table = None
     if request.display_mode == "reduced":
         path = request.reduction_table_path
@@ -396,17 +412,14 @@ def run(request: CliRequest) -> tuple[int, str]:
             raise CliError(f"cannot read --table {path!r}: {exc.strerror or exc}")
     report = None
     if request.verify_n is not None:
-        display_cf = apply_reductions(cf, table) if table is not None else cf
         report = verify_identity(
             request.spec,
-            display_cf.scaled(Fraction(1) / request.prefactor)
-            if request.prefactor != 1
-            else display_cf,
+            apply_reductions(cf, table) if table is not None else cf,
             tol=request.tolerance,
             N=request.verify_n,
         )
     rendered = render(
-        cf,
+        cf.scaled(request.prefactor),
         request.display_mode,
         request.output_format,
         table=table,

@@ -26,7 +26,7 @@ def as_shift(z) -> Fraction:
     """Validate a series shift: a rational number in (-1, 0]."""
     try:
         zq = Fraction(z)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"shift must be rational, got {z!r}") from exc
     if zq <= -1 or zq > 0:
         raise ValueError(f"shift must lie in (-1, 0], got {zq}")

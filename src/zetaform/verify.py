@@ -1,17 +1,18 @@
 """Independent numeric oracle for closed forms and raw series.
 
 Multiple Hurwitz zeta values are evaluated by nested backward summation from
-a cutoff of 40: the innermost level starts from an exact Hurwitz zeta tail,
-and every outer level, itself a tail sum, from its large-n expansion in
-powers of 1/(n+z), whose exact rational coefficients come level by level from
-the Hurwitz zeta expansion with Bernoulli numbers (DLMF 25.11.43).  A raw
-series is summed directly in high-precision floating point for its first N
-terms, and its tail is added exactly from the summand's large-n expansion in
-ln^d(x)/x^q, x = n + z, each term of which sums to a Hurwitz zeta
-derivative; both sides share that Hurwitz zeta expansion, so verification
-never reuses the symbolic machinery it is checking.  Partial sums at doubling
-checkpoints and their extrapolated limit (series_checkpoints,
-extrapolate_checkpoints) remain as an independent second opinion.
+a cutoff set by the working precision (40 up to 34 digits): the innermost
+level starts from an exact Hurwitz zeta tail, and every outer level, itself
+a tail sum, from its large-n expansion in powers of 1/(n+z), whose exact
+rational coefficients come level by level from the Hurwitz zeta expansion
+with Bernoulli numbers (DLMF 25.11.43).  A raw series is summed directly in
+high-precision floating point for its first N terms, and its tail is added
+exactly from the summand's large-n expansion in ln^d(x)/x^q, x = n + z,
+each term of which sums to a Hurwitz zeta derivative; both sides share that
+Hurwitz zeta expansion, so verification never reuses the symbolic machinery
+it is checking.  Partial sums at doubling checkpoints and their
+extrapolated limit (series_checkpoints, extrapolate_checkpoints) remain as
+an independent second opinion.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class DeskLimitError(ValueError):
     """Raised when a request exceeds the documented desk-scale caps."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NumericResult:
     value: mpf
     abs_err_bound: float
@@ -59,6 +60,10 @@ class VerificationReport:
 def _digits_for(abs_err: float) -> int:
     """Working precision, in decimal digits, for a target absolute error."""
     return max(30, int(-mp.log10(mpf(abs_err))) + 12)
+
+
+def _mpf(q: Fraction) -> mpf:
+    return mpf(q.numerator) / q.denominator
 
 
 def _check_desk_vector(v) -> ZetaVector:
@@ -97,7 +102,7 @@ def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
     exact Hurwitz zeta tail and every outer one from its expansion at
     x = cutoff + z, and runs backward to n = 0.
     """
-    zz = mpf(zq.numerator) / zq.denominator
+    zz = _mpf(zq)
     f = [mpf(1)] * (cutoff + 1)
     for j in range(len(svec) - 1, -1, -1):
         if j == len(svec) - 1:
@@ -134,12 +139,12 @@ def _level_expansion(svec: ZetaVector, dps: int) -> tuple:
 def _level_values(svec: ZetaVector, dps: int) -> tuple:
     """_level_expansion(svec, dps) in floating point at dps digits."""
     with mp.workdps(dps):
-        return tuple(mpf(c.numerator) / c.denominator for c in _level_expansion(svec, dps))
+        return tuple(_mpf(c) for c in _level_expansion(svec, dps))
 
 
 def _omitted_orders(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
     """The first two omitted orders of the outer levels' expansions at the cutoff."""
-    x = cutoff + mpf(zq.numerator) / zq.denominator
+    x = cutoff + _mpf(zq)
     total = mpf(0)
     for j in range(len(svec) - 1):
         *kept, c1, c2 = _level_values(svec[j:], mp.dps)
@@ -147,46 +152,38 @@ def _omitted_orders(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
     return total
 
 
-# (vector, shift) -> (requested abs_err, result); an entry serves any request
-# at least as loose as its budget or its achieved bound
-_MHZ_CACHE: dict = {}
 MHZ_CUTOFF = 40
-MHZ_MAX_CUTOFF = 20480
 
 
 def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
     """Multiple Hurwitz zeta value with an error bound.
 
-    Desk-scale only (depth <= 5, weight <= 10).  The bound is the first two
-    omitted orders of the outer levels' expansions at the cutoff, plus the
+    Desk-scale only (depth <= 5, weight <= 10).  The value depends only on
+    the vector, the shift and the working precision dps that abs_err asks
+    for, never on earlier requests.  It is evaluated once, at cutoff
+    max(MHZ_CUTOFF, 6 dps / 5) (0 at depth 1, an exact Hurwitz zeta), which
+    keeps the omitted orders of the level expansions far below 10^-dps.
+    The bound is those first two omitted orders at the cutoff, plus the
     change in the value when the cutoff is halved (the truncation error
     there is about 2^order times larger, and it also exposes a wrong
-    coefficient), plus a working-precision floor.  The cutoff starts at
-    MHZ_CUTOFF (0 at depth 1, an exact Hurwitz zeta) and doubles, up to
-    MHZ_MAX_CUTOFF, while that change exceeds abs_err / 4.
+    coefficient), plus a working-precision floor.
     """
     vec = _check_desk_vector(v)
     zq = as_shift(z)
     if abs_err <= 0:
         raise ValueError("abs_err must be positive")
-    key = (vec, zq)
-    hit = _MHZ_CACHE.get(key)
-    if hit is not None and min(hit[0], hit[1].abs_err_bound) <= abs_err:
-        return hit[1]
-    dps = _digits_for(abs_err)
+    return _mhz(vec, zq, _digits_for(abs_err))
+
+
+@lru_cache(maxsize=None)
+def _mhz(vec: ZetaVector, zq: Fraction, dps: int) -> NumericResult:
     with mp.workdps(dps):
-        cutoff = MHZ_CUTOFF if len(vec) > 1 else 0
+        cutoff = max(MHZ_CUTOFF, 6 * dps // 5) if len(vec) > 1 else 0
         value, delta = _mhz_once(vec, zq, cutoff), mpf(0)
         if cutoff:
             delta = abs(value - _mhz_once(vec, zq, cutoff // 2))
-        while delta > abs_err / 4 and cutoff < MHZ_MAX_CUTOFF:
-            cutoff *= 2
-            value, coarse = _mhz_once(vec, zq, cutoff), value
-            delta = abs(value - coarse)
         bound = _omitted_orders(vec, zq, cutoff) + delta + mpf(10) ** (5 - dps)
-        result = NumericResult(value, float(bound))
-    _MHZ_CACHE[key] = (abs_err, result)
-    return result
+        return NumericResult(value, float(bound))
 
 
 def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult:
@@ -195,7 +192,7 @@ def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult
     budget = abs_err / max(nterms, 1)
     dps = _digits_for(abs_err)
     with mp.workdps(dps):
-        total = mpf(cf.constant.numerator) / cf.constant.denominator
+        total = _mpf(cf.constant)
         bound = mpf(0)
         for mono, coeff in cf.sorted_terms():
             prod = mpf(1)
@@ -204,7 +201,7 @@ def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult
                 r = mhz_numeric(v, cf.shift, budget)
                 prod_bound = prod_bound * abs(r.value) + abs(prod) * r.abs_err_bound
                 prod *= r.value
-            c = mpf(coeff.numerator) / coeff.denominator
+            c = _mpf(coeff)
             total += c * prod
             bound += abs(c) * prod_bound
         return NumericResult(total, float(bound))
@@ -216,57 +213,45 @@ def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
         raise ValueError("N must be positive")
     if N > DESK_MAX_TERMS:
         raise DeskLimitError(f"N={N} exceeds desk cap {DESK_MAX_TERMS}")
-    z = spec.z
-    ell = spec.F.max_variable()
-    harmonics = [Fraction(0)] * ell
-    total = Fraction(0)
-    for n in range(1, N + 1):
-        base = Fraction(1, 1) / (n + z) ** spec.m
-        power = Fraction(1)
-        for i in range(ell):
-            power *= base
-            harmonics[i] += power
-        den = Fraction(1)
-        for i, e in enumerate(spec.s):
-            if e:
-                den *= (n + i + z) ** e
-        total += spec.F.evaluate(harmonics) / den
-    return total
+    return _SeriesSummer(spec, Fraction).advance_to(N)
 
 
 class _SeriesSummer:
-    """Incremental floating-point partial sums of one series."""
+    """Incremental partial sums of one series.
 
-    def __init__(self, spec: SeriesSpec):
+    `number` turns the rational shift and coefficients into the number
+    type the sums are kept in: mpf at the ambient precision by default,
+    Fraction for exact sums.
+    """
+
+    def __init__(self, spec: SeriesSpec, number=_mpf):
         self.spec = spec
-        self.zz = mpf(spec.z.numerator) / spec.z.denominator
+        self.zz = number(spec.z)
         self.ell = spec.F.max_variable()
-        self.coeffs = {
-            exps: mpf(c.numerator) / c.denominator for exps, c in spec.F.terms.items()
-        }
-        self.harmonics = [mpf(0)] * self.ell
-        self.total = mpf(0)
+        self.coeffs = {exps: number(c) for exps, c in spec.F.terms.items()}
+        self.harmonics = [0] * self.ell
+        self.total = 0
         self.n = 0
 
-    def advance_to(self, M: int) -> mpf:
+    def advance_to(self, M: int):
         zz = self.zz
         spec = self.spec
         while self.n < M:
             self.n += 1
             n = self.n
             base = (n + zz) ** (-spec.m)
-            power = mpf(1)
+            power = 1
             for i in range(self.ell):
                 power *= base
                 self.harmonics[i] += power
-            num = mpf(0)
+            num = 0
             for exps, c in self.coeffs.items():
                 term = c
                 for i, e in enumerate(exps):
                     if e:
                         term *= self.harmonics[i] ** e
                 num += term
-            den = mpf(1)
+            den = 1
             for i, e in enumerate(spec.s):
                 if e:
                     den *= (n + i + zz) ** e
@@ -403,7 +388,7 @@ def _harmonic_expansion(r: int, zz: mpf, order: int) -> dict:
     else:
         out = {(0, 0): mpzeta(r, 1 + zz)}
     for p, c in _zeta_tail_coeffs(r, order):
-        out[(p, 0)] = -mpf(c.numerator) / c.denominator
+        out[(p, 0)] = -_mpf(c)
     return out
 
 
@@ -415,7 +400,7 @@ def _summand_expansion(spec: SeriesSpec, zz: mpf, order: int) -> dict:
     ]
     out: dict = {}
     for exps, c in spec.F.terms.items():
-        term = {(0, 0): mpf(c.numerator) / c.denominator}
+        term = {(0, 0): _mpf(c)}
         for h, e in zip(harmonics, exps):
             for _ in range(e):
                 term = _series_mul(term, h, order)

@@ -378,3 +378,36 @@ class TestClosedFormFromJsonTypes:
         data = {**self.GOOD, "constant": 2, "z": "-1/2", "m": 2}
         cf = closed_form_from_json(data)
         assert cf == ClosedForm(F(2), {((2,),): 1}, F(-1, 2), 2)
+
+
+class TestClosedFormFromJsonShape:
+    GOOD = TestClosedFormFromJsonTypes.GOOD
+    NO_TERMS = {k: v for k, v in GOOD.items() if k != "terms"}
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param([GOOD], id="list-payload"),
+            pytest.param(NO_TERMS, id="missing-terms"),
+            pytest.param({**GOOD, "terms": 5}, id="terms-not-a-list"),
+            pytest.param({**GOOD, "terms": ["x"]}, id="term-not-an-object"),
+            pytest.param({**GOOD, "terms": [{"factors": [2], "coeff": "1"}]}, id="flat-factors"),
+            pytest.param({**GOOD, "terms": [{"factors": [[2]]}]}, id="missing-coeff"),
+            pytest.param({**GOOD, "terms": [{"factors": [[1]], "coeff": "1"}]}, id="last-entry-1"),
+            pytest.param({**GOOD, "terms": [{"factors": [[]], "coeff": "1"}]}, id="empty-vector"),
+            pytest.param({**GOOD, "terms": [{"factors": [[2]], "coeff": "1/0"}]}, id="coeff-1/0"),
+            pytest.param({**GOOD, "constant": "abc"}, id="constant-not-rational"),
+            pytest.param({**GOOD, "z": "1/0"}, id="z-1/0"),
+            pytest.param({**GOOD, "z": "-1"}, id="z-minus-1"),
+            pytest.param({**GOOD, "z": "1/2"}, id="z-positive"),
+            pytest.param({**GOOD, "m": 0}, id="m-0"),
+            pytest.param({**GOOD, "m": -2}, id="m-negative"),
+        ],
+    )
+    def test_malformed_payload_is_rejected(self, data):
+        with pytest.raises(CliError):
+            closed_form_from_json(data)
+
+    def test_zero_denominator_shift_is_an_input_error(self, capsys):
+        assert main(["--F", "x1", "--z", "1/0", "--s", "0,2"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse z='1/0'")

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -329,23 +330,35 @@ class TestSeriesLimit:
             verify_identity(spec, closed_form(spec), tol=tol, N=100)
 
 
-class TestMhzCache:
-    def test_loose_then_tight_request_meets_tight_budget(self, monkeypatch):
+class TestMhzMemo:
+    def test_value_does_not_depend_on_earlier_requests(self):
         from zetaform import verify
 
-        # a level sum converging like 1/cutoff: at abs_err 3e-7 the cutoff
-        # doubling stops with a bound of 5e-8, too loose for a later 3.2e-8
-        # request
-        monkeypatch.setattr(verify, "_MHZ_CACHE", {})
-        monkeypatch.setattr(
-            verify, "_mhz_once", lambda vec, zq, cutoff: mpf(1) + mpf("1.5e-4") / cutoff
-        )
-        loose = mhz_numeric((1, 2), 0, 3e-7)
-        assert 3.2e-8 < loose.abs_err_bound <= 3e-7
-        tight = mhz_numeric((1, 2), 0, 3.2e-8)
-        assert tight.abs_err_bound <= 3.2e-8
-        # the tighter entry now serves looser requests
-        assert mhz_numeric((1, 2), 0, 1e-6) is tight
+        verify._mhz.cache_clear()
+        alone = mhz_numeric((1, 2), F(-1, 2), 1e-12)
+        verify._mhz.cache_clear()
+        tight = mhz_numeric((1, 2), F(-1, 2), 1e-60)
+        after = mhz_numeric((1, 2), F(-1, 2), 1e-12)
+        assert tight.abs_err_bound <= 1e-60
+        assert after.value == alone.value
+        assert after.abs_err_bound == alone.abs_err_bound
+
+    @pytest.mark.parametrize("abs_err", [1e-60, 1e-120, 1e-200])
+    def test_high_precision_values_at_z0(self, abs_err):
+        # zeta(1,2) = zeta(3), zeta(1,1,2) = zeta(4), zeta(1,1,1,2) = zeta(5)
+        # (duality) and zeta(2,2) = (zeta(2)^2 - zeta(4)) / 2 = pi^4 / 120
+        references = {
+            (1, 2): lambda: zeta(3),
+            (1, 1, 2): lambda: zeta(4),
+            (2, 2): lambda: pi**4 / 120,
+            (1, 1, 1, 2): lambda: zeta(5),
+        }
+        for vec, reference in references.items():
+            r = mhz_numeric(vec, 0, abs_err)
+            assert r.abs_err_bound <= abs_err, vec
+            with mp.workdps(round(-math.log10(abs_err)) + 30):
+                err = abs(r.value - reference())
+            assert err <= r.abs_err_bound, (vec, err, r.abs_err_bound)
 
 
 class TestSumTheorem:

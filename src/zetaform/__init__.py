@@ -50,9 +50,7 @@ from .verify import (
     NumericResult,
     VerificationReport,
     closed_form_numeric,
-    extrapolate_checkpoints,
     mhz_numeric,
-    series_checkpoints,
     series_partial_sum,
     verify_identity,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "evaluate_finite",
     "expand_double_one",
     "expand_ones_run",
-    "extrapolate_checkpoints",
     "harmonic_value",
     "index_value",
     "load_reduction_table",
@@ -101,7 +98,6 @@ __all__ = [
     "power_sum",
     "quasi_shuffle",
     "reduce_index",
-    "series_checkpoints",
     "series_partial_sum",
     "telescope_value",
     "verify_identity",

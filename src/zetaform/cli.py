@@ -22,6 +22,7 @@ from .engine import (
     ClosedForm,
     ReductionTable,
     SeriesSpec,
+    _is_json,
     apply_reductions,
     closed_form,
     default_reduction_table,
@@ -47,7 +48,6 @@ class CliRequest:
     verify_n: Optional[int] = None
     tolerance: float = 1e-8
     reduction_table_path: Optional[str] = None
-    binomial: Optional[tuple[int, int]] = None
     prefactor: Fraction = Fraction(1)
     echo: Optional[dict] = None
 
@@ -89,11 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="path to a reduction table JSON file")
     p.add_argument("--input", help="JSON file with one request record or a list")
     return p
-
-
-def _is_json(value, *types) -> bool:
-    # bool is an int subclass; int() would silently truncate a float
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _field(record: dict, name: str, what: str, *types, default=None):
@@ -143,7 +138,6 @@ def _request_from_record(record: dict) -> CliRequest:
             raise CliError("binomial shorthand needs p >= 0, k >= 1")
         s_vec = (p_exp,) + (1,) * k
         prefactor = Fraction(math.factorial(k))
-        binomial = (p_exp, k)
     else:
         s_vec = tuple(s)
     try:
@@ -182,7 +176,6 @@ def _request_from_record(record: dict) -> CliRequest:
         verify_n=verify_n,
         tolerance=tolerance,
         reduction_table_path=_field(record, "table", "a string", str),
-        binomial=binomial,
         prefactor=prefactor,
         echo=echo,
     )

@@ -115,9 +115,6 @@ class ClosedForm(_LinComb):
         """Coefficient of a single zeta value (depth-one monomial)."""
         return self.terms.get((check_vector(vector),), Fraction(0))
 
-    def is_constant(self) -> bool:
-        return not self.terms
-
     def max_weight(self) -> int:
         return max((sum(sum(v) for v in mono) for mono in self.terms), default=0)
 
@@ -267,10 +264,6 @@ class _Evaluator:
         raise ValueError(f"not a canonical key: {key!r}")
 
 
-def _max_emitted_weight(m: int, comp: Composition, s: Index) -> int:
-    return m * sum(comp) + sum(s)
-
-
 def closed_form(spec: SeriesSpec) -> ClosedForm:
     """Full pipeline: exact closed form of the series described by `spec`."""
     u = poly_to_qsym(spec.F)
@@ -280,7 +273,7 @@ def closed_form(spec: SeriesSpec) -> ClosedForm:
     for key, c1 in comb.items():
         for comp, c2 in u.terms.items():
             part = ev.key_value(key, comp)
-            bound = _max_emitted_weight(spec.m, comp, spec.s)
+            bound = spec.m * sum(comp) + sum(spec.s)
             if part.max_weight() > bound:
                 raise AssertionError(
                     f"emitted weight {part.max_weight()} exceeds bound {bound}"
@@ -335,24 +328,62 @@ class ReductionRule:
 
 @dataclass(frozen=True)
 class ReductionTable:
+    """Reduction rules by source vector; no rule may reach its own source.
+
+    That lets apply_reductions substitute until nothing changes.  The check
+    peels off rules whose terms hold no remaining source until none is left.
+    """
+
     shift: Fraction
     rules: Mapping[ZetaVector, ReductionRule]
+
+    def __post_init__(self):
+        reach = {v: {u for mono, _ in r.terms for u in mono} for v, r in self.rules.items()}
+        left = set(reach)
+        while left:
+            leaves = {v for v in left if not reach[v] & left}
+            if not leaves:
+                raise ValueError(f"reduction table: the rules for {sorted(left)} form a cycle")
+            left -= leaves
 
     def __len__(self) -> int:
         return len(self.rules)
 
 
-def _table_from_dict(data: dict) -> ReductionTable:
-    shift = Fraction(data.get("shift", "0"))
-    rules = {}
-    for entry in data.get("rules", []):
-        source = check_vector(tuple(entry["source"]))
-        constant = Fraction(entry.get("constant", "0"))
-        terms = tuple(
-            (monomial_key(tuple(tuple(v) for v in t["factors"])), Fraction(t["coeff"]))
-            for t in entry.get("terms", [])
-        )
-        rules[source] = ReductionRule(source, constant, terms)
+def _is_json(value, *types) -> bool:
+    # bool is an int subclass; int() would silently truncate a float
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _table_from_dict(data) -> ReductionTable:
+    """Validate a parsed reduction table; any malformed one is a ValueError.
+
+    "rules" is a required list of objects.  As in closed-form JSON, vector
+    entries must be JSON integers and the rationals strings or integers.
+    """
+
+    def need(value, *types):
+        if not _is_json(value, *types):
+            names = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"{json.dumps(value)} is not a JSON {names}")
+        return Fraction(value) if str in types else value  # rationals as Fractions
+
+    def vector(v) -> ZetaVector:
+        return check_vector(tuple(need(e, int) for e in need(v, list)))
+
+    try:
+        rules = {}
+        for entry in need(need(data, dict)["rules"], list):
+            terms = tuple(
+                (monomial_key(map(vector, need(t["factors"], list))), need(t["coeff"], str, int))
+                for t in need(entry.get("terms", []), list)
+            )
+            source = vector(entry["source"])
+            constant = need(entry.get("constant", "0"), str, int)
+            rules[source] = ReductionRule(source, constant, terms)
+        shift = as_shift(need(data.get("shift", "0"), str, int))
+    except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed reduction table ({type(exc).__name__}: {exc})") from None
     return ReductionTable(shift, rules)
 
 
@@ -376,8 +407,8 @@ def apply_reductions(cf: ClosedForm, table: Optional[ReductionTable]) -> ClosedF
     """
     if table is None or table.shift != cf.shift or not table.rules:
         return cf
-    work = cf
-    for _ in range(100):
+    work, changed = cf, True
+    while changed:
         new = cf._like({})
         new.constant = work.constant
         changed = False
@@ -397,8 +428,4 @@ def apply_reductions(cf: ClosedForm, table: Optional[ReductionTable]) -> ClosedF
             for tmono, tc in rule.terms:
                 add_term(new.terms, tuple(sorted(rest + tmono, key=sort_key)), coeff * tc)
         work = new
-        if not changed:
-            break
-    else:
-        raise RuntimeError("reduction table substitution did not terminate")
     return work

@@ -166,27 +166,15 @@ def canonicalize(obj) -> Combination:
     else:
         comb = reduce_index(obj)
     out: Combination = {}
-
-    def add(key: Index, coeff: Fraction) -> None:
-        if key in out:
-            out[key] += coeff
-        else:
-            out[key] = coeff
-
     for key, coeff in comb.items():
         key = as_index(key)
         kind, x, y = classify(key)
         if kind in ("power", "pair"):
-            add(key, Fraction(coeff))
+            parts = {key: 1}
         elif kind == "ones":
-            for k2, c2 in expand_ones_run(x, y - 2).items():
-                add(k2, Fraction(coeff) * c2)
-        else:
-            for k2, c2 in reduce_index(key).items():
-                kind2, x2, y2 = classify(k2)
-                if kind2 == "ones":
-                    for k3, c3 in expand_ones_run(x2, y2 - 2).items():
-                        add(k3, Fraction(coeff) * c2 * c3)
-                else:
-                    add(k2, Fraction(coeff) * c2)
+            parts = expand_ones_run(x, y - 2)
+        else:  # reduce_index(key) holds only units, so this recursion stops
+            parts = canonicalize(key)
+        for k2, c2 in parts.items():
+            out[k2] = out.get(k2, 0) + Fraction(coeff) * c2
     return {k: v for k, v in out.items() if v}

@@ -10,9 +10,7 @@ high-precision floating point for its first N terms, and its tail is added
 exactly from the summand's large-n expansion in ln^d(x)/x^q, x = n + z,
 each term of which sums to a Hurwitz zeta derivative; both sides share that
 Hurwitz zeta expansion, so verification never reuses the symbolic machinery
-it is checking.  Partial sums at doubling checkpoints and their
-extrapolated limit (series_checkpoints, extrapolate_checkpoints) remain as
-an independent second opinion.
+it is checking.
 """
 
 from __future__ import annotations
@@ -21,9 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Sequence
 
-from mpmath import mp, mpf, matrix, lu_solve, qr_solve, bernfrac
+from mpmath import mp, mpf, bernfrac
 from mpmath import psi as mppsi, zeta as mpzeta
 
 from .engine import ClosedForm, SeriesSpec, ZetaVector, check_vector
@@ -257,98 +254,6 @@ class _SeriesSummer:
                     den *= (n + i + zz) ** e
             self.total += num / den
         return self.total
-
-
-def series_checkpoints(spec: SeriesSpec, checkpoints: Sequence[int]) -> list:
-    """Partial sums at increasing checkpoints, in floating point."""
-    summer = _SeriesSummer(spec)
-    return [summer.advance_to(M) for M in checkpoints]
-
-
-def _fit_limit(values: Sequence, levels: Sequence[int], logdeg: int) -> mpf:
-    """Fit S_i = S_inf + sum_{q in levels} poly_d(i) 2^(-q i), return S_inf.
-
-    At doubling checkpoints a remainder expansion in log^d(M)/M^q becomes a
-    polynomial in the index times 2^(-q i), so the model is linear.
-    """
-    rows, rhs = [], []
-    for i, si in enumerate(values):
-        row = [mpf(1)]
-        for q in levels:
-            g = mpf(2) ** (-q * i)
-            for d in range(logdeg + 1):
-                row.append(g * i**d)
-        rows.append(row)
-        rhs.append(si)
-    cols = 1 + len(levels) * (logdeg + 1)
-    A, b = matrix(rows), matrix(rhs)
-    if len(values) == cols:
-        x = lu_solve(A, b)
-    else:
-        x, _ = qr_solve(A, b)
-    return x[0]
-
-
-def _dominant_order(vals: Sequence) -> int:
-    """Round the observed decay order of the checkpoint increments."""
-    d1 = vals[-2] - vals[-3]
-    d2 = vals[-1] - vals[-2]
-    if d1 == 0 or d2 == 0 or (d1 > 0) != (d2 > 0):
-        return 1
-    ratio = abs(d2) / abs(d1)
-    if not 0 < ratio < 1:
-        return 1
-    q = -mp.log(ratio) / mp.log(2)
-    return min(6, max(1, int(mp.nint(q))))
-
-
-def _aitken(vals: Sequence) -> mpf:
-    d1 = vals[-2] - vals[-3]
-    d2 = vals[-1] - vals[-2]
-    denom = d1 - d2
-    if denom == 0:
-        return vals[-1]
-    return vals[-1] + d2 * d2 / denom
-
-
-def extrapolate_checkpoints(values: Sequence) -> tuple:
-    """Limit estimate from partial sums at doubling checkpoints.
-
-    Returns (estimate, error_estimate).  The remainder model is a power law
-    with fitted order q and log-polynomial corrections; the error estimate
-    compares the richest feasible fit against the same fit with the first
-    checkpoint dropped (or against plain geometric extrapolation when only
-    three points are available).
-    """
-    vals = [mpf(v) for v in values]
-    if len(vals) < 3:
-        raise ValueError("need at least three checkpoints")
-    floor = abs(vals[-1]) * mp.eps * 100 + mpf(10) ** (-mp.dps)
-    d_last = abs(vals[-1] - vals[-2])
-    if d_last <= floor:
-        return vals[-1], abs(vals[-1] - vals[-3]) + floor
-    q0 = _dominant_order(vals)
-    ladder = [
-        ((q0,), 1),
-        ((q0, q0 + 1), 1),
-        ((q0, q0 + 1), 2),
-        ((max(1, q0 - 1), q0, q0 + 1), 2),
-    ]
-    feasible = [
-        (levels, deg)
-        for levels, deg in ladder
-        if 1 + len(levels) * (deg + 1) <= len(vals)
-    ]
-    levels, deg = feasible[-1]
-    est = _fit_limit(vals, levels, deg)
-    cols = 1 + len(levels) * (deg + 1)
-    if len(vals) - 1 >= cols:
-        partner = _fit_limit(vals[1:], levels, deg)
-    elif len(feasible) >= 2:
-        partner = _fit_limit(vals, *feasible[-2])
-    else:
-        partner = _aitken(vals)
-    return est, abs(est - partner) + floor
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,43 @@ class TestExitCodes:
         line = self.assert_input_error(capsys, argv)
         assert "none.json" in line
 
+    @staticmethod
+    def rule(source, factors, constant="0"):
+        terms = [{"factors": [list(factors)], "coeff": "1"}] if factors else []
+        return {"source": list(source), "constant": constant, "terms": terms}
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            pytest.param([], id="list"),
+            pytest.param({"shift": "0"}, id="missing-rules"),
+            pytest.param({"shift": "0", "rules": 5}, id="rules-not-a-list"),
+            pytest.param({"shift": "0", "rules": {}}, id="rules-an-object"),
+            pytest.param({"shift": "0", "rules": [5]}, id="rule-not-an-object"),
+            pytest.param({"rules": [{"constant": "1"}]}, id="missing-source"),
+            pytest.param({"rules": [{"source": [1, 2], "terms": {}}]}, id="terms-an-object"),
+            pytest.param({"rules": [{"source": [1, 2], "terms": [{"coeff": "1"}]}]},
+                         id="missing-factors"),
+            pytest.param({"rules": [{"source": [True, 2]}]}, id="bool-entry"),
+            pytest.param({"rules": [{"source": [1.0, 2]}]}, id="float-entry"),
+            pytest.param({"rules": [{"source": [0, 2]}]}, id="zero-entry"),
+            pytest.param({"rules": [rule((1, 2), (3,), "1/0")]}, id="constant-1/0"),
+            pytest.param({"rules": [rule((1, 2), (3,), 0.5)]}, id="float-constant"),
+            pytest.param({"rules": [rule((1, 2), (3,), "abc")]}, id="constant-not-rational"),
+            pytest.param({"shift": 0.0, "rules": []}, id="float-shift"),
+            pytest.param({"shift": "1/2", "rules": []}, id="shift-out-of-range"),
+            pytest.param({"rules": [rule((1, 2), (1, 2))]}, id="self-cycle"),
+            pytest.param({"rules": [rule((1, 2), (1, 3)), rule((1, 3), (1, 2))]}, id="two-cycle"),
+            pytest.param({"rules": [rule((2, 2), (1, 2)), rule((1, 2), (1, 2)), rule((1, 3), (4,))]},
+                         id="cycle-behind-a-rule"),
+        ],
+    )
+    def test_malformed_table_file(self, capsys, tmp_path, table):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        line = self.assert_input_error(capsys, self.ARGS + ["--display", "reduced", "--table", str(path)])
+        assert "reduction table" in line
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_nonpositive_verify_n(self, capsys, n):
         line = self.assert_input_error(capsys, self.ARGS + ["--verify", n])

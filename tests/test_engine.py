@@ -5,6 +5,8 @@ import pytest
 
 from zetaform.engine import (
     ClosedForm,
+    ReductionRule,
+    ReductionTable,
     SeriesSpec,
     apply_reductions,
     closed_form,
@@ -279,6 +281,24 @@ class TestReductionTable:
         table = load_reduction_table(path)
         got = apply_reductions(cf(0, {((1, 2),): F(3)}), table)
         assert got == cf(1, {((3,),): 6})
+
+    def test_chained_rules_reach_a_fixed_point(self):
+        rules = {
+            (1, 2): ReductionRule((1, 2), F(0), ((((1, 3),), F(1)),)),
+            (1, 3): ReductionRule((1, 3), F(0), ((((4,),), F(1, 4)),)),
+        }
+        got = apply_reductions(cf(0, {((1, 2), (1, 2)): 1}), ReductionTable(F(0), rules))
+        assert got == cf(0, {((4,), (4,)): F(1, 16)})
+
+    @pytest.mark.parametrize(
+        "edges",
+        [{(1, 2): (1, 2)}, {(1, 2): (1, 3), (1, 3): (2, 2), (2, 2): (1, 2)}],
+        ids=["self", "three-cycle"],
+    )
+    def test_cyclic_table_is_rejected(self, edges):
+        rules = {s: ReductionRule(s, F(0), (((t, (5,)), F(1)),)) for s, t in edges.items()}
+        with pytest.raises(ValueError, match="cycle"):
+            ReductionTable(F(0), rules)
 
     def test_flagship_identity(self):
         spec = SeriesSpec(X1, 1, 0, (4, 1, 1, 1, 1, 1))

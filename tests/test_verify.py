@@ -3,16 +3,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mp, mpf, pi, zeta
+from mpmath import inf, log, mp, mpf, pi, quad, zeta
 
 from zetaform.engine import ClosedForm, SeriesSpec, closed_form
 from zetaform.qsym import Polynomial
 from zetaform.verify import (
     DeskLimitError,
+    _SeriesSummer,
     closed_form_numeric,
-    extrapolate_checkpoints,
     mhz_numeric,
-    series_checkpoints,
     series_partial_sum,
     verify_identity,
 )
@@ -115,28 +114,11 @@ class TestSeriesPartialSum:
     def test_checkpoint_sums_match_exact(self):
         spec = SeriesSpec(X1 * X1 - Polynomial.variable(2), 2, F(-1, 3), (1, 1))
         with mp.workdps(30):
-            approx = series_checkpoints(spec, [5, 10])
-            for n, a in zip([5, 10], approx):
+            summer = _SeriesSummer(spec)
+            for n in [5, 10]:
+                a = summer.advance_to(n)
                 exact = series_partial_sum(spec, n)
                 assert abs(a - mpf(exact.numerator) / exact.denominator) < 1e-25
-
-
-class TestExtrapolation:
-    def test_recovers_synthetic_limit(self):
-        with mp.workdps(30):
-            vals = [1 - (2 + 3 * i) * mpf(2) ** (-i) for i in range(6)]
-            est, err = extrapolate_checkpoints(vals)
-            assert abs(est - 1) < 1e-18
-
-    def test_second_order_decay(self):
-        with mp.workdps(30):
-            vals = [mpf(5) - (1 + i) * mpf(4) ** (-i) for i in range(6)]
-            est, err = extrapolate_checkpoints(vals)
-            assert abs(est - 5) < 1e-18
-
-    def test_requires_three_points(self):
-        with pytest.raises(ValueError):
-            extrapolate_checkpoints([mpf(1), mpf(2)])
 
 
 class TestVerifyIdentity:
@@ -193,6 +175,23 @@ def monomial_checkpoint_sums(comp, s, m, z, checkpoints):
     return out
 
 
+def monomial_tail_bound(comp, s, m, z, N):
+    """Upper bound on the terms n > N of a monomial-basis series.
+
+    With x_i = 1/(i+z)^m and c = 1/(1+z), every x_i^a <= c^(m*a-1)/(i+z), so
+    M_comp(n) <= prod_a H_n^(m*a)(z) <= c^(W-d) H_n(z)^d, W = m*sum(comp),
+    d = len(comp); H_n(z) <= c + ln((n+z)/(1+z)); and prod (n+i+z)^s_i >=
+    (n+z)^S, S = sum(s).  The majorant g(t) = (c + ln(t/(1+z)))^d / t^S
+    decreases where S (c + ln(t/(1+z))) > d, for every case here from
+    t = 400 on, so the terms past N sum to at most its integral from N+z.
+    """
+    zz = mpf(z.numerator) / z.denominator
+    c = 1 / (1 + zz)
+    d, S = len(comp), sum(s)
+    g = lambda t: (c + log(t / (1 + zz))) ** d / t**S
+    return c ** (m * sum(comp) - d) * quad(g, [N + zz, inf])
+
+
 class TestReducedFunctionalOnMonomials:
     @pytest.mark.parametrize(
         "comp,s,m,z",
@@ -211,8 +210,12 @@ class TestReducedFunctionalOnMonomials:
         with mp.workdps(30):
             checkpoints = [400 * 2**i for i in range(6)]
             sums = monomial_checkpoint_sums(comp, s, m, z, checkpoints)
-            est, err = extrapolate_checkpoints(sums)
-            assert abs(est - mpf(rhs.value)) < 1e-6 + float(err)
+            # every summand is positive: S_N <= S <= S_N + T(N)
+            for N, partial in zip(checkpoints, sums):
+                gap = mpf(rhs.value) - partial
+                tail = monomial_tail_bound(comp, s, m, z, N)
+                assert -rhs.abs_err_bound <= gap <= tail + rhs.abs_err_bound, (N, gap, tail)
+            assert tail < 1e-10
 
 
 X2 = Polynomial.variable(2)

@@ -54,10 +54,7 @@ class CliRequest:
 
 @dataclass
 class RenderedIdentity:
-    request_echo: dict
     text: str
-    payload: Optional[dict] = None
-    report: Optional[VerificationReport] = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -363,7 +360,7 @@ def render(
                 "message": report.message,
             }
         text = json.dumps(payload, sort_keys=True)
-        return RenderedIdentity(echo, text, payload, report)
+        return RenderedIdentity(text)
     latex = output_format == "latex"
     body = _assemble(_closed_form_parts(cf, t_mode, latex), latex)
     lines = []
@@ -384,7 +381,7 @@ def render(
             f"discrepancy={report.discrepancy:.3e})"
             + (f" {report.message}" if report.message else "")
         )
-    return RenderedIdentity(echo, "\n".join(lines), None, report)
+    return RenderedIdentity("\n".join(lines))
 
 
 def mp_str(value) -> str:

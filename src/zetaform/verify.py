@@ -6,7 +6,7 @@ level starts from an exact Hurwitz zeta tail, and every outer level, itself
 a tail sum, from its large-n expansion in powers of 1/(n+z), whose exact
 rational coefficients come level by level from the Hurwitz zeta expansion
 with Bernoulli numbers (DLMF 25.11.43).  A raw series is summed directly in
-high-precision floating point for its first N terms, and its tail is added
+fixed-point integer arithmetic for its first N terms, and its tail is added
 exactly from the summand's large-n expansion in ln^d(x)/x^q, x = n + z,
 each term of which sums to a Hurwitz zeta derivative; both sides share that
 Hurwitz zeta expansion, so verification never reuses the symbolic machinery
@@ -213,47 +213,95 @@ def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
     return _SeriesSummer(spec, Fraction).advance_to(N)
 
 
-class _SeriesSummer:
-    """Incremental partial sums of one series.
+HEAD_GUARD_BITS = 24
 
-    `number` turns the rational shift and coefficients into the number
-    type the sums are kept in: mpf at the ambient precision by default,
-    Fraction for exact sums.
+
+class _SeriesSummer:
+    """Incremental partial sums of one series, in fixed point or exactly.
+
+    With z = p/q, x = q n + p, and F's coefficients written a_k / L over
+    their least common denominator L, L times the n-th summand is
+
+        q^S sum_k a_k prod_i H_i^e_ik / prod_i (x + i q)^s_i,
+
+    where H_i, the harmonic number of order r = i m, grows by q^r / x^r at
+    each n.  Every quotient goes through div(a, b).  With number=Fraction it
+    is exact.  By default it is fixed point at wp = mp.prec + HEAD_GUARD_BITS
+    bits, div(a, b) = floor(a 2^wp / b), and the sums come back as mpf.
+    A monomial of degree d has its coefficient premultiplied by q^S one^(D - d),
+    with one = div(1, 1) and D = deg F, so all monomials share the scale
+    one^D and each summand takes one division.
+
+    Fixed-point truncation: after n terms each stored H_i is below the true
+    one by less than n 2^-wp (one floor per increment), which is at most
+    n 2^-wp of its value because H_i >= (1+z)^-r >= 1.  A monomial of degree
+    d is then off by at most d n 2^-wp of its value, and the division adds
+    less than 2^-wp / L.  With |F| the polynomial with coefficients
+    |a_k| / L, which grows with every H_i, and the sum over n of
+    1/prod (n+i+z)^s_i at most (1+z)^-S + (1+z)^(1-S)/(S-1), a partial sum
+    through N differs from the exact one by less than
+
+        N 2^-wp (1/L + D |F|(H_N) ((1+z)^-S + (1+z)^(1-S)/(S-1)))
+
+    plus the two roundings of the conversion to mpf; `error_bound` returns
+    this total.
     """
 
-    def __init__(self, spec: SeriesSpec, number=_mpf):
-        self.spec = spec
-        self.zz = number(spec.z)
-        self.ell = spec.F.max_variable()
-        self.coeffs = {exps: number(c) for exps, c in spec.F.terms.items()}
-        self.harmonics = [0] * self.ell
+    def __init__(self, spec: SeriesSpec, number=mpf):
+        wp = mp.prec + HEAD_GUARD_BITS
+        self.spec, self.number, self.wp = spec, number, wp
+        self.div = Fraction if number is Fraction else lambda a, b: (a << wp) // b
+        self.p, self.q = spec.z.numerator, spec.z.denominator
+        self.L = math.lcm(*(c.denominator for c in spec.F.terms.values()))
+        self.D = spec.F.degree()
+        one = self.div(1, 1)
+        q_S = self.q ** sum(spec.s)
+        self.monomials = [
+            (
+                c.numerator * (self.L // c.denominator) * q_S * one ** (self.D - sum(exps)),
+                [(i, e) for i, e in enumerate(exps) if e],
+            )
+            for exps, c in spec.F.terms.items()
+        ]
+        ell = spec.F.max_variable()
+        self.q_powers = [self.q ** (i * spec.m) for i in range(1, ell + 1)]
+        self.den_factors = [(i * self.q, e) for i, e in enumerate(spec.s) if e]
+        self.den_scale = one**self.D
+        self.scale = one * self.L
+        self.harmonics = [0] * ell
         self.total = 0
         self.n = 0
 
     def advance_to(self, M: int):
-        zz = self.zz
-        spec = self.spec
+        div, H, m = self.div, self.harmonics, self.spec.m
         while self.n < M:
             self.n += 1
-            n = self.n
-            base = (n + zz) ** (-spec.m)
-            power = 1
-            for i in range(self.ell):
-                power *= base
-                self.harmonics[i] += power
-            num = 0
-            for exps, c in self.coeffs.items():
-                term = c
-                for i, e in enumerate(exps):
-                    if e:
-                        term *= self.harmonics[i] ** e
-                num += term
-            den = 1
-            for i, e in enumerate(spec.s):
-                if e:
-                    den *= (n + i + zz) ** e
-            self.total += num / den
-        return self.total
+            x = self.q * self.n + self.p
+            step, power = x**m, 1
+            for i, q_r in enumerate(self.q_powers):
+                power *= step
+                H[i] += div(q_r, power)
+            top = 0
+            for a, exps in self.monomials:
+                for i, e in exps:
+                    a *= H[i] ** e
+                top += a
+            den = self.den_scale
+            for iq, e in self.den_factors:
+                den *= (x + iq) ** e
+            self.total += div(top, den)
+        return self.number(self.total) / self.scale
+
+    def error_bound(self) -> mpf:
+        """Bound on |fixed-point partial sum - exact one| through self.n."""
+        n, unit = self.n, mpf(2) ** -self.wp
+        S, a = sum(self.spec.s), 1 + _mpf(self.spec.z)
+        size = self.spec.F.evaluate(
+            [(h + n) * unit for h in self.harmonics], lambda c: abs(_mpf(c))
+        )
+        tail = a**-S + a ** (1 - S) / (S - 1)  # >= sum of 1/prod (n+i+z)^s_i
+        truncation = n * unit * (mpf(1) / self.L + self.D * size * tail)
+        return truncation + abs(mpf(self.total) / self.scale) * mpf(2) ** (2 - mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +384,7 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     summer = _SeriesSummer(spec)
     head_half = summer.advance_to(n_half)
     head = summer.advance_to(n_head)
-    zz, S = summer.zz, sum(spec.s)
+    zz, S = _mpf(spec.z), sum(spec.s)
     target = mpf(tol) / 1000
     # H^(r) has no terms of orders 1..r-2, so fewer vanishing orders in a row
     # say nothing about the next ones
@@ -362,7 +410,8 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     est_half = head_half + sum(at_half[:kept], mpf(0))
     omitted = sum(abs(t) for t in at_full[kept:])
     floor = n_head * mpf(10) ** (3 - mp.dps) * max(1, abs(est))
-    return NumericResult(est, float(omitted + abs(est - est_half) + floor)), n_head
+    bound = omitted + abs(est - est_half) + floor + summer.error_bound()
+    return NumericResult(est, float(bound)), n_head
 
 
 def verify_identity(
@@ -382,7 +431,8 @@ def verify_identity(
     LHS bound is the tail past N of those omitted orders, plus the change
     in the estimate when the head stops at ceil(N/2) instead (a wrong
     coefficient or constant weighs differently in the two tails), plus a
-    working-precision floor.  N is raised to 2 * (LHS_HEAD_FLOOR + len(s))
+    working-precision floor, plus the head's fixed-point truncation bound
+    (see _SeriesSummer).  N is raised to 2 * (LHS_HEAD_FLOOR + len(s))
     when smaller, so that the expansions converge from ceil(N/2) on;
     ``n_used`` is the head actually summed.  Precision follows tol as in
     closed_form_numeric.  ``passed`` means |LHS - RHS| <= tol + LHS bound +

@@ -339,3 +339,19 @@ def test_random_desk_specs_certified_at_tight_tolerance():
         not failures,
         f"{100 - len(failures)}/100 passed and certified; failures: {failures}",
     )
+
+
+def test_staircase_certified_through_raw_series():
+    # criterion 8 checks the staircase closed forms against zeta values
+    # only; here each is certified against its raw series as well
+    ok = True
+    details = []
+    tol = 1e-8
+    for k in range(1, 5):
+        spec = SeriesSpec(elementary_poly(k), 1, 0, (0, 0, 2))
+        rep = verify_identity(spec, closed_form(spec), tol=tol, N=10000)
+        bounds = rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound
+        details.append(f"k={k}: bounds={bounds:.1e}")
+        if not (rep.passed and bounds <= tol):
+            ok = False
+    report("staircase e_k/(n+2)^2 through the raw series, tol 1e-8", ok, "; ".join(details))

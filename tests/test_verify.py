@@ -121,6 +121,43 @@ class TestSeriesPartialSum:
                 assert abs(a - mpf(exact.numerator) / exact.denominator) < 1e-25
 
 
+class TestFixedPointHead:
+    """The raw-series head in fixed point against the exact Fraction sum."""
+
+    SPECS = [
+        SeriesSpec((X1 * X1 - Polynomial.variable(2)) * F(1, 2), 1, 0, (0, 0, 2)),
+        SeriesSpec(Polynomial.constant(F(5, 3)), 2, F(-1, 2), (2,)),
+        SeriesSpec(
+            X1**3 * F(1, 6) - X1 * Polynomial.variable(2) * F(1, 2)
+            + Polynomial.variable(3) * F(2, 3),
+            2,
+            F(-1, 3),
+            (0, 1, 2),
+        ),
+        SeriesSpec(X1 * F(-3, 4) + Polynomial.variable(2) * F(7, 5), 1, F(-1, 3), (0, 0, 1, 1)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: str(spec.s))
+    def test_within_stated_bound_of_exact(self, spec):
+        with mp.workdps(30):
+            summer = _SeriesSummer(spec)
+            for n in [1, 2, 37, 600]:
+                head = summer.advance_to(n)
+                exact = series_partial_sum(spec, n)
+                bound = summer.error_bound()
+                assert abs(head - mpf(exact.numerator) / exact.denominator) <= bound, n
+                assert bound < 1e-26
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: str(spec.s))
+    def test_resuming_is_bit_identical(self, spec):
+        with mp.workdps(30):
+            resumed = _SeriesSummer(spec)
+            resumed.advance_to(300)
+            once = _SeriesSummer(spec)
+            assert resumed.advance_to(600) == once.advance_to(600)
+            assert resumed.total == once.total
+
+
 class TestVerifyIdentity:
     def test_adjacent_pair_order_two(self):
         spec = SeriesSpec(X1, 2, 0, (1, 1))

@@ -23,12 +23,15 @@ from .engine import (
     ReductionTable,
     SeriesSpec,
     _is_json,
+    _need,
+    _terms,
     apply_reductions,
     closed_form,
     default_reduction_table,
     load_reduction_table,
 )
 from .expr import ParseError, parse_polynomial
+from .qsym import as_shift
 from .reducer import DivergentSeriesError
 from .verify import VerificationReport, verify_identity
 
@@ -43,13 +46,13 @@ class CliError(ValueError):
 @dataclass
 class CliRequest:
     spec: SeriesSpec
-    output_format: str = "text"
-    display_mode: str = "raw"
-    verify_n: Optional[int] = None
-    tolerance: float = 1e-8
-    reduction_table_path: Optional[str] = None
-    prefactor: Fraction = Fraction(1)
-    echo: Optional[dict] = None
+    output_format: str
+    display_mode: str
+    verify_n: Optional[int]
+    tolerance: float
+    reduction_table_path: Optional[str]
+    prefactor: Fraction
+    echo: dict
 
 
 @dataclass
@@ -67,22 +70,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--F", help="numerator polynomial in x1..x9, e.g. 'x1^2 - x2'")
-    p.add_argument("--m", type=int, default=1, help="harmonic order (default 1)")
-    p.add_argument("--z", default="0", help="rational shift in (-1, 0], e.g. -1/2")
+    p.add_argument("--m", type=int, help="harmonic order (default 1)")
+    p.add_argument("--z", help="rational shift in (-1, 0], e.g. -1/2")
     p.add_argument("--s", help="comma-separated denominator exponents, e.g. 0,1,1")
     p.add_argument(
         "--binomial",
         help="p,k shorthand for denominator n^p * C(n+k,k); implies a k! prefactor",
     )
-    p.add_argument("--format", choices=OUTPUT_FORMATS, default="text")
-    p.add_argument("--display", choices=DISPLAY_MODES, default="raw")
+    p.add_argument("--format", choices=OUTPUT_FORMATS)
+    p.add_argument("--display", choices=DISPLAY_MODES)
     p.add_argument(
         "--verify",
         type=int,
         metavar="N",
         help="verify numerically: sum N terms directly, then add the exact tail",
     )
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--table", help="path to a reduction table JSON file")
     p.add_argument("--input", help="JSON file with one request record or a list")
     return p
@@ -141,8 +144,8 @@ def _request_from_record(record: dict) -> CliRequest:
         spec = SeriesSpec(poly, m, z, s_vec)
     except ValueError as exc:  # DivergentSeriesError included
         raise CliError(str(exc))
-    fmt = record.get("format", "text")
-    display = record.get("display", "raw")
+    fmt = _field(record, "format", "a string", str, default="text")
+    display = _field(record, "display", "a string", str, default="raw")
     if fmt not in OUTPUT_FORMATS:
         raise CliError(f"unknown format {fmt!r}")
     if display not in DISPLAY_MODES:
@@ -302,29 +305,18 @@ def closed_form_to_json(cf: ClosedForm) -> dict:
 def closed_form_from_json(data: dict) -> ClosedForm:
     """Inverse of closed_form_to_json; any malformed payload is a CliError.
 
-    int() would truncate a float and Fraction() take its binary value, so
-    vector entries and m must be JSON integers, the rationals strings or
-    integers.  As for a series, m >= 1 and z lies in (-1, 0].
+    The terms and constant are read as in a reduction table, so vector
+    entries and m must be JSON integers, the rationals strings or integers.
+    As for a series, m >= 1 and z lies in (-1, 0].
     """
     try:
-        terms = [(t["factors"], t["coeff"]) for t in data["terms"]]
-        ints = [e for factors, _ in terms for v in factors for e in v] + [data["m"]]
-        rationals = [data["constant"], data["z"]] + [c for _, c in terms]
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"closed form JSON: malformed payload ({type(exc).__name__}: {exc})")
-    bad = [e for e in ints if not _is_json(e, int)]
-    bad += [r for r in rationals if not _is_json(r, str, int)]
-    if bad:
-        raise CliError(f"closed form JSON: {json.dumps(bad[0])} where an exact value belongs")
-    constant, z, *coeffs = map(_rational, rationals, ["constant", "z"] + ["coeff"] * len(terms))
-    m = data["m"]
-    if m < 1 or not -1 < z <= 0:
-        raise CliError(f"closed form JSON needs m >= 1 and z in (-1, 0], got m={m}, z={data['z']}")
-    factors = (tuple(map(tuple, f)) for f, _ in terms)
-    try:
-        return ClosedForm(constant, zip(factors, coeffs), z, m)
-    except ValueError as exc:  # a zeta vector with an entry < 1 or a last entry < 2
-        raise CliError(f"closed form JSON: {exc}")
+        terms, constant = _terms(data["terms"]), _need(data["constant"], str, int)
+        m, z = _need(data["m"], int), as_shift(_need(data["z"], str, int))
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        return ClosedForm(constant, terms, z, m)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"malformed closed form JSON ({type(exc).__name__}: {exc})") from None
 
 
 def render(

@@ -355,33 +355,40 @@ def _is_json(value, *types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _need(value, *types):
+    """`value` if it is a JSON value of one of `types`; a rational comes back a Fraction."""
+    if not _is_json(value, *types):
+        names = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{json.dumps(value)} is not a JSON {names}")
+    return Fraction(value) if str in types else value
+
+
+def _vector(v) -> ZetaVector:
+    return check_vector(tuple(_need(e, int) for e in _need(v, list)))
+
+
+def _terms(items) -> tuple:
+    """(monomial, Fraction) pairs of a JSON list of {"factors", "coeff"} objects."""
+    return tuple(
+        (monomial_key(map(_vector, _need(t["factors"], list))), _need(t["coeff"], str, int))
+        for t in _need(items, list)
+    )
+
+
 def _table_from_dict(data) -> ReductionTable:
     """Validate a parsed reduction table; any malformed one is a ValueError.
 
     "rules" is a required list of objects.  As in closed-form JSON, vector
     entries must be JSON integers and the rationals strings or integers.
     """
-
-    def need(value, *types):
-        if not _is_json(value, *types):
-            names = " or ".join(t.__name__ for t in types)
-            raise ValueError(f"{json.dumps(value)} is not a JSON {names}")
-        return Fraction(value) if str in types else value  # rationals as Fractions
-
-    def vector(v) -> ZetaVector:
-        return check_vector(tuple(need(e, int) for e in need(v, list)))
-
     try:
         rules = {}
-        for entry in need(need(data, dict)["rules"], list):
-            terms = tuple(
-                (monomial_key(map(vector, need(t["factors"], list))), need(t["coeff"], str, int))
-                for t in need(entry.get("terms", []), list)
-            )
-            source = vector(entry["source"])
-            constant = need(entry.get("constant", "0"), str, int)
+        for entry in _need(_need(data, dict)["rules"], list):
+            terms = _terms(entry.get("terms", []))
+            source = _vector(entry["source"])
+            constant = _need(entry.get("constant", "0"), str, int)
             rules[source] = ReductionRule(source, constant, terms)
-        shift = as_shift(need(data.get("shift", "0"), str, int))
+        shift = as_shift(_need(data.get("shift", "0"), str, int))
     except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed reduction table ({type(exc).__name__}: {exc})") from None
     return ReductionTable(shift, rules)

@@ -7,12 +7,12 @@ rational combination of two canonical families: a lone power after leading
 zeros, ``(0^a, p)`` with p >= 2, and a pair of ones possibly separated by
 zeros, ``(0^a, 1, 0^b, 1)``.
 
-``reduce_index`` performs the reduction with a fixed, deterministic pivot
-rule: split the first and last nonzero exponents via the partial-fraction
-identity of ``partial_fraction``, strip trailing zeros, and recurse.  Vectors
-that are a lone power, have weight 2, or are a trailing run of ones are left
-as units; ``canonicalize`` rewrites runs of three or more ones through
-``expand_ones_run`` so only the two canonical families remain.
+Both ``reduce_index`` and ``canonicalize`` run one fixed, deterministic
+pivot rule: split the first and last nonzero exponents via the
+partial-fraction identity of ``partial_fraction``, strip trailing zeros, and
+recurse.  ``canonicalize`` recurses until only the two canonical families
+remain.  ``reduce_index`` also stops at trailing runs of three or more ones,
+whose expansion ``expand_ones_run`` gives in closed form.
 """
 
 from __future__ import annotations
@@ -97,27 +97,20 @@ def classify(key: Index) -> tuple:
     return ("general", None, None)
 
 
-def _is_unit(key: Index) -> bool:
-    kind = classify(key)[0]
-    return kind != "general" or sum(key) == 2
+def _pivot_reduce(s, stops: tuple[str, ...]) -> Combination:
+    """Pivot recursion from `s` down to weight-2 keys and keys of a kind in `stops`.
 
-
-def reduce_index(s) -> Combination:
-    """Rewrite an exponent vector as a combination of reduction units.
-
-    Output keys are lone powers (0^a, p), weight-2 pairs (0^a, 1, 0^b, 1) and
-    runs of ones (0^a, 1^c); apply `canonicalize` to also expand the runs.
-    The pivot is always (first nonzero, last nonzero), which pins the output
-    uniquely; the memo table lives only for the duration of the call.
+    Kinds are those of `classify`.  The pivot is always (first nonzero, last
+    nonzero), which pins the output uniquely; the memo table lives only for
+    the duration of the call.
     """
-    start = as_index(s)
     memo: dict[Index, Combination] = {}
 
     def rec(t: Index) -> Combination:
         hit = memo.get(t)
         if hit is not None:
             return hit
-        if _is_unit(t):
+        if sum(t) == 2 or classify(t)[0] in stops:
             res: Combination = {t: Fraction(1)}
         else:
             nz = [i for i, v in enumerate(t) if v]
@@ -133,7 +126,16 @@ def reduce_index(s) -> Combination:
         memo[t] = res
         return res
 
-    return dict(rec(start))
+    return rec(as_index(s))
+
+
+def reduce_index(s) -> Combination:
+    """Rewrite an exponent vector as a combination of reduction units.
+
+    Output keys are lone powers (0^a, p), weight-2 pairs (0^a, 1, 0^b, 1) and
+    runs of ones (0^a, 1^c), whose closed form is `expand_ones_run`.
+    """
+    return _pivot_reduce(s, ("power", "ones"))
 
 
 def expand_double_one(a: int, b: int) -> Combination:
@@ -155,26 +157,9 @@ def expand_ones_run(a: int, c: int) -> Combination:
     }
 
 
-def canonicalize(obj) -> Combination:
+def canonicalize(s) -> Combination:
     """Fully canonical combination: only (0^a, p) and (0^a, 1, 0^b, 1) keys.
 
-    Accepts an exponent vector or any combination; general keys are reduced
-    first, runs of ones are expanded.
+    The pivot recursion of `reduce_index`, carried through the runs of ones.
     """
-    if isinstance(obj, dict):
-        comb = obj
-    else:
-        comb = reduce_index(obj)
-    out: Combination = {}
-    for key, coeff in comb.items():
-        key = as_index(key)
-        kind, x, y = classify(key)
-        if kind in ("power", "pair"):
-            parts = {key: 1}
-        elif kind == "ones":
-            parts = expand_ones_run(x, y - 2)
-        else:  # reduce_index(key) holds only units, so this recursion stops
-            parts = canonicalize(key)
-        for k2, c2 in parts.items():
-            out[k2] = out.get(k2, 0) + Fraction(coeff) * c2
-    return {k: v for k, v in out.items() if v}
+    return _pivot_reduce(s, ("power",))

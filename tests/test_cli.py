@@ -75,6 +75,15 @@ class TestParseRequest:
         assert len(reqs) == 2
         assert reqs[1].spec.s == (0, 1, 1)
 
+    @pytest.mark.parametrize("denominator", [("s", [0, 1, 1]), ("binomial", [2, 3])])
+    def test_flags_and_record_share_defaults(self, tmp_path, denominator):
+        # every setting left out takes the same default on both paths
+        name, values = denominator
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps({"F": "x1^2 - x2", name: values}))
+        flags = ["--F", "x1^2 - x2", f"--{name}", ",".join(map(str, values))]
+        assert parse_request(["--input", str(path)]) == [parse_request(flags)]
+
 
 class TestRender:
     def test_text_plain(self):

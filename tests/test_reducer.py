@@ -168,11 +168,6 @@ class TestCanonicalize:
             for key in reduce_index(s):
                 assert 2 <= sum(key) <= sum(s)
 
-    def test_accepts_combination(self):
-        comb = {(1, 2): F(2)}
-        got = canonicalize(comb)
-        assert got == {(1, 1): F(2), (0, 2): F(-2)}
-
     def test_matches_full_pivot_reduction(self):
         # expanding the kept runs equals running the pivot loop through them
         def full_reduce(s):

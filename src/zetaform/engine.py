@@ -8,9 +8,10 @@ Given a polynomial ``F``, a harmonic order ``m``, a rational shift ``z`` in
 equals an exact rational constant plus a rational combination of multiple
 Hurwitz zeta values ``zeta(v_1, ..., v_k; z)``.  ``closed_form`` computes that
 combination exactly: the polynomial becomes a quasi-symmetric function in the
-monomial basis, the exponent vector is reduced to canonical families, and each
-(family, basis element) pair is evaluated by telescoping and partial-fraction
-recursions whose only atoms are zeta vectors and finite harmonic values.
+monomial basis, the exponent vector is reduced to canonical families, and the
+telescoping and partial-fraction identities write each (family, basis element)
+value as a linear rule over smaller values, zeta vectors and finite harmonic
+values.  One pass over those rules pushes the coefficients down to the atoms.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ def check_vector(v: ZetaVector) -> ZetaVector:
 
 
 def monomial_key(factors) -> ZetaMonomial:
-    return tuple(sorted((check_vector(v) for v in factors), key=sort_key))
+    mono = tuple(sorted((check_vector(v) for v in factors), key=sort_key))
+    if not mono:
+        raise ValueError("a zeta monomial needs a factor; a rational term is the constant")
+    return mono
 
 
 def harmonic_value(a: int, ell: int, z) -> Fraction:
@@ -138,130 +142,128 @@ class SeriesSpec:
 
 
 class _Evaluator:
-    """Per-pipeline-call evaluator for canonical families on basis elements.
+    """Values of canonical families on basis elements, for one fixed (m, z).
 
-    Memoizes the two recursions (adjacent-pair values and telescoping steps)
-    for the fixed (m, z) of one closed_form invocation.
+    Each value is stored once, as a local linear rule: a constant, zeta-vector
+    leaves and child values, each with a coefficient, plus the highest leaf
+    weight reachable from it.  The nodes are pair values ("pair", b, comp),
+    telescoping steps ("step", a, p, comp), lone powers ("power", a, p, comp)
+    and prefix sums ("sum", a, p, comp) of the steps at shifts 1..a, whose rule
+    step(a) + sum(a - 1) makes a run of steps cost one edge, not a.  `rules`
+    holds each rule after its children's, so `push` walks it backwards once.
     """
 
     def __init__(self, m: int, z: Fraction):
         self.m = m
         self.z = Fraction(z)
-        self._pair: dict = {}
-        self._t: dict = {}
+        self.rules: dict = {}  # node -> (constant, leaves, children, max weight)
 
-    def _zero(self) -> ClosedForm:
-        return ClosedForm(Fraction(0), {}, self.z, self.m)
+    def build(self, node) -> int:
+        """Store the rules from `node` down; return its max leaf weight before cancellation."""
+        rule = self.rules.get(node)
+        if rule is None:
+            constant, leaves, children = getattr(self, "_" + node[0])(*node[1:])
+            top = max(
+                [sum(vec) for vec, _ in leaves] + [self.build(child) for child, _ in children],
+                default=0,
+            )
+            rule = self.rules[node] = (constant, leaves, children, top)
+        return rule[3]
 
-    def _const(self, value: Fraction) -> ClosedForm:
-        return ClosedForm(value, {}, self.z, self.m)
+    def push(self, roots) -> ClosedForm:
+        """The closed form of the sum of c * node over the (node, c) `roots`.
 
-    def _zetas(self, *vectors: ZetaVector) -> ClosedForm:
-        out = self._zero()
-        for vec in vectors:
-            add_term(out.terms, (vec,), Fraction(1))
+        Parents come first in the walk, so each node has its total coefficient
+        before it pushes it into its constant, leaves and children.
+        """
+        coeff: dict = {}
+        for node, c in roots:
+            self.build(node)
+            coeff[node] = coeff.get(node, 0) + Fraction(c)
+        constant, terms = Fraction(0), {}
+        for node, (const, leaves, children, _) in reversed(self.rules.items()):
+            w = coeff.pop(node, 0)
+            if not w:
+                continue
+            if const:
+                constant += w * const
+            for vec, c in leaves:
+                mono = (vec,)
+                terms[mono] = terms.get(mono, 0) + w * c
+            for child, c in children:
+                coeff[child] = coeff.get(child, 0) + w * c
+        out = ClosedForm(constant, {}, self.z, self.m)
+        out.terms = {mono: c for mono, c in terms.items() if c}
         return out
 
-    def pair_value(self, b: int, comp: Composition) -> ClosedForm:
-        """Value of the adjacent-pair family (0^b, 1, 1) on a basis element.
+    def roots(self, key: Index, comp: Composition) -> list:
+        """(node, coefficient) pairs summing to a canonical `key` on `comp`."""
+        kind, x, y = classify(key)
+        if kind == "power":
+            return [(("power", x, y, comp), 1)]
+        if kind == "pair":
+            pairs = expand_double_one(x, y).items()
+            return [(("pair", len(k2) - 2, comp), c) for k2, c in pairs]
+        raise ValueError(f"not a canonical key: {key!r}")
 
-        The series sum_n M_comp(n) / ((n+b+z)(n+b+1+z)).  For b = 0 a single
-        telescoping collapses the tail; for b >= 1, splitting
-        1/((n+z)^m (n+b+z)) into simple poles yields a recursion that lowers
-        either the last part or the depth of the composition.
+    def _pair(self, b: int, comp: Composition):
+        """Adjacent-pair family (0^b, 1, 1): sum_n M_comp(n) / ((n+b+z)(n+b+1+z)).
+
+        For b = 0 one telescoping collapses the tail; for b >= 1, splitting
+        1/((n+z)^m (n+b+z)) lowers either the last part or the depth of comp.
         """
-        key = (b, comp)
-        hit = self._pair.get(key)
-        if hit is not None:
-            return hit
         m = self.m
-        if not comp:
-            cf = self._const(Fraction(1, 1) / (b + 1 + self.z))
-        elif b == 0:
-            cf = self._zetas(tuple(m * a for a in comp[:-1]) + (m * comp[-1] + 1,))
-        elif comp[-1] == 1:
-            cf = self._split(b, 1, comp)
-        else:
-            # split only the factor 1/(x^m (x+b)) of 1/(x^(m*last) (x+b)),
-            # x = n+z: the poles at 0 are zeta values, the one at -b is the
-            # pair value on the composition with its last part lowered
-            lowered = comp[:-1] + (comp[-1] - 1,)
-            base = tuple(m * a for a in lowered)
-            pf = partial_fraction(m, 1, b)
-            cf = self._zero()
-            for l, c in pf.pole_at_zero:
-                add_term(cf.terms, (base[:-1] + (base[-1] + l,),), c)
-            cf._add_scaled(self.pair_value(b, lowered), pf.pole_at_a[0][1])
-        self._pair[key] = cf
-        return cf
+        if b == 0 and comp:
+            return 0, [(tuple(m * a for a in comp[:-1]) + (m * comp[-1] + 1,), 1)], ()
+        if not comp or comp[-1] == 1:
+            return self._step(b, 1, comp)
+        # split only 1/(x^m (x+b)) of 1/(x^(m*last) (x+b)), x = n+z: the poles at 0
+        # are zeta values, the one at -b is the pair value with the last part lowered
+        lowered = comp[:-1] + (comp[-1] - 1,)
+        base = tuple(m * a for a in lowered)
+        pf = partial_fraction(m, 1, b)
+        leaves = [(base[:-1] + (base[-1] + l,), c) for l, c in pf.pole_at_zero]
+        return 0, leaves, [(("pair", b, lowered), pf.pole_at_a[0][1])]
 
-    def t_value(self, a: int, p: int, comp: Composition) -> ClosedForm:
+    def _step(self, a: int, p: int, comp: Composition):
         """Telescoping step: the (0^a, p) value minus the (0^(a+1), p) value.
 
-        Defined for a >= 1, p >= 1; for p = 1 it coincides with the
-        adjacent-pair family at shift a.
+        Split 1/((n_k+z)^w (n_k+a+z)^p), w = m*last, by `partial_fraction`.  A
+        pole of order l >= 2, at 0 or at -a, gives zeta(prefix, l); the zeta
+        parts of the simple poles cancel.  Moving a pole at -a to 0 costs a sum
+        over the shifts 1..a: H_a^(l)(z), or the prefix sum on the prefix.
         """
-        if p == 1:
-            return self.pair_value(a, comp)
-        key = (a, p, comp)
-        hit = self._t.get(key)
-        if hit is not None:
-            return hit
         if not comp:
-            cf = self._const(Fraction(1, 1) / (a + 1 + self.z) ** p)
-        else:
-            cf = self._split(a, p, comp)
-        self._t[key] = cf
-        return cf
-
-    def _split(self, a: int, p: int, comp: Composition) -> ClosedForm:
-        """Split 1/((n_k+z)^w (n_k+a+z)^p), w = m*last, by `partial_fraction`.
-
-        A pole of order l >= 2, at 0 or at -a, gives zeta(prefix, l); the
-        zeta parts of the two simple poles cancel.  Moving a pole at -a to 0
-        costs a finite sum over the shifts 1..a: the harmonic value
-        H_a^(l)(z) when the prefix is empty, else the prefix's t values.
-        """
+            return Fraction(1) / (a + 1 + self.z) ** p, (), ()
         prefix = comp[:-1]
         pv = tuple(self.m * x for x in prefix)
         pf = partial_fraction(self.m * comp[-1], p, a)
-        cf = self._zero()
-        for l, c in pf.pole_at_zero[1:] + pf.pole_at_a[1:]:
-            add_term(cf.terms, (pv + (l,),), c)
-        for l, c in pf.pole_at_a:
-            if prefix:
-                for j in range(1, a + 1):
-                    cf._add_scaled(self.t_value(j, l, prefix), -c)
-            else:
-                cf.constant -= c * harmonic_value(a, l, self.z)
-        return cf
+        leaves = [(pv + (l,), c) for l, c in pf.pole_at_zero[1:] + pf.pole_at_a[1:]]
+        if prefix:
+            return 0, leaves, [(("sum", a, l, prefix), -c) for l, c in pf.pole_at_a]
+        return -sum(c * harmonic_value(a, l, self.z) for l, c in pf.pole_at_a), leaves, ()
 
-    def power_value(self, a: int, p: int, comp: Composition) -> ClosedForm:
-        """Value of the lone-power family (0^a, p), p >= 2, on a basis element."""
-        if p < 2:
-            raise ValueError("power family requires p >= 2")
+    def _sum(self, a: int, p: int, comp: Composition):
+        """Sum of the telescoping steps at shifts 1..a (a >= 1)."""
+        if a > 2 and ("sum", a - 1, p, comp) not in self.rules:
+            for j in range(1, a - 1):  # bottom up, so a long run recurses no deeper
+                self.build(("sum", j, p, comp))
+        rest = [(("sum", a - 1, p, comp), 1)] if a > 1 else []
+        return 0, (), [(_step_node(a, p, comp), 1)] + rest
+
+    def _power(self, a: int, p: int, comp: Composition):
+        """Lone-power family (0^a, p), p >= 2: the zeta value less the steps below a."""
         if not comp:
-            cf = self._zetas((p,))
-            cf.constant = -harmonic_value(a, p, self.z)
-            return cf
+            return -harmonic_value(a, p, self.z), [((p,), 1)], ()
         base = tuple(self.m * x for x in comp)
         if a == 0:
-            return self._zetas(base[:-1] + (base[-1] + p,), base + (p,))
-        cf = self._zetas(base + (p,))
-        for j in range(1, a):
-            cf._add_scaled(self.t_value(j, p, comp), -1)
-        return cf
+            return 0, [(base[:-1] + (base[-1] + p,), 1), (base + (p,), 1)], ()
+        return 0, [(base + (p,), 1)], [(("sum", a - 1, p, comp), -1)] if a > 1 else ()
 
-    def key_value(self, key: Index, comp: Composition) -> ClosedForm:
-        kind, x, y = classify(key)
-        if kind == "power":
-            return self.power_value(x, y, comp)
-        if kind == "pair":
-            cf = self._zero()
-            for k2, c2 in expand_double_one(x, y).items():
-                cf._add_scaled(self.pair_value(len(k2) - 2, comp), c2)
-            return cf
-        raise ValueError(f"not a canonical key: {key!r}")
+
+def _step_node(a: int, p: int, comp: Composition) -> tuple:
+    """The telescoping step's node; for p = 1 the step is the pair value at shift a."""
+    return ("pair", a, comp) if p == 1 else ("step", a, p, comp)
 
 
 def closed_form(spec: SeriesSpec) -> ClosedForm:
@@ -269,26 +271,22 @@ def closed_form(spec: SeriesSpec) -> ClosedForm:
     u = poly_to_qsym(spec.F)
     comb = canonicalize(spec.s)
     ev = _Evaluator(spec.m, spec.z)
-    total = ev._zero()
+    roots = []
     for key, c1 in comb.items():
         for comp, c2 in u.terms.items():
-            part = ev.key_value(key, comp)
+            nodes = ev.roots(key, comp)
+            top = max(ev.build(node) for node, _ in nodes)
             bound = spec.m * sum(comp) + sum(spec.s)
-            if part.max_weight() > bound:
-                raise AssertionError(
-                    f"emitted weight {part.max_weight()} exceeds bound {bound}"
-                )
-            total._add_scaled(part, c1 * c2)
-    return total
+            if top > bound:
+                raise AssertionError(f"emitted weight {top} exceeds bound {bound}")
+            roots += [(node, c1 * c2 * c) for node, c in nodes]
+    return ev.push(roots)
 
 
 def index_value(index, comp, m: int, z) -> ClosedForm:
     """Closed form of one exponent-vector functional on one basis element."""
-    ev = _Evaluator(m, as_shift(z))
-    total = ev._zero()
-    for key, coeff in canonicalize(as_index(index)).items():
-        total._add_scaled(ev.key_value(key, tuple(comp)), coeff)
-    return total
+    ev, comp, comb = _Evaluator(m, as_shift(z)), tuple(comp), canonicalize(as_index(index))
+    return ev.push([(n, c1 * c) for key, c1 in comb.items() for n, c in ev.roots(key, comp)])
 
 
 def telescope_value(a: int, p: int, comp, m: int, z) -> ClosedForm:
@@ -297,21 +295,23 @@ def telescope_value(a: int, p: int, comp, m: int, z) -> ClosedForm:
         raise ValueError("telescope_value requires a >= 1")
     if p < 1:
         raise ValueError("telescope_value requires p >= 1")
-    return _Evaluator(m, as_shift(z)).t_value(a, p, tuple(comp))
+    return _Evaluator(m, as_shift(z)).push([(_step_node(a, p, tuple(comp)), 1)])
 
 
 def pair_family_value(b: int, comp, m: int, z) -> ClosedForm:
     """Closed form of the adjacent-pair family (0^b, 1, 1) on a basis element."""
     if b < 0:
         raise ValueError("pair_family_value requires b >= 0")
-    return _Evaluator(m, as_shift(z)).pair_value(b, tuple(comp))
+    return _Evaluator(m, as_shift(z)).push([(("pair", b, tuple(comp)), 1)])
 
 
 def power_family_value(a: int, p: int, comp, m: int, z) -> ClosedForm:
     """Closed form of the lone-power family (0^a, p) on a basis element."""
     if a < 0:
         raise ValueError("power_family_value requires a >= 0")
-    return _Evaluator(m, as_shift(z)).power_value(a, p, tuple(comp))
+    if p < 2:
+        raise ValueError("power family requires p >= 2")
+    return _Evaluator(m, as_shift(z)).push([(("power", a, p, tuple(comp)), 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,8 @@ class TestExitCodes:
             pytest.param({"rules": [{"source": [1, 2], "terms": {}}]}, id="terms-an-object"),
             pytest.param({"rules": [{"source": [1, 2], "terms": [{"coeff": "1"}]}]},
                          id="missing-factors"),
+            pytest.param({"rules": [{"source": [1, 2], "terms": [{"factors": [], "coeff": "1"}]}]},
+                         id="empty-factors"),
             pytest.param({"rules": [{"source": [True, 2]}]}, id="bool-entry"),
             pytest.param({"rules": [{"source": [1.0, 2]}]}, id="float-entry"),
             pytest.param({"rules": [{"source": [0, 2]}]}, id="zero-entry"),
@@ -441,6 +443,7 @@ class TestClosedFormFromJsonShape:
             pytest.param({**GOOD, "terms": [{"factors": [[2]]}]}, id="missing-coeff"),
             pytest.param({**GOOD, "terms": [{"factors": [[1]], "coeff": "1"}]}, id="last-entry-1"),
             pytest.param({**GOOD, "terms": [{"factors": [[]], "coeff": "1"}]}, id="empty-vector"),
+            pytest.param({**GOOD, "terms": [{"factors": [], "coeff": "2"}]}, id="empty-factors"),
             pytest.param({**GOOD, "terms": [{"factors": [[2]], "coeff": "1/0"}]}, id="coeff-1/0"),
             pytest.param({**GOOD, "constant": "abc"}, id="constant-not-rational"),
             pytest.param({**GOOD, "z": "1/0"}, id="z-1/0"),

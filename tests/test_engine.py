@@ -1,8 +1,12 @@
+import inspect
+import itertools
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from zetaform import engine
 from zetaform.engine import (
     ClosedForm,
     ReductionRule,
@@ -19,7 +23,7 @@ from zetaform.engine import (
     telescope_value,
 )
 from zetaform.qsym import Polynomial, bell_polynomial
-from zetaform.reducer import DivergentSeriesError
+from zetaform.reducer import DivergentSeriesError, PartialFractionExpansion
 
 X1 = Polynomial.variable(1)
 
@@ -135,6 +139,14 @@ class TestTelescope:
         with pytest.raises(ValueError):
             telescope_value(0, 2, (1,), 1, 0)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3)])
+    def test_step_is_difference_of_powers(self, m, z):
+        comps = [()] + [c for n in (1, 2, 3) for c in itertools.product((1, 2), repeat=n)]
+        for comp, a, p in itertools.product(comps, range(1, 5), (2, 3)):
+            want = power_family_value(a, p, comp, m, z) - power_family_value(a + 1, p, comp, m, z)
+            assert telescope_value(a, p, comp, m, z) == want, (comp, a, p)
+
 
 class TestPipeline:
     def test_square_identity_any_shift(self):
@@ -190,6 +202,30 @@ class TestPipeline:
                 assert got.zeta_coefficient((2,) * j) == F(
                     2 * (-1) ** (k + 1 - j) * (k + 1 - j)
                 )
+
+    def test_emitted_weight_is_checked(self, monkeypatch):
+        # one extra pole at 0, heavier than the series' weight allows
+        real = engine.partial_fraction
+
+        def heavy(k, m, a):
+            pf = real(k, m, a)
+            return PartialFractionExpansion(pf.pole_at_zero + ((k + m + 1, F(1)),), pf.pole_at_a)
+
+        monkeypatch.setattr(engine, "partial_fraction", heavy)
+        with pytest.raises(AssertionError, match="emitted weight 4 exceeds bound 3"):
+            closed_form(SeriesSpec(X1, 1, 0, (0, 0, 2)))
+
+    def test_long_run_of_shifts_recurses_shallowly(self):
+        # a run of telescoping steps is built bottom up, so the stack depth
+        # does not grow with the number of leading zeros
+        want = power_family_value(150, 2, (1,), 1, 0)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            got = closed_form(SeriesSpec(X1, 1, 0, (0,) * 150 + (2,)))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
     def test_divergent_rejected(self):
         with pytest.raises(DivergentSeriesError):

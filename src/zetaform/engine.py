@@ -157,6 +157,7 @@ class _Evaluator:
         self.m = m
         self.z = Fraction(z)
         self.rules: dict = {}  # node -> (constant, leaves, children, max weight)
+        self.harmonics: dict = {}  # l -> [H_0^(l)(z), H_1^(l)(z), ...]
 
     def build(self, node) -> int:
         """Store the rules from `node` down; return its max leaf weight before cancellation."""
@@ -241,7 +242,7 @@ class _Evaluator:
         leaves = [(pv + (l,), c) for l, c in pf.pole_at_zero[1:] + pf.pole_at_a[1:]]
         if prefix:
             return 0, leaves, [(("sum", a, l, prefix), -c) for l, c in pf.pole_at_a]
-        return -sum(c * harmonic_value(a, l, self.z) for l, c in pf.pole_at_a), leaves, ()
+        return -sum(c * self._harmonic(a, l) for l, c in pf.pole_at_a), leaves, ()
 
     def _sum(self, a: int, p: int, comp: Composition):
         """Sum of the telescoping steps at shifts 1..a (a >= 1)."""
@@ -254,11 +255,18 @@ class _Evaluator:
     def _power(self, a: int, p: int, comp: Composition):
         """Lone-power family (0^a, p), p >= 2: the zeta value less the steps below a."""
         if not comp:
-            return -harmonic_value(a, p, self.z), [((p,), 1)], ()
+            return -self._harmonic(a, p), [((p,), 1)], ()
         base = tuple(self.m * x for x in comp)
         if a == 0:
             return 0, [(base[:-1] + (base[-1] + p,), 1), (base + (p,), 1)], ()
         return 0, [(base + (p,), 1)], [(("sum", a - 1, p, comp), -1)] if a > 1 else ()
+
+    def _harmonic(self, a: int, l: int) -> Fraction:
+        """H_a^(l)(z) = harmonic_value(a, l, z), each new a one term past the last."""
+        values = self.harmonics.setdefault(l, [Fraction(0)])
+        while len(values) <= a:
+            values.append(values[-1] + 1 / (len(values) + self.z) ** l)
+        return values[a]
 
 
 def _step_node(a: int, p: int, comp: Composition) -> tuple:

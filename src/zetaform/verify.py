@@ -1,11 +1,11 @@
 """Independent numeric oracle for closed forms and raw series.
 
-Multiple Hurwitz zeta values are evaluated by nested backward summation from
-a cutoff set by the working precision (40 up to 34 digits): the innermost
-level starts from an exact Hurwitz zeta tail, and every outer level, itself
-a tail sum, from its large-n expansion in powers of 1/(n+z), whose exact
-rational coefficients come level by level from the Hurwitz zeta expansion
-with Bernoulli numbers (DLMF 25.11.43).  A raw series is summed directly in
+Multiple Hurwitz zeta values of depth >= 2 are evaluated by nested backward
+summation in fixed-point integers from a cutoff set by the working precision
+(40 up to 34 digits).  Every level, a tail sum, starts from its large-n
+expansion in powers of 1/(n+z), whose exact coefficients, integers over one
+denominator, come level by level from the Hurwitz zeta expansion with
+Bernoulli numbers (DLMF 25.11.43).  A raw series is summed directly in
 fixed-point integer arithmetic for its first N terms, and its tail is added
 exactly from the summand's large-n expansion in ln^d(x)/x^q, x = n + z,
 each term of which sums to a Hurwitz zeta derivative; both sides share that
@@ -29,6 +29,7 @@ from .qsym import as_shift
 DESK_MAX_DEPTH = 5
 DESK_MAX_WEIGHT = 10
 DESK_MAX_TERMS = 10**6
+_bernoulli = lru_cache(maxsize=None)(bernfrac)
 
 
 class DeskLimitError(ValueError):
@@ -74,82 +75,90 @@ def _check_desk_vector(v) -> ZetaVector:
 
 @lru_cache(maxsize=None)
 def _zeta_tail_coeffs(sigma: int, order: int) -> tuple:
-    """zeta(sigma, x+1) ~ sum c / x^p for large x, as ((p, c), ...) with p <= order.
+    """zeta(sigma, x+1) ~ sum_p nums[p] / (den x^p), p <= order, as (den, nums).
 
     zeta(sigma, x+1) ~ sum_k B_k (sigma)_(k-1)/k! x^(1-sigma-k) with B_1 = -1/2
-    and (sigma)_(-1) = 1/(sigma-1) (DLMF 25.11.43).  For sigma = 1 the k = 0
-    term is left out: -psi(x+1) has -ln x there.  Exact rationals, no z.
+    and (sigma)_(-1) = 1/(sigma-1) (DLMF 25.11.43): B_k C(sigma+k-2, k)/(sigma-1).
+    For sigma = 1 the k = 0 term is left out (-psi(x+1) has -ln x there) and
+    the others are B_k / k.  Exact, over the least common denominator; no z.
     """
-    out = [(sigma - 1, Fraction(1, sigma - 1))] if 1 < sigma <= order + 1 else []
-    rising = Fraction(1)  # (sigma)_(k-1) / k!
-    for k in range(1, order + 2 - sigma):
-        if k > 1:
-            rising = rising * (sigma + k - 2) / k
-        c = Fraction(*bernfrac(k)) * rising
-        if c:
-            out.append((sigma - 1 + k, c))
-    return tuple(out)
-
-
-def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
-    """One evaluation at a fixed cutoff; precision from the ambient context.
-
-    Level j is f_j(n) = sum_{t>n} (t+z)^-s_j f_(j+1)(t), with f_k = 1 and the
-    value f_0(0).  Each level starts at n = cutoff, the innermost from its
-    exact Hurwitz zeta tail and every outer one from its expansion at
-    x = cutoff + z, and runs backward to n = 0.
-    """
-    zz = _mpf(zq)
-    f = [mpf(1)] * (cutoff + 1)
-    for j in range(len(svec) - 1, -1, -1):
-        if j == len(svec) - 1:
-            acc = mpzeta(svec[j], cutoff + 1 + zz)
-        else:
-            acc, inv = mpf(0), 1 / (cutoff + zz)
-            for c in reversed(_level_values(svec[j:], mp.dps)[:-2]):
-                acc = acc * inv + c
-        for n in range(cutoff, 0, -1):
-            f[n], acc = acc, acc + (n + zz) ** (-svec[j]) * f[n]
-    return acc
+    nums, dens = [0] * (order + 1), [1] * (order + 1)
+    for k in range(0 if sigma > 1 else 1, order + 2 - sigma):
+        p, (b, d) = sigma - 1 + k, _bernoulli(k)
+        nums[p], dens[p] = (b * math.comb(p - 1, k), d * (sigma - 1)) if sigma > 1 else (b, d * k)
+    den = math.lcm(*dens)
+    nums = [n * (den // d) for n, d in zip(nums, dens)]
+    g = math.gcd(den, *nums)
+    return den // g, tuple(n // g for n in nums)
 
 
 @lru_cache(maxsize=None)
 def _level_expansion(svec: ZetaVector, dps: int) -> tuple:
-    """Coefficients c_p of f(n) ~ sum_p c_p / x^p, x = n + z, p <= dps + 22.
+    """f(n) ~ sum_p nums[p] / (den x^p), x = n + z, p <= dps + 22, as (den, nums).
 
     f(n) = sum_{n < t_1 < ... < t_k} prod (t_i + z)^-s_i.  Going inward to
     outward, each term c / x^q of the inner level's expansion contributes c
-    times the expansion of zeta(s_1 + q, x + 1).  Orders up to dps + 20 are
-    kept; the last two are the first omitted ones.  No z dependence.
+    times the expansion of zeta(s_1 + q, x + 1), in integers over the lcm of
+    their denominators, reduced once.  Orders up to dps + 20 are kept; the
+    last two are the first omitted ones.  No z dependence.
     """
     top = dps + 22
-    inner = _level_expansion(svec[1:], dps) if len(svec) > 1 else (Fraction(1),)
-    out = [Fraction(0)] * (top + 1)
-    for q, c in enumerate(inner):
-        if c:
-            for p, b in _zeta_tail_coeffs(svec[0] + q, top):
+    den, inner = _level_expansion(svec[1:], dps) if len(svec) > 1 else (1, (1,))
+    tails = [(c, _zeta_tail_coeffs(svec[0] + q, top)) for q, c in enumerate(inner) if c]
+    lcm = math.lcm(*(d for _, (d, _) in tails))
+    out = [0] * (top + 1)
+    for c, (d, nums) in tails:
+        c *= lcm // d
+        for p, b in enumerate(nums):
+            if b:
                 out[p] += c * b
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _level_values(svec: ZetaVector, dps: int) -> tuple:
-    """_level_expansion(svec, dps) in floating point at dps digits."""
-    with mp.workdps(dps):
-        return tuple(_mpf(c) for c in _level_expansion(svec, dps))
+    g = math.gcd(den * lcm, *out)
+    return den * lcm // g, tuple(n // g for n in out)
 
 
 def _omitted_orders(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
-    """The first two omitted orders of the outer levels' expansions at the cutoff."""
+    """The first two omitted orders of every level's expansion at the cutoff."""
     x = cutoff + _mpf(zq)
     total = mpf(0)
-    for j in range(len(svec) - 1):
-        *kept, c1, c2 = _level_values(svec[j:], mp.dps)
-        total += (abs(c1) + abs(c2) / x) * x ** (-len(kept))
+    for j in range(len(svec)):
+        den, nums = _level_expansion(svec[j:], mp.dps)
+        total += (abs(nums[-2]) + abs(nums[-1]) / x) / den * x ** (2 - len(nums))
     return total
 
 
 MHZ_CUTOFF = 40
+GUARD_BITS = 24
+
+
+def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
+    """One evaluation at a fixed cutoff >= 1; precision from the ambient context.
+
+    Level j is f_j(n) = sum_{t>n} (t+z)^-s_j f_(j+1)(t), with f_k = 1 and the
+    value f_0(0).  Each level starts at n = cutoff from its expansion, summed
+    exactly at x = cutoff + z and floored, and runs backward to n = 0 in fixed
+    point at wp = mp.prec + GUARD_BITS bits: with z = p/q, the weight is
+    floor(q^s 2^wp / (q n + p)^s) and a product is (w f) >> wp.
+
+    Truncation: a level adds under 1 + 3c floors of u = 2^-wp at cutoff c (the
+    start; per step the weight's floor times the inner level at n >= 1, which
+    is at most its z = 0 multiple zeta value, below zeta(2) by the sum theorem,
+    and the product's floor).  A level multiplies the inner error by its weight
+    sum: under L = 2 + ln c over t >= 2, plus (1+z)^-s_0 at t = 1 for the
+    outermost.  So at depth k, for every z in (-1, 0], the result is off by
+    less than u (1 + 3c) k ((1+z)^-s_0 + L) L^(k-2); `_mhz` adds that.
+    """
+    p, q, wp = zq.numerator, zq.denominator, mp.prec + GUARD_BITS
+    x = q * cutoff + p  # q (cutoff + z)
+    f = [1 << wp] * (cutoff + 1)
+    for j in range(len(svec) - 1, -1, -1):
+        den, nums = _level_expansion(svec[j:], mp.dps)
+        acc = 0
+        for k, c in enumerate(nums[:-2]):
+            acc = acc * x + c * q**k
+        acc, scaled = (acc << wp) // (den * x ** (len(nums) - 3)), q ** svec[j] << wp
+        for n in range(cutoff, 0, -1):
+            f[n], acc = acc, acc + (scaled // (q * n + p) ** svec[j] * f[n] >> wp)
+    return mp.ldexp(acc, -wp)
 
 
 def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
@@ -157,13 +166,13 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
 
     Desk-scale only (depth <= 5, weight <= 10).  The value depends only on
     the vector, the shift and the working precision dps that abs_err asks
-    for, never on earlier requests.  It is evaluated once, at cutoff
-    max(MHZ_CUTOFF, 6 dps / 5) (0 at depth 1, an exact Hurwitz zeta), which
-    keeps the omitted orders of the level expansions far below 10^-dps.
-    The bound is those first two omitted orders at the cutoff, plus the
-    change in the value when the cutoff is halved (the truncation error
-    there is about 2^order times larger, and it also exposes a wrong
-    coefficient), plus a working-precision floor.
+    for, never on earlier requests.  Depth 1 is mpmath's Hurwitz zeta at the
+    exact shift 1 + z, within 4 units in the last place.  Deeper values are
+    summed once in fixed point at cutoff max(MHZ_CUTOFF, 6 dps / 5); their
+    bound adds the first two omitted orders of every level's expansion there,
+    the change when the cutoff is halved (the truncation error is then about
+    2^order times larger, and a wrong coefficient shows), and _mhz_once's
+    fixed-point bound with the final rounding.  Both add a precision floor.
     """
     vec = _check_desk_vector(v)
     zq = as_shift(z)
@@ -175,12 +184,16 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
 @lru_cache(maxsize=None)
 def _mhz(vec: ZetaVector, zq: Fraction, dps: int) -> NumericResult:
     with mp.workdps(dps):
-        cutoff = max(MHZ_CUTOFF, 6 * dps // 5) if len(vec) > 1 else 0
-        value, delta = _mhz_once(vec, zq, cutoff), mpf(0)
-        if cutoff:
-            delta = abs(value - _mhz_once(vec, zq, cutoff // 2))
-        bound = _omitted_orders(vec, zq, cutoff) + delta + mpf(10) ** (5 - dps)
-        return NumericResult(value, float(bound))
+        floor = mpf(10) ** (5 - dps)
+        if len(vec) == 1:  # 1 + mpf(z) would lose digits as z -> -1
+            value = mpzeta(vec[0], mp.mpq(zq.numerator + zq.denominator, zq.denominator))
+            return NumericResult(value, float(floor + mp.ldexp(abs(value), 2 - mp.prec)))
+        c, k = max(MHZ_CUTOFF, 6 * dps // 5), len(vec)
+        value, L = _mhz_once(vec, zq, c), 2 + mp.log(c)
+        fixed = (1 + 3 * c) * k * (_mpf(1 + zq) ** -vec[0] + L) * L ** (k - 2)
+        fixed = mp.ldexp(mp.ldexp(fixed, -GUARD_BITS) + abs(value), -mp.prec)  # + rounding
+        bound = _omitted_orders(vec, zq, c) + abs(value - _mhz_once(vec, zq, c // 2)) + fixed
+        return NumericResult(value, float(bound + floor))
 
 
 def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult:
@@ -213,9 +226,6 @@ def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
     return _SeriesSummer(spec, Fraction).advance_to(N)
 
 
-HEAD_GUARD_BITS = 24
-
-
 class _SeriesSummer:
     """Incremental partial sums of one series, in fixed point or exactly.
 
@@ -226,7 +236,7 @@ class _SeriesSummer:
 
     where H_i, the harmonic number of order r = i m, grows by q^r / x^r at
     each n.  Every quotient goes through div(a, b).  With number=Fraction it
-    is exact.  By default it is fixed point at wp = mp.prec + HEAD_GUARD_BITS
+    is exact.  By default it is fixed point at wp = mp.prec + GUARD_BITS
     bits, div(a, b) = floor(a 2^wp / b), and the sums come back as mpf.
     A monomial of degree d has its coefficient premultiplied by q^S one^(D - d),
     with one = div(1, 1) and D = deg F, so all monomials share the scale
@@ -248,7 +258,7 @@ class _SeriesSummer:
     """
 
     def __init__(self, spec: SeriesSpec, number=mpf):
-        wp = mp.prec + HEAD_GUARD_BITS
+        wp = mp.prec + GUARD_BITS
         self.spec, self.number, self.wp = spec, number, wp
         self.div = Fraction if number is Fraction else lambda a, b: (a << wp) // b
         self.p, self.q = spec.z.numerator, spec.z.denominator
@@ -340,8 +350,10 @@ def _harmonic_expansion(r: int, zz: mpf, order: int) -> dict:
         out = {(0, 0): -mppsi(0, 1 + zz), (0, 1): mpf(1)}
     else:
         out = {(0, 0): mpzeta(r, 1 + zz)}
-    for p, c in _zeta_tail_coeffs(r, order):
-        out[(p, 0)] = -_mpf(c)
+    den, nums = _zeta_tail_coeffs(r, order)
+    for p, c in enumerate(nums):
+        if c:
+            out[(p, 0)] = -_mpf(Fraction(c, den))
     return out
 
 

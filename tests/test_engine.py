@@ -1,5 +1,7 @@
+import hashlib
 import inspect
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction as F
@@ -7,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from zetaform import engine
+from zetaform.cli import closed_form_to_json
 from zetaform.engine import (
     ClosedForm,
     ReductionRule,
@@ -54,6 +57,35 @@ class TestHarmonicValue:
     def test_rejects_shift(self):
         with pytest.raises(ValueError):
             harmonic_value(2, 1, F(-5, 4))
+
+
+class TestLeadingZeroRun:
+    """x1 over (0^k, 2): the steps at shifts 1..k each need H_a^(l)(z)."""
+
+    @pytest.mark.parametrize("k", [50, 200])
+    def test_harmonic_terms_grow_linearly(self, k, monkeypatch):
+        # each reciprocal term 1/(j+z)^l is one Fraction power; summing every
+        # H_a from j = 1 again costs about k^2 of them
+        calls = []
+        power = F.__pow__
+        monkeypatch.setattr(F, "__pow__", lambda *a: calls.append(1) or power(*a))
+        closed_form(SeriesSpec(X1, 1, 0, (0,) * k + (2,)))
+        assert len(calls) <= 2 * k
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (1, "97e47095b6dad83309c492e29ba8dce6fd353e12a728d27de1091d4cb6f34eb1"),
+            (5, "923460d3afdb86541d65a9bd3cb1655028828ba9eddd8af9e18952f20e7d9923"),
+            (40, "f760bfe7d98a35d3e8a600476e1c63f100d3b88d2e1c5f064d068f8ff900c3f7"),
+        ],
+    )
+    def test_closed_forms_unchanged(self, k, digest):
+        # sha256 of the sorted closed-form JSON, recorded when every H_a was
+        # summed from j = 1 by harmonic_value
+        got = closed_form(SeriesSpec(X1, 1, 0, (0,) * k + (2,)))
+        text = json.dumps(closed_form_to_json(got), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestPairFamily:

@@ -1,15 +1,18 @@
+import functools
 import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
-from mpmath import inf, log, mp, mpf, pi, quad, zeta
+from mpmath import bernfrac, inf, log, mp, mpf, pi, quad, zeta
 
 from zetaform.engine import ClosedForm, SeriesSpec, closed_form
 from zetaform.qsym import Polynomial
 from zetaform.verify import (
     DeskLimitError,
     _SeriesSummer,
+    _level_expansion,
+    _zeta_tail_coeffs,
     closed_form_numeric,
     mhz_numeric,
     series_partial_sum,
@@ -370,6 +373,21 @@ class TestSeriesLimit:
             verify_identity(spec, closed_form(spec), tol=tol, N=100)
 
 
+class TestShiftNearMinusOne:
+    # the weight (1+z)^-s_0 makes values large as z -> -1: their bounds must
+    # grow with them, and the shift 1 + z must not be rounded after the fact
+    @pytest.mark.parametrize("z", [F(-99, 100), F(-9999, 10000)])
+    def test_values_within_bounds(self, z):
+        for vec in [(2,), (5,), (3, 3), (1, 1, 1, 2), (3, 1, 1, 2)]:
+            r = mhz_numeric(vec, z, 1e-30)
+            with mp.workdps(80):
+                if len(vec) == 1:
+                    reference = zeta(vec[0], mpf((1 + z).numerator) / (1 + z).denominator)
+                else:
+                    reference = mhz_numeric(vec, z, 1e-70).value
+                assert abs(r.value - reference) <= r.abs_err_bound, (vec, r)
+
+
 class TestMhzMemo:
     def test_value_does_not_depend_on_earlier_requests(self):
         from zetaform import verify
@@ -432,3 +450,62 @@ class TestLevelExpansion:
             for vec in [(1, 2), (2, 1, 3), (1, 1, 1, 1, 2), (3, 1, 1, 2)]:
                 delta = abs(_mhz_once(vec, z, 20) - _mhz_once(vec, z, 40))
                 assert delta < mpf(10) ** -40, (vec, delta)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_tail(sigma, order):
+    """B_k (sigma)_(k-1) / k! on 1/x^(sigma-1+k), k = 0 left out for sigma = 1."""
+    out = {}
+    for k in range(0 if sigma > 1 else 1, order + 2 - sigma):
+        rising = F(1, sigma - 1) if k == 0 else F(math.prod(range(sigma, sigma + k - 1)))
+        out[sigma - 1 + k] = F(*bernfrac(k)) * rising / math.factorial(k)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_level_expansion(svec, dps):
+    # reference: the level recursion in Fraction arithmetic
+    top = dps + 22
+    inner = _reference_level_expansion(svec[1:], dps) if len(svec) > 1 else (F(1),)
+    out = [F(0)] * (top + 1)
+    for q, c in enumerate(inner):
+        if c:
+            for p, b in _reference_tail(svec[0] + q, top).items():
+                out[p] += c * b
+    return tuple(out)
+
+
+class TestIntegerExpansions:
+    @pytest.mark.parametrize("dps", [30, 44])
+    def test_zeta_tail_coeffs_are_exact(self, dps):
+        for sigma in range(1, 41):
+            den, nums = _zeta_tail_coeffs(sigma, dps + 22)
+            reference = _reference_tail(sigma, dps + 22)
+            assert [F(c, den) for c in nums] == [reference.get(p, 0) for p in range(dps + 23)]
+
+    @pytest.mark.parametrize("dps", [30, 44])
+    def test_level_expansions_are_exact(self, dps):
+        vectors = [v for k in range(1, 5) for v in itertools.product((1, 2, 3), repeat=k)]
+        for vec in vectors:
+            den, nums = _level_expansion(vec, dps)
+            assert [F(c, den) for c in nums] == list(_reference_level_expansion(vec, dps)), vec
+
+
+class TestStuffle:
+    # zeta(a) zeta(b, c) = zeta(a, b, c) + zeta(b, a, c) + zeta(b, c, a)
+    #                      + zeta(a + b, c) + zeta(b, a + c) at every shift;
+    # zeta(a) is mpmath's Hurwitz zeta, the rest come from the fixed-point sums
+    @pytest.mark.parametrize("abs_err", [1e-12, 1e-30, 1e-60])
+    @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3), F(-2, 3)])
+    def test_harmonic_product(self, z, abs_err):
+        for a, b, c in itertools.product((2, 3), repeat=3):
+            za, zbc = mhz_numeric((a,), z, abs_err), mhz_numeric((b, c), z, abs_err)
+            rhs = [
+                mhz_numeric(v, z, abs_err)
+                for v in [(a, b, c), (b, a, c), (b, c, a), (a + b, c), (b, a + c)]
+            ]
+            with mp.workdps(round(-math.log10(abs_err)) + 30):
+                err = abs(za.value * zbc.value - mp.fsum(r.value for r in rhs))
+                bound = za.abs_err_bound * abs(zbc.value) + zbc.abs_err_bound * abs(za.value)
+                bound += za.abs_err_bound * zbc.abs_err_bound + sum(r.abs_err_bound for r in rhs)
+            assert err <= bound, ((a, b, c), err, bound)

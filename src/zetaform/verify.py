@@ -6,15 +6,15 @@ summation in fixed-point integers from a cutoff set by the working precision
 expansion in powers of 1/(n+z), whose exact coefficients, integers over one
 denominator, come level by level from the Hurwitz zeta expansion with
 Bernoulli numbers (DLMF 25.11.43).  A raw series is summed directly in
-fixed-point integer arithmetic for its first N terms, and its tail is added
-exactly from the summand's large-n expansion in ln^d(x)/x^q, x = n + z,
-each term of which sums to a Hurwitz zeta derivative; both sides share that
-Hurwitz zeta expansion, so verification never reuses the symbolic machinery
-it is checking.
+fixed-point integer arithmetic for its first N terms; its tail, the summand's
+large-n expansion in ln^d(x)/x^q (x = n + z) from the same Hurwitz zeta
+expansion, is summed by Euler-Maclaurin with a stated remainder, so
+verification never reuses the symbolic machinery it is checking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -197,24 +197,26 @@ def _mhz(vec: ZetaVector, zq: Fraction, dps: int) -> NumericResult:
 
 
 def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult:
-    """Evaluate a closed form numerically, propagating per-term bounds."""
+    """Evaluate a closed form numerically, propagating per-term bounds.
+
+    Roundings, each below 2^-prec of what it rounds, k + 3 for a monomial of
+    k factors and one per sum, add under 4 nterms 2^-prec (|constant| + sum |c prod|).
+    """
     nterms = sum(len(mono) for mono in cf.terms) + 1
     budget = abs_err / max(nterms, 1)
-    dps = _digits_for(abs_err)
-    with mp.workdps(dps):
+    with mp.workdps(_digits_for(abs_err)):
         total = _mpf(cf.constant)
-        bound = mpf(0)
+        bound, size = mpf(0), abs(total)
         for mono, coeff in cf.sorted_terms():
-            prod = mpf(1)
-            prod_bound = mpf(0)
+            prod, prod_bound = mpf(1), mpf(0)
             for v in mono:
                 r = mhz_numeric(v, cf.shift, budget)
                 prod_bound = prod_bound * abs(r.value) + abs(prod) * r.abs_err_bound
                 prod *= r.value
             c = _mpf(coeff)
             total += c * prod
-            bound += abs(c) * prod_bound
-        return NumericResult(total, float(bound))
+            bound, size = bound + abs(c) * prod_bound, size + abs(c * prod)
+        return NumericResult(total, float(bound + mp.ldexp(size * nterms, 2 - mp.prec)))
 
 
 def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
@@ -321,9 +323,8 @@ class _SeriesSummer:
 # With x = n + z, each H_n^(r)(z) is a constant plus ln x (r = 1 only) plus a
 # power series in 1/x with Bernoulli-number coefficients, and each
 # 1/(x+i)^e is x^-e (1 + i/x)^-e.  Multiplied through F, the summand becomes
-# sum c[j, d] ln^d(x) / x^(S+j) with S = sum(s), and the sum of one such term
-# over n > M is (-1)^d zeta^(d)(S+j, M+1+z).  Expansions are dicts
-# {(j, d): c} standing for sum c ln^d(x) / x^j.
+# sum c[j, d] ln^d(x) / x^(S+j), S = sum(s).  Expansions are dicts {(j, d): c}
+# standing for sum c ln^d(x) / x^j; _tail_order sums them past the head.
 
 LHS_HEAD_FLOOR = 20
 _MAX_ORDER = 64
@@ -340,16 +341,16 @@ def _series_mul(a: dict, b: dict, order: int) -> dict:
     return out
 
 
-def _harmonic_expansion(r: int, zz: mpf, order: int) -> dict:
-    """H_n^(r)(z) for large x = n + z, through 1/x^order.
+def _harmonic_expansion(r: int, shift, order: int) -> dict:
+    """H_n^(r)(z) for large x = n + z, through 1/x^order; shift = 1 + z, an exact mpq.
 
     H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for
     r = 1 (DLMF 5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).
     """
     if r == 1:
-        out = {(0, 0): -mppsi(0, 1 + zz), (0, 1): mpf(1)}
+        out = {(0, 0): -mppsi(0, shift), (0, 1): mpf(1)}
     else:
-        out = {(0, 0): mpzeta(r, 1 + zz)}
+        out = {(0, 0): mpzeta(r, shift)}
     den, nums = _zeta_tail_coeffs(r, order)
     for p, c in enumerate(nums):
         if c:
@@ -357,10 +358,10 @@ def _harmonic_expansion(r: int, zz: mpf, order: int) -> dict:
     return out
 
 
-def _summand_expansion(spec: SeriesSpec, zz: mpf, order: int) -> dict:
+def _summand_expansion(spec: SeriesSpec, order: int) -> dict:
     """x^S times the summand F(H..)/prod (x+i)^s_i, through 1/x^order."""
     harmonics = [
-        _harmonic_expansion((i + 1) * spec.m, zz, order)
+        _harmonic_expansion((i + 1) * spec.m, mp.mpq(*(1 + spec.z).as_integer_ratio()), order)
         for i in range(spec.F.max_variable())
     ]
     out: dict = {}
@@ -380,29 +381,65 @@ def _summand_expansion(spec: SeriesSpec, zz: mpf, order: int) -> dict:
     return out
 
 
-def _tail_order(coeffs: dict, S: int, j: int, a: mpf) -> mpf:
-    """Sum over n > M of the order-j terms, with a = M + 1 + z."""
-    total = mpf(0)
-    for (jj, d), c in coeffs.items():
-        if jj == j and c:
-            total += c * (-1) ** d * mpzeta(S + j, a, d)
-    return total
+@lru_cache(maxsize=None)
+def _em_rule(q: int, d: int, k: int, prec: int) -> tuple:
+    """Step k of Euler-Maclaurin for f = ln^d(x) / x^q: (term, remainder bound, P_2k).
+
+    f^(n)(x) = P_n(ln x) / x^(q+n), P_0 = L^d, P_(n+1) = P_n' - (q+n) P_n;
+    int_A^oo w |P_2k|(ln x) / x^p dx = A^(1-p) Q(ln A), Q = (w |P_2k| + Q') / (p-1).
+    Term B_2k/(2k)! P_(2k-1) and bound Q, p = q + 2k, w = 2 |B_2k|/(2k)!, for K = k,
+    over A^(1-q-2k) as coefficients of ln^i(A); k = 0 has no term and the integral of f.
+    """
+    P, prev = _em_rule(q, d, k - 1, prec)[2] if k else (0,) * d + (1,), ()
+    for p in range(q + max(2 * k - 2, 0), q + 2 * k):
+        prev, P = P, tuple((i + 1) * e - p * c for i, (c, e) in enumerate(zip(P, P[1:] + (0,))))
+    b = Fraction(*_bernoulli(2 * k)) / math.factorial(2 * k)
+    w, Q = 2 * abs(b) if k else 1, [Fraction(0)] * (d + 2)
+    for t in range(d, -1, -1):
+        Q[t] = (w * abs(P[t]) + (t + 1) * Q[t + 1]) / (q + 2 * k - 1)
+    return tuple(_mpf(b * c) for c in prev), tuple(map(_mpf, Q[:-1])), P
+
+
+def _tail_order(coeffs: dict, S: int, j: int, a: mpf, logs: list) -> tuple:
+    """(sum over n > M of the order-j terms, a = M + 1 + z; remainder bound).
+
+    Euler-Maclaurin as in verify_identity; logs[i] = ln^i(a).  Per term c ln^d(x)/x^q, K is
+    the first with |c R_K| <= 2^-prec; the bound is infinite if R_K stops shrinking first.
+    """
+    q, scale, u, value, bound = S + j, a ** (1 - S - j), a**-2, mpf(0), mpf(0)
+    for d, c in ((d, c) for (jj, d), c in coeffs.items() if jj == j and c):
+        target, power, last = mp.ldexp(1, -mp.prec) / abs(c * scale), 1, mp.inf
+        total = mp.fdot(_em_rule(q, d, 0, mp.prec)[1], logs) + logs[d] / (2 * a)
+        for k in itertools.count(1):
+            term, rem, _ = _em_rule(q, d, k, mp.prec)
+            power *= u
+            r = mp.fdot(rem, logs) * power
+            if r <= target or r >= last:
+                break
+            total, last = total - mp.fdot(term, logs) * power, r
+        value += c * scale * total
+        bound += abs(c) * scale * r if r <= target else mp.inf
+    return value, bound
 
 
 def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
-    """(estimate, terms summed) of the raw series; see verify_identity."""
+    """(estimate, terms summed) of the raw series; see verify_identity.
+
+    The bound adds the omitted orders' tail, the change if the head stops at its
+    half (a wrong coefficient weighs differently there), the remainders sum |c| R_K
+    at both tail points (_tail_order), a working-precision floor and _SeriesSummer's bound.
+    """
     n_head = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s)))
     n_half = (n_head + 1) // 2
-    summer = _SeriesSummer(spec)
-    head_half = summer.advance_to(n_half)
-    head = summer.advance_to(n_head)
     zz, S = _mpf(spec.z), sum(spec.s)
+    points = (n_half + 1 + zz, n_head + 1 + zz)
+    half, full = [(a, [mp.log(a) ** i for i in range(spec.F.degree() + 1)]) for a in points]
     target = mpf(tol) / 1000
     # H^(r) has no terms of orders 1..r-2, so fewer vanishing orders in a row
     # say nothing about the next ones
     run = max(2, spec.m * spec.F.max_variable() - 1)
     order = max(8, run)
-    coeffs = _summand_expansion(spec, zz, order)
+    coeffs = _summand_expansion(spec, order)
     at_half: list = []
     # grow the expansion until `run` consecutive orders of the tail from the
     # half point are negligible; those are the omitted ones
@@ -412,17 +449,21 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
             if order >= _MAX_ORDER:
                 break
             order *= 2
-            coeffs = _summand_expansion(spec, zz, order)
-        at_half.append(_tail_order(coeffs, S, j, n_half + 1 + zz))
-        if j >= run - 1 and sum(abs(t) for t in at_half[-run:]) <= target:
+            coeffs = _summand_expansion(spec, order)
+        at_half.append(_tail_order(coeffs, S, j, *half))
+        negligible = j >= run - 1 and sum(abs(t) for t, _ in at_half[-run:]) <= target
+        if negligible or at_half[-1][1] == mp.inf:  # inf: retried with a longer head
             break
-    kept = len(at_half) - run
-    at_full = [_tail_order(coeffs, S, j, n_head + 1 + zz) for j in range(len(at_half))]
-    est = head + sum(at_full[:kept], mpf(0))
-    est_half = head_half + sum(at_half[:kept], mpf(0))
-    omitted = sum(abs(t) for t in at_full[kept:])
+    at_full = [_tail_order(coeffs, S, j, *full) for j in range(len(at_half))]
+    remainders = sum(r for _, r in at_half + at_full)
+    if remainders == mp.inf:  # a tail point too small for the working precision
+        return _series_limit(spec, 2 * n_head, tol)
+    summer, kept = _SeriesSummer(spec), len(at_half) - run
+    est_half = summer.advance_to(n_half) + sum(t for t, _ in at_half[:kept])
+    est = summer.advance_to(n_head) + sum(t for t, _ in at_full[:kept])
+    omitted = sum(abs(t) for t, _ in at_full[kept:])
     floor = n_head * mpf(10) ** (3 - mp.dps) * max(1, abs(est))
-    bound = omitted + abs(est - est_half) + floor + summer.error_bound()
+    bound = omitted + abs(est - est_half) + remainders + floor + summer.error_bound()
     return NumericResult(est, float(bound)), n_head
 
 
@@ -435,20 +476,19 @@ def verify_identity(
     """Numerically certify that a closed form matches its series.
 
     The LHS is the raw series, never the symbolic machinery: its first N
-    terms are summed directly, and the terms past N are added exactly from
-    the summand's large-n expansion in ln^d(x)/x^q, x = n + z, each term of
-    which sums to (-1)^d zeta^(d)(q, N+1+z).  The expansion grows until two
-    consecutive orders of the tail past ceil(N/2) are below tol/1000 (more
-    when F holds H^(r) with r > 3, whose expansion skips orders 1..r-2).  The
-    LHS bound is the tail past N of those omitted orders, plus the change
-    in the estimate when the head stops at ceil(N/2) instead (a wrong
-    coefficient or constant weighs differently in the two tails), plus a
-    working-precision floor, plus the head's fixed-point truncation bound
-    (see _SeriesSummer).  N is raised to 2 * (LHS_HEAD_FLOOR + len(s))
-    when smaller, so that the expansions converge from ceil(N/2) on;
-    ``n_used`` is the head actually summed.  Precision follows tol as in
-    closed_form_numeric.  ``passed`` means |LHS - RHS| <= tol + LHS bound +
-    RHS bound.
+    terms are summed directly, the rest from the summand's large-n expansion
+    in terms c f, f = ln^d(x)/x^q, x = n + z, each summed from A = N + 1 + z
+    by Euler-Maclaurin, int_A^oo f + f(A)/2 - sum_{k<K} B_2k/(2k)! f^(2k-1)(A),
+    with K such that the remainder bound 2 |B_2K|/(2K)! int_A^oo |f^(2K)| is
+    at most 2^-prec / |c| (DLMF 2.10.1-2.10.2, as |B~_2K - B_2K| <= 2 |B_2K|).
+    The expansion grows until two consecutive orders of the tail past
+    ceil(N/2) are below tol/1000 (more when F holds H^(r), r > 3, whose
+    expansion skips orders 1..r-2).  _series_limit states the LHS bound.  N
+    is raised to 2 * (LHS_HEAD_FLOOR + len(s)) when smaller, and doubled
+    while the Euler-Maclaurin terms, which bottom out near e^(-2 pi A),
+    cannot reach that remainder; ``n_used`` is the head summed.  Precision
+    follows tol as in closed_form_numeric.  ``passed`` means
+    |LHS - RHS| <= tol + LHS bound + RHS bound.
     """
     if cf.shift != spec.z or cf.order != spec.m:
         raise ValueError("closed form metadata does not match the series spec")

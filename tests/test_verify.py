@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,8 @@ from zetaform.verify import (
     DeskLimitError,
     _SeriesSummer,
     _level_expansion,
+    _summand_expansion,
+    _tail_order,
     _zeta_tail_coeffs,
     closed_form_numeric,
     mhz_numeric,
@@ -87,6 +90,20 @@ class TestClosedFormNumeric:
         with mp.workdps(30):
             want = mpf(1) / 4 + zeta(2) / 2 - zeta(2) * zeta(3)
             assert_close(r.value, want, 1e-15)
+
+    @pytest.mark.parametrize(
+        "poly, s",
+        [(X1 * X1 - Polynomial.variable(2), (0, 2)), (Polynomial.variable(2), (1, 2))],
+    )
+    def test_bound_covers_rounding_near_minus_one(self, poly, s):
+        # values near 2e6 and 1e18: the mpf roundings of the constant, the
+        # coefficients, the products and the sum exceed the oracle bounds
+        cf = closed_form(SeriesSpec(poly, 1, F(-999999, 1000000), s))
+        r = closed_form_numeric(cf, 1.25e-21)
+        reference = closed_form_numeric(cf, 1e-50)
+        with mp.workdps(80):
+            err = abs(r.value - reference.value)
+        assert err <= r.abs_err_bound + reference.abs_err_bound, (err, r.abs_err_bound)
 
 
 class TestSeriesPartialSum:
@@ -353,6 +370,16 @@ class TestSeriesLimit:
         rep = verify_identity(spec, closed_form(spec), tol=1e-8, N=1)
         assert rep.passed and rep.n_used == 44  # 2 * (20 + len(s))
 
+    def test_head_raised_for_tight_tolerance(self):
+        # at the floor, A = 22 + 2/3, the Euler-Maclaurin terms bottom out near
+        # e^(-2 pi A) ~ 1e-62, above the 72-digit target: the head must grow
+        spec = SeriesSpec(X1 * X1, 1, F(-1, 3), (0, 2))
+        start = time.perf_counter()
+        rep = verify_identity(spec, closed_form(spec), tol=1e-60, N=1)
+        assert time.perf_counter() - start < 20  # about 0.5 s on a 2-vCPU VM
+        assert rep.passed and rep.n_used >= 44
+        assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-60
+
     @pytest.mark.parametrize("N", [0, -3])
     def test_rejects_nonpositive_n(self, N):
         spec = SeriesSpec(X1, 2, 0, (1, 1))
@@ -373,6 +400,34 @@ class TestSeriesLimit:
             verify_identity(spec, closed_form(spec), tol=tol, N=100)
 
 
+class TestEulerMaclaurinTail:
+    """Each ln^d(x)/x^q tail against mpmath's Hurwitz zeta derivatives."""
+
+    @pytest.mark.parametrize("dps", [30, 45])
+    @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3)])
+    @pytest.mark.parametrize("base", [21, 301])
+    def test_within_stated_remainder(self, base, z, dps):
+        with mp.workdps(dps):
+            a = base + mpf(z.numerator) / z.denominator
+            logs = [mp.log(a) ** i for i in range(5)]
+            ulp = mp.ldexp(1, -mp.prec)
+            for q, d in itertools.product(range(2, 14), range(5)):
+                value, remainder = _tail_order({(0, d): 1}, q, 0, a, logs)
+                assert remainder <= ulp
+                with mp.workdps(dps + 20):
+                    reference = (-1) ** d * zeta(q, a, d)
+                    err = abs(value - reference)
+                assert err <= remainder + 8 * ulp * abs(reference), (q, d, err, remainder)
+
+    def test_remainder_is_infinite_when_a_is_too_small(self):
+        # the remainder bound bottoms out near e^(-2 pi a) ~ 1e-6 at a = 2
+        with mp.workdps(30):
+            a = mpf(2)
+            value, remainder = _tail_order({(0, 0): 1}, 2, 0, a, [mpf(1)])
+            assert remainder == mp.inf
+            assert abs(value - zeta(2, a)) < 1e-3
+
+
 class TestShiftNearMinusOne:
     # the weight (1+z)^-s_0 makes values large as z -> -1: their bounds must
     # grow with them, and the shift 1 + z must not be rounded after the fact
@@ -386,6 +441,18 @@ class TestShiftNearMinusOne:
                 else:
                     reference = mhz_numeric(vec, z, 1e-70).value
                 assert abs(r.value - reference) <= r.abs_err_bound, (vec, r)
+
+    def test_lhs_constants_at_exact_shift(self):
+        # the constants of H^(r) in the LHS expansion: zeta(r, 1+z), -psi(1+z)
+        z = F(-999999, 1000000)
+        for r in (1, 2, 3):
+            with mp.workdps(30):
+                value = _summand_expansion(SeriesSpec(X1, r, z, (2,)), 8)[(0, 0)]
+                ulp = mp.ldexp(1, -mp.prec)
+            with mp.workdps(60):
+                shift = mp.mpq(1, 1000000)
+                reference = -mp.psi(0, shift) if r == 1 else zeta(r, shift)
+                assert abs(value - reference) <= 4 * ulp * abs(reference), r
 
 
 class TestMhzMemo:

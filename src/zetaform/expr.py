@@ -48,7 +48,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -132,4 +131,8 @@ def parse_polynomial(text: str) -> Polynomial:
     """Parse an expression like ``x1^2 - x2`` or ``(x1 - 1/2)*x2`` exactly."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:  # nested past the interpreter's recursion limit
+        raise ParseError("expression nested too deeply", parser.tokens[parser.i - 1][2]) from None

@@ -1,6 +1,6 @@
 """Independent numeric oracle for closed forms and raw series.
 
-Multiple Hurwitz zeta values of depth >= 2 are evaluated by nested backward
+Multiple Hurwitz zeta values of every depth are evaluated by nested backward
 summation in fixed-point integers from a cutoff set by the working precision
 (40 up to 34 digits).  Every level, a tail sum, starts from its large-n
 expansion in powers of 1/(n+z), whose exact coefficients, integers over one
@@ -64,13 +64,11 @@ def _mpf(q: Fraction) -> mpf:
     return mpf(q.numerator) / q.denominator
 
 
-def _check_desk_vector(v) -> ZetaVector:
-    vec = check_vector(v)
-    if len(vec) > DESK_MAX_DEPTH:
-        raise DeskLimitError(f"vector depth {len(vec)} exceeds {DESK_MAX_DEPTH}")
-    if sum(vec) > DESK_MAX_WEIGHT:
-        raise DeskLimitError(f"vector weight {sum(vec)} exceeds {DESK_MAX_WEIGHT}")
-    return vec
+def _check_terms(N: int) -> None:
+    if N < 1:
+        raise ValueError("N must be positive")
+    if N > DESK_MAX_TERMS:
+        raise DeskLimitError(f"N={N} exceeds desk cap {DESK_MAX_TERMS}")
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +143,9 @@ def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
     and the product's floor).  A level multiplies the inner error by its weight
     sum: under L = 2 + ln c over t >= 2, plus (1+z)^-s_0 at t = 1 for the
     outermost.  So at depth k, for every z in (-1, 0], the result is off by
-    less than u (1 + 3c) k ((1+z)^-s_0 + L) L^(k-2); `_mhz` adds that.
+    less than u (1 + 3c) k ((1+z)^-s_0 + L) L^(k-2); `_mhz` adds that.  At
+    k = 1 the inner level is exactly 2^wp, so a step adds only the weight's
+    floor: under u (1 + c), which the same expression covers.
     """
     p, q, wp = zq.numerator, zq.denominator, mp.prec + GUARD_BITS
     x = q * cutoff + p  # q (cutoff + z)
@@ -166,15 +166,18 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
 
     Desk-scale only (depth <= 5, weight <= 10).  The value depends only on
     the vector, the shift and the working precision dps that abs_err asks
-    for, never on earlier requests.  Depth 1 is mpmath's Hurwitz zeta at the
-    exact shift 1 + z, within 4 units in the last place.  Deeper values are
-    summed once in fixed point at cutoff max(MHZ_CUTOFF, 6 dps / 5); their
-    bound adds the first two omitted orders of every level's expansion there,
-    the change when the cutoff is halved (the truncation error is then about
-    2^order times larger, and a wrong coefficient shows), and _mhz_once's
-    fixed-point bound with the final rounding.  Both add a precision floor.
+    for, never on earlier requests.  Every depth, 1 included, is summed once
+    in fixed point at cutoff max(MHZ_CUTOFF, 6 dps / 5); the bound adds the
+    first two omitted orders of every level's expansion there, the change
+    when the cutoff is halved (the truncation error is then about 2^order
+    times larger, and a wrong coefficient shows), _mhz_once's fixed-point
+    bound with the final rounding, and a precision floor 10^(5 - dps).
     """
-    vec = _check_desk_vector(v)
+    vec = check_vector(v)
+    if len(vec) > DESK_MAX_DEPTH:
+        raise DeskLimitError(f"vector depth {len(vec)} exceeds {DESK_MAX_DEPTH}")
+    if sum(vec) > DESK_MAX_WEIGHT:
+        raise DeskLimitError(f"vector weight {sum(vec)} exceeds {DESK_MAX_WEIGHT}")
     zq = as_shift(z)
     if abs_err <= 0:
         raise ValueError("abs_err must be positive")
@@ -184,16 +187,12 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
 @lru_cache(maxsize=None)
 def _mhz(vec: ZetaVector, zq: Fraction, dps: int) -> NumericResult:
     with mp.workdps(dps):
-        floor = mpf(10) ** (5 - dps)
-        if len(vec) == 1:  # 1 + mpf(z) would lose digits as z -> -1
-            value = mpzeta(vec[0], mp.mpq(zq.numerator + zq.denominator, zq.denominator))
-            return NumericResult(value, float(floor + mp.ldexp(abs(value), 2 - mp.prec)))
         c, k = max(MHZ_CUTOFF, 6 * dps // 5), len(vec)
         value, L = _mhz_once(vec, zq, c), 2 + mp.log(c)
         fixed = (1 + 3 * c) * k * (_mpf(1 + zq) ** -vec[0] + L) * L ** (k - 2)
         fixed = mp.ldexp(mp.ldexp(fixed, -GUARD_BITS) + abs(value), -mp.prec)  # + rounding
         bound = _omitted_orders(vec, zq, c) + abs(value - _mhz_once(vec, zq, c // 2)) + fixed
-        return NumericResult(value, float(bound + floor))
+        return NumericResult(value, float(bound + mpf(10) ** (5 - dps)))
 
 
 def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult:
@@ -221,10 +220,7 @@ def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult
 
 def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
     """Exact rational partial sum of the series through n = N."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    if N > DESK_MAX_TERMS:
-        raise DeskLimitError(f"N={N} exceeds desk cap {DESK_MAX_TERMS}")
+    _check_terms(N)
     return _SeriesSummer(spec, Fraction).advance_to(N)
 
 
@@ -494,11 +490,8 @@ def verify_identity(
         raise ValueError("closed form metadata does not match the series spec")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if N < 1:
-        raise ValueError("N must be positive")
-    if N > DESK_MAX_TERMS:
-        raise DeskLimitError(f"N={N} exceeds desk cap {DESK_MAX_TERMS}")
-    rhs = closed_form_numeric(cf, abs_err=min(tol / 8, 1e-10))
+    _check_terms(N)
+    rhs = closed_form_numeric(cf, abs_err=tol / 8)
     with mp.workdps(_digits_for(tol)):
         lhs, n_used = _series_limit(spec, N, tol)
         discrepancy = float(abs(lhs.value - rhs.value))

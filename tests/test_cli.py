@@ -346,6 +346,29 @@ class TestBatch:
         assert out.index("verify: FAIL") < out.index("verify: PASS")
 
 
+class TestDeepInput:
+    DEEP = "(" * 1000 + "x1" + ")" * 1000
+
+    def test_flag_is_input_error(self, capsys):
+        assert main(["--F", self.DEEP, "--s", "0,2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "nested too deeply" in err[0]
+
+    def test_batch_runs_past_deep_record(self, capsys, tmp_path):
+        path = tmp_path / "batch.json"
+        path.write_text(
+            json.dumps(
+                [{"F": self.DEEP, "z": "0", "s": [0, 2]}, {"F": "x1", "z": "0", "s": [0, 2]}]
+            )
+        )
+        assert main(["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: record 0:")
+        assert "value = zeta(1,2)" in captured.out.splitlines()
+
+
 class TestRecordTypes:
     GOOD = {"F": "x1", "z": "0", "s": [0, 2]}
 

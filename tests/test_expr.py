@@ -76,3 +76,11 @@ class TestErrors:
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
             parse_polynomial("2 x1")
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 1000 + "x1" + ")" * 1000, "-" * 1000 + "x1"], ids=["parens", "minus"]
+    )
+    def test_deep_nesting(self, text):
+        # deeper than the recursion limit: an input error, not a RecursionError
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_polynomial(text)

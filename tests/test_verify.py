@@ -72,6 +72,19 @@ class TestMhzNumeric:
             coarse.abs_err_bound, 1e-10
         )
 
+    def test_depth_one_without_mpmath_zeta(self, monkeypatch):
+        # one fixed-point path for every depth: mpmath's zeta is never asked
+        from zetaform import verify
+
+        def refuse(*args):
+            raise AssertionError("mhz_numeric called mpmath's zeta")
+
+        monkeypatch.setattr(verify, "mpzeta", refuse)
+        verify._mhz.cache_clear()
+        r = mhz_numeric((3,), F(-1, 3), 1e-20)
+        with mp.workdps(50):
+            assert abs(r.value - zeta(3, mpf(2) / 3)) <= r.abs_err_bound <= 1e-20
+
     def test_rejects_nonconvergent(self):
         with pytest.raises(ValueError):
             mhz_numeric((2, 1), 0)
@@ -431,16 +444,27 @@ class TestEulerMaclaurinTail:
 class TestShiftNearMinusOne:
     # the weight (1+z)^-s_0 makes values large as z -> -1: their bounds must
     # grow with them, and the shift 1 + z must not be rounded after the fact
-    @pytest.mark.parametrize("z", [F(-99, 100), F(-9999, 10000)])
+    @pytest.mark.parametrize(
+        "z", [F(-99, 100), F(-9999, 10000), F(0), F(-1, 2), F(-1, 3), F(-2, 3)]
+    )
     def test_values_within_bounds(self, z):
-        for vec in [(2,), (5,), (3, 3), (1, 1, 1, 2), (3, 1, 1, 2)]:
+        for vec in [(3, 3), (1, 1, 1, 2), (3, 1, 1, 2)]:
             r = mhz_numeric(vec, z, 1e-30)
             with mp.workdps(80):
-                if len(vec) == 1:
-                    reference = zeta(vec[0], mpf((1 + z).numerator) / (1 + z).denominator)
-                else:
-                    reference = mhz_numeric(vec, z, 1e-70).value
+                reference = mhz_numeric(vec, z, 1e-70).value
                 assert abs(r.value - reference) <= r.abs_err_bound, (vec, r)
+        # depth 1 against mpmath at the exact shift and at least 80 digits;
+        # the bound is never wider than that of mpmath's value at the request's
+        # precision (4 ulps plus the precision floor)
+        for s, abs_err in itertools.product(range(2, 11), [1e-12, 1e-30, 1e-60]):
+            r = mhz_numeric((s,), z, abs_err)
+            dps = max(30, -round(math.log10(abs_err)) + 12)
+            with mp.workdps(dps):
+                old_bound = mpf(10) ** (5 - dps) + mp.ldexp(abs(r.value), 2 - mp.prec)
+            with mp.workdps(max(80, dps + 20)):
+                reference = zeta(s, mp.mpq(*(1 + z).as_integer_ratio()))
+                assert abs(r.value - reference) <= r.abs_err_bound, (s, abs_err, r)
+            assert r.abs_err_bound <= float(old_bound), (s, abs_err, r)
 
     def test_lhs_constants_at_exact_shift(self):
         # the constants of H^(r) in the LHS expansion: zeta(r, 1+z), -psi(1+z)

@@ -32,7 +32,6 @@ from .engine import (
 )
 from .expr import ParseError, parse_polynomial
 from .qsym import as_shift
-from .reducer import DivergentSeriesError
 from .verify import VerificationReport, verify_identity
 
 DISPLAY_MODES = ("raw", "t_values", "reduced")
@@ -83,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify",
         type=int,
         metavar="N",
-        help="verify numerically: sum N terms directly, then add the exact tail",
+        help="verify numerically: sum N terms directly, then the tail by "
+        "Euler-Maclaurin with a stated remainder",
     )
     p.add_argument("--tolerance", type=float)
     p.add_argument("--table", help="path to a reduction table JSON file")
@@ -210,24 +210,14 @@ def _records(argv) -> tuple[list, bool]:
         return (data if isinstance(data, list) else [data]), True
     if not args.F:
         raise CliError("--F is required (or use --input)")
-    record = {
-        "F": args.F,
-        "m": args.m,
-        "z": args.z,
-        "format": args.format,
-        "display": args.display,
-        "tolerance": args.tolerance,
-        "table": args.table,
-    }
+    record = {name: value for name, value in vars(args).items() if name != "input"}
     for name in ("binomial", "s"):
-        text = getattr(args, name)
+        text = record[name]
         if text is not None:
             try:
                 record[name] = [int(v) for v in text.split(",")]
             except ValueError:
                 raise CliError(f"cannot parse --{name} {text!r}")
-    if args.verify is not None:
-        record["verify"] = args.verify
     return [record], False
 
 
@@ -384,6 +374,8 @@ def mp_str(value) -> str:
 
 def run(request: CliRequest) -> tuple[int, str]:
     """Execute one request: pipeline, optional verification, rendering."""
+    if request.display_mode == "t_values" and request.spec.z != Fraction(-1, 2):
+        raise CliError("t_values display requires shift z = -1/2")  # before any work
     cf = closed_form(request.spec)
     table = None
     if request.display_mode == "reduced":
@@ -423,7 +415,7 @@ def main(argv=None) -> int:
     """
     try:
         records, batch = _records(argv if argv is not None else sys.argv[1:])
-    except (CliError, ParseError, DivergentSeriesError, ValueError) as exc:
+    except ValueError as exc:  # CliError, ParseError, DivergentSeriesError, DeskLimitError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help / bad flags
@@ -432,7 +424,7 @@ def main(argv=None) -> int:
     for i, record in enumerate(records):
         try:
             code, text = run(_request_from_record(record))
-        except (CliError, DivergentSeriesError, ValueError) as exc:
+        except ValueError as exc:
             where = f"record {i}: " if batch else ""
             print(f"error: {where}{exc}", file=sys.stderr)
             code = 2

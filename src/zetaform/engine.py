@@ -146,11 +146,12 @@ class _Evaluator:
 
     Each value is stored once, as a local linear rule: a constant, zeta-vector
     leaves and child values, each with a coefficient, plus the highest leaf
-    weight reachable from it.  The nodes are pair values ("pair", b, comp),
-    telescoping steps ("step", a, p, comp), lone powers ("power", a, p, comp)
-    and prefix sums ("sum", a, p, comp) of the steps at shifts 1..a, whose rule
-    step(a) + sum(a - 1) makes a run of steps cost one edge, not a.  `rules`
-    holds each rule after its children's, so `push` walks it backwards once.
+    weight reachable from it.  There are three node kinds: telescoping steps
+    ("step", a, p, comp), whose p = 1 case is the adjacent pair (0^a, 1, 1);
+    lone powers ("power", a, p, comp); and prefix sums ("sum", a, p, comp) of
+    the steps at shifts 1..a, whose rule step(a) + sum(a - 1) makes a run of
+    steps cost one edge, not a.  `rules` holds each rule after its children's,
+    so `push` walks it backwards once.
     """
 
     def __init__(self, m: int, z: Fraction):
@@ -204,41 +205,34 @@ class _Evaluator:
             return [(("power", x, y, comp), 1)]
         if kind == "pair":
             pairs = expand_double_one(x, y).items()
-            return [(("pair", len(k2) - 2, comp), c) for k2, c in pairs]
+            return [(("step", len(k2) - 2, 1, comp), c) for k2, c in pairs]
         raise ValueError(f"not a canonical key: {key!r}")
-
-    def _pair(self, b: int, comp: Composition):
-        """Adjacent-pair family (0^b, 1, 1): sum_n M_comp(n) / ((n+b+z)(n+b+1+z)).
-
-        For b = 0 one telescoping collapses the tail; for b >= 1, splitting
-        1/((n+z)^m (n+b+z)) lowers either the last part or the depth of comp.
-        """
-        m = self.m
-        if b == 0 and comp:
-            return 0, [(tuple(m * a for a in comp[:-1]) + (m * comp[-1] + 1,), 1)], ()
-        if not comp or comp[-1] == 1:
-            return self._step(b, 1, comp)
-        # split only 1/(x^m (x+b)) of 1/(x^(m*last) (x+b)), x = n+z: the poles at 0
-        # are zeta values, the one at -b is the pair value with the last part lowered
-        lowered = comp[:-1] + (comp[-1] - 1,)
-        base = tuple(m * a for a in lowered)
-        pf = partial_fraction(m, 1, b)
-        leaves = [(base[:-1] + (base[-1] + l,), c) for l, c in pf.pole_at_zero]
-        return 0, leaves, [(("pair", b, lowered), pf.pole_at_a[0][1])]
 
     def _step(self, a: int, p: int, comp: Composition):
         """Telescoping step: the (0^a, p) value minus the (0^(a+1), p) value.
 
-        Split 1/((n_k+z)^w (n_k+a+z)^p), w = m*last, by `partial_fraction`.  A
-        pole of order l >= 2, at 0 or at -a, gives zeta(prefix, l); the zeta
-        parts of the simple poles cancel.  Moving a pole at -a to 0 costs a sum
-        over the shifts 1..a: H_a^(l)(z), or the prefix sum on the prefix.
+        For p = 1 this is the adjacent pair (0^a, 1, 1).  At a = 0 one
+        telescoping collapses its tail; at a >= 1 with last part > 1, splitting
+        only 1/(x^m (x+a)) of 1/(x^(m*last) (x+a)), x = n+z, lowers the last
+        part: the poles at 0 are zeta values, the one at -a the lowered step.
+
+        Otherwise split 1/((n_k+z)^w (n_k+a+z)^p), w = m*last, by
+        `partial_fraction`.  A pole of order l >= 2, at 0 or at -a, gives
+        zeta(prefix, l); the zeta parts of the simple poles cancel.  Moving a
+        pole at -a to 0 costs a sum over the shifts 1..a: H_a^(l)(z), or the
+        prefix sum on the prefix.
         """
         if not comp:
             return Fraction(1) / (a + 1 + self.z) ** p, (), ()
-        prefix = comp[:-1]
+        prefix, last = comp[:-1], comp[-1]
         pv = tuple(self.m * x for x in prefix)
-        pf = partial_fraction(self.m * comp[-1], p, a)
+        if p == 1 and a == 0:
+            return 0, [(pv + (self.m * last + 1,), 1)], ()
+        if p == 1 and last > 1:
+            pf, w = partial_fraction(self.m, 1, a), self.m * (last - 1)
+            leaves = [(pv + (w + l,), c) for l, c in pf.pole_at_zero]
+            return 0, leaves, [(("step", a, 1, prefix + (last - 1,)), pf.pole_at_a[0][1])]
+        pf = partial_fraction(self.m * last, p, a)
         leaves = [(pv + (l,), c) for l, c in pf.pole_at_zero[1:] + pf.pole_at_a[1:]]
         if prefix:
             return 0, leaves, [(("sum", a, l, prefix), -c) for l, c in pf.pole_at_a]
@@ -250,7 +244,7 @@ class _Evaluator:
             for j in range(1, a - 1):  # bottom up, so a long run recurses no deeper
                 self.build(("sum", j, p, comp))
         rest = [(("sum", a - 1, p, comp), 1)] if a > 1 else []
-        return 0, (), [(_step_node(a, p, comp), 1)] + rest
+        return 0, (), [(("step", a, p, comp), 1)] + rest
 
     def _power(self, a: int, p: int, comp: Composition):
         """Lone-power family (0^a, p), p >= 2: the zeta value less the steps below a."""
@@ -267,11 +261,6 @@ class _Evaluator:
         while len(values) <= a:
             values.append(values[-1] + 1 / (len(values) + self.z) ** l)
         return values[a]
-
-
-def _step_node(a: int, p: int, comp: Composition) -> tuple:
-    """The telescoping step's node; for p = 1 the step is the pair value at shift a."""
-    return ("pair", a, comp) if p == 1 else ("step", a, p, comp)
 
 
 def closed_form(spec: SeriesSpec) -> ClosedForm:
@@ -303,14 +292,14 @@ def telescope_value(a: int, p: int, comp, m: int, z) -> ClosedForm:
         raise ValueError("telescope_value requires a >= 1")
     if p < 1:
         raise ValueError("telescope_value requires p >= 1")
-    return _Evaluator(m, as_shift(z)).push([(_step_node(a, p, tuple(comp)), 1)])
+    return _Evaluator(m, as_shift(z)).push([(("step", a, p, tuple(comp)), 1)])
 
 
 def pair_family_value(b: int, comp, m: int, z) -> ClosedForm:
     """Closed form of the adjacent-pair family (0^b, 1, 1) on a basis element."""
     if b < 0:
         raise ValueError("pair_family_value requires b >= 0")
-    return _Evaluator(m, as_shift(z)).push([(("pair", b, tuple(comp)), 1)])
+    return _Evaluator(m, as_shift(z)).push([(("step", b, 1, tuple(comp)), 1)])
 
 
 def power_family_value(a: int, p: int, comp, m: int, z) -> ClosedForm:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from zetaform import cli
 from zetaform.cli import (
     CliError,
     closed_form_from_json,
@@ -294,6 +295,17 @@ class TestExitCodes:
             capsys, self.ARGS + ["--verify", "100", "--tolerance", tol]
         )
         assert "tolerance" in line
+
+    def test_t_values_at_a_bad_shift_does_no_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the t_values shift check")
+
+        monkeypatch.setattr(cli, "closed_form", refuse)
+        monkeypatch.setattr(cli, "verify_identity", refuse)
+        argv = ["--F", "x1^2-x2", "--s", "1,1,1,2", "--display", "t_values",
+                "--verify", "100000", "--tolerance", "1e-12"]
+        line = self.assert_input_error(capsys, argv)
+        assert line == "error: t_values display requires shift z = -1/2"
 
     def test_bad_record_values_in_input_file(self, capsys, tmp_path):
         path = tmp_path / "req.json"

@@ -289,11 +289,30 @@ class TestReducedFunctionalOnMonomials:
 
 
 X2 = Polynomial.variable(2)
+X3 = Polynomial.variable(3)
 E2 = (X1 * X1 - X2) * F(1, 2)  # e_2 = (H^2 - H^(2)) / 2
 
 
+class TestPairFamilyLowering:
+    """(0^b, 1, 1), b >= 1, on basis elements whose last part exceeds 1.
+
+    These reach the step's p = 1 split that lowers the last part, which no
+    exact family test covers; the raw series certifies each closed form.
+    """
+
+    @pytest.mark.parametrize("z", [F(0), F(-1, 3), F(-1, 2)], ids=str)
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("poly", [X2, X1 * X3, X2 * X2 - X1], ids=["x2", "x1*x3", "x2^2-x1"])
+    def test_certified_against_raw_series(self, poly, b, m, z):
+        spec = SeriesSpec(poly, m, z, (0,) * b + (1, 1))
+        rep = verify_identity(spec, closed_form(spec), tol=1e-12, N=600)
+        assert rep.passed, rep.message
+        assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-12
+
+
 class TestSeriesLimit:
-    """The LHS: a directly summed head plus the exactly expanded tail."""
+    """The LHS: a directly summed head plus the Euler-Maclaurin tail."""
 
     # (spec, closed form from depth-1 values only, 50-digit reference)
     REFERENCES = {

@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
+from math import gcd
 from typing import Mapping, Optional
 
 from .qsym import (
@@ -141,72 +143,84 @@ class SeriesSpec:
         object.__setattr__(self, "s", as_index(self.s))
 
 
+def _accumulate(totals: dict, key, num: int, den: int) -> None:
+    """totals[key] += num/den, kept as an unreduced (numerator, lcm of denominators) pair."""
+    n, d = totals.get(key, (0, den))
+    g = d if d == den else gcd(d, den)
+    totals[key] = (n * (den // g) + num * (d // g), d // g * den)
+
+
+@lru_cache(maxsize=None)
+def _root_shape(key: Index) -> tuple:
+    """((kind, a, p), c) pairs summing to a canonical `key`; a node adds the composition."""
+    kind, x, y = classify(key)
+    if kind == "power":
+        return ((("power", x, y), 1),)
+    if kind == "pair":
+        return tuple((("step", len(k2) - 2, 1), c) for k2, c in expand_double_one(x, y).items())
+    raise ValueError(f"not a canonical key: {key!r}")
+
+
 class _Evaluator:
     """Values of canonical families on basis elements, for one fixed (m, z).
 
-    Each value is stored once, as a local linear rule: a constant, zeta-vector
-    leaves and child values, each with a coefficient, plus the highest leaf
-    weight reachable from it.  There are three node kinds: telescoping steps
-    ("step", a, p, comp), whose p = 1 case is the adjacent pair (0^a, 1, 1);
-    lone powers ("power", a, p, comp); and prefix sums ("sum", a, p, comp) of
-    the steps at shifts 1..a, whose rule step(a) + sum(a - 1) makes a run of
-    steps cost one edge, not a.  `rules` holds each rule after its children's,
-    so `push` walks it backwards once.
+    Each value is stored once, as a local linear rule: a rational constant,
+    and zeta-vector leaves and child values with integer numerators over one
+    positive rule denominator, plus the highest leaf weight reachable from it.
+    There are three node kinds: telescoping steps ("step", a, p, comp), whose
+    p = 1 case is the adjacent pair (0^a, 1, 1); lone powers ("power", a, p,
+    comp); and prefix sums ("sum", a, p, comp) of the steps at shifts 1..a,
+    whose rule step(a) + sum(a - 1) makes a run of steps cost one edge, not a.
+    `rules` holds each rule after its children's, so `push` walks it backwards
+    once.
     """
 
     def __init__(self, m: int, z: Fraction):
         self.m = m
         self.z = Fraction(z)
-        self.rules: dict = {}  # node -> (constant, leaves, children, max weight)
+        self.rules: dict = {}  # node -> (den, constant, leaves, children, max weight)
         self.harmonics: dict = {}  # l -> [H_0^(l)(z), H_1^(l)(z), ...]
 
     def build(self, node) -> int:
         """Store the rules from `node` down; return its max leaf weight before cancellation."""
         rule = self.rules.get(node)
         if rule is None:
-            constant, leaves, children = getattr(self, "_" + node[0])(*node[1:])
+            den, constant, leaves, children = getattr(self, "_" + node[0])(*node[1:])
             top = max(
                 [sum(vec) for vec, _ in leaves] + [self.build(child) for child, _ in children],
                 default=0,
             )
-            rule = self.rules[node] = (constant, leaves, children, top)
-        return rule[3]
+            rule = self.rules[node] = (den, constant, leaves, children, top)
+        return rule[4]
 
     def push(self, roots) -> ClosedForm:
         """The closed form of the sum of c * node over the (node, c) `roots`.
 
         Parents come first in the walk, so each node has its total coefficient
-        before it pushes it into its constant, leaves and children.
+        before it pushes it into its constant, leaves and children.  Totals are
+        integer numerators over a running denominator; a node's is reduced
+        once, and each surviving leaf becomes one Fraction.
         """
-        coeff: dict = {}
+        total: dict = {}
         for node, c in roots:
             self.build(node)
-            coeff[node] = coeff.get(node, 0) + Fraction(c)
-        constant, terms = Fraction(0), {}
-        for node, (const, leaves, children, _) in reversed(self.rules.items()):
-            w = coeff.pop(node, 0)
-            if not w:
+            _accumulate(total, node, c.numerator, c.denominator)
+        constant, leaf = Fraction(0), {}
+        for node, (den, const, leaves, children, _) in reversed(self.rules.items()):
+            num, d = total.pop(node, (0, 1))
+            if not num:
                 continue
             if const:
-                constant += w * const
+                constant += Fraction(num, d) * const
+            g = gcd(num, d)
+            num, d = num // g, d // g * den
             for vec, c in leaves:
-                mono = (vec,)
-                terms[mono] = terms.get(mono, 0) + w * c
+                _accumulate(leaf, vec, num * c, d)
             for child, c in children:
-                coeff[child] = coeff.get(child, 0) + w * c
+                _accumulate(total, child, num * c, d)
         out = ClosedForm(constant, {}, self.z, self.m)
-        out.terms = {mono: c for mono, c in terms.items() if c}
+        out.terms = {(vec,): Fraction(n, d) for vec, (n, d) in leaf.items() if n}
         return out
-
-    def roots(self, key: Index, comp: Composition) -> list:
-        """(node, coefficient) pairs summing to a canonical `key` on `comp`."""
-        kind, x, y = classify(key)
-        if kind == "power":
-            return [(("power", x, y, comp), 1)]
-        if kind == "pair":
-            pairs = expand_double_one(x, y).items()
-            return [(("step", len(k2) - 2, 1, comp), c) for k2, c in pairs]
-        raise ValueError(f"not a canonical key: {key!r}")
 
     def _step(self, a: int, p: int, comp: Composition):
         """Telescoping step: the (0^a, p) value minus the (0^(a+1), p) value.
@@ -223,20 +237,20 @@ class _Evaluator:
         prefix sum on the prefix.
         """
         if not comp:
-            return Fraction(1) / (a + 1 + self.z) ** p, (), ()
+            return 1, Fraction(1) / (a + 1 + self.z) ** p, (), ()
         prefix, last = comp[:-1], comp[-1]
         pv = tuple(self.m * x for x in prefix)
         if p == 1 and a == 0:
-            return 0, [(pv + (self.m * last + 1,), 1)], ()
+            return 1, 0, [(pv + (self.m * last + 1,), 1)], ()
         if p == 1 and last > 1:
-            pf, w = partial_fraction(self.m, 1, a), self.m * (last - 1)
-            leaves = [(pv + (w + l,), c) for l, c in pf.pole_at_zero]
-            return 0, leaves, [(("step", a, 1, prefix + (last - 1,)), pf.pole_at_a[0][1])]
-        pf = partial_fraction(self.m * last, p, a)
-        leaves = [(pv + (l,), c) for l, c in pf.pole_at_zero[1:] + pf.pole_at_a[1:]]
+            den, at_zero, at_a = partial_fraction(self.m, 1, a).over_common_denominator
+            leaves = [(pv + (self.m * (last - 1) + l,), c) for l, c in at_zero]
+            return den, 0, leaves, [(("step", a, 1, prefix + (last - 1,)), at_a[0][1])]
+        den, at_zero, at_a = partial_fraction(self.m * last, p, a).over_common_denominator
+        leaves = [(pv + (l,), c) for l, c in at_zero[1:] + at_a[1:]]
         if prefix:
-            return 0, leaves, [(("sum", a, l, prefix), -c) for l, c in pf.pole_at_a]
-        return -sum(c * self._harmonic(a, l) for l, c in pf.pole_at_a), leaves, ()
+            return den, 0, leaves, [(("sum", a, l, prefix), -c) for l, c in at_a]
+        return den, -sum(c * self._harmonic(a, l) for l, c in at_a) / den, leaves, ()
 
     def _sum(self, a: int, p: int, comp: Composition):
         """Sum of the telescoping steps at shifts 1..a (a >= 1)."""
@@ -244,16 +258,16 @@ class _Evaluator:
             for j in range(1, a - 1):  # bottom up, so a long run recurses no deeper
                 self.build(("sum", j, p, comp))
         rest = [(("sum", a - 1, p, comp), 1)] if a > 1 else []
-        return 0, (), [(("step", a, p, comp), 1)] + rest
+        return 1, 0, (), [(("step", a, p, comp), 1)] + rest
 
     def _power(self, a: int, p: int, comp: Composition):
         """Lone-power family (0^a, p), p >= 2: the zeta value less the steps below a."""
         if not comp:
-            return -self._harmonic(a, p), [((p,), 1)], ()
+            return 1, -self._harmonic(a, p), [((p,), 1)], ()
         base = tuple(self.m * x for x in comp)
         if a == 0:
-            return 0, [(base[:-1] + (base[-1] + p,), 1), (base + (p,), 1)], ()
-        return 0, [(base + (p,), 1)], [(("sum", a - 1, p, comp), -1)] if a > 1 else ()
+            return 1, 0, [(base[:-1] + (base[-1] + p,), 1), (base + (p,), 1)], ()
+        return 1, 0, [(base + (p,), 1)], [(("sum", a - 1, p, comp), -1)] if a > 1 else ()
 
     def _harmonic(self, a: int, l: int) -> Fraction:
         """H_a^(l)(z) = harmonic_value(a, l, z), each new a one term past the last."""
@@ -268,22 +282,23 @@ def closed_form(spec: SeriesSpec) -> ClosedForm:
     u = poly_to_qsym(spec.F)
     comb = canonicalize(spec.s)
     ev = _Evaluator(spec.m, spec.z)
-    roots = []
+    shapes: dict = {}  # node shape -> its coefficient summed over the canonical keys
     for key, c1 in comb.items():
-        for comp, c2 in u.terms.items():
-            nodes = ev.roots(key, comp)
-            top = max(ev.build(node) for node, _ in nodes)
+        for shape, c in _root_shape(key):
+            shapes[shape] = shapes.get(shape, 0) + c1 * c
+        for comp in u.terms:
+            top = max(ev.build(shape + (comp,)) for shape, _ in _root_shape(key))
             bound = spec.m * sum(comp) + sum(spec.s)
             if top > bound:
                 raise AssertionError(f"emitted weight {top} exceeds bound {bound}")
-            roots += [(node, c1 * c2 * c) for node, c in nodes]
+    roots = [(s + (comp,), c * c2) for comp, c2 in u.terms.items() for s, c in shapes.items()]
     return ev.push(roots)
 
 
 def index_value(index, comp, m: int, z) -> ClosedForm:
     """Closed form of one exponent-vector functional on one basis element."""
     ev, comp, comb = _Evaluator(m, as_shift(z)), tuple(comp), canonicalize(as_index(index))
-    return ev.push([(n, c1 * c) for key, c1 in comb.items() for n, c in ev.roots(key, comp)])
+    return ev.push([(s + (comp,), c1 * c) for k, c1 in comb.items() for s, c in _root_shape(k)])
 
 
 def telescope_value(a: int, p: int, comp, m: int, z) -> ClosedForm:

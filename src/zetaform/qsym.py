@@ -111,6 +111,10 @@ class _LinComb:
 
     def _add_scaled(self, other, c) -> None:
         """self += c * other, in place: only for an element not yet handed out."""
+        if not self.terms:  # an empty target takes c * other whole
+            terms = other.terms
+            self.terms = dict(terms) if c == 1 else {k: c * v for k, v in terms.items() if c}
+            return
         for key, coeff in other.terms.items():
             add_term(self.terms, key, c * coeff)
 

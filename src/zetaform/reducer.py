@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 Index = tuple[int, ...]
 Combination = dict[Index, Fraction]
@@ -57,13 +58,22 @@ class PartialFractionExpansion:
     pole_at_zero: tuple[tuple[int, Fraction], ...]
     pole_at_a: tuple[tuple[int, Fraction], ...]
 
+    @cached_property
+    def over_common_denominator(self) -> tuple:
+        """(den, pole_at_zero, pole_at_a) with integer numerators over one den > 0."""
+        poles = (self.pole_at_zero, self.pole_at_a)
+        den = math.lcm(*(c.denominator for pole in poles for _, c in pole))
+        return (den,) + tuple(tuple((l, int(c * den)) for l, c in pole) for pole in poles)
 
+
+@lru_cache(maxsize=None)
 def partial_fraction(k: int, m: int, a: int) -> PartialFractionExpansion:
     """Expand 1/(x^k (x+a)^m) into simple poles at 0 and -a.
 
     For positive integers k, m, a the expansion is exact:
     coefficient ``C(k-l+m-1, m-1) (-1)^(k-l) / a^(m+k-l)`` on ``1/x^l`` and
-    ``C(k-l+m-1, k-1) (-1)^k / a^(m+k-l)`` on ``1/(x+a)^l``.
+    ``C(k-l+m-1, k-1) (-1)^k / a^(m+k-l)`` on ``1/(x+a)^l``.  Results are
+    memoized; the frozen expansion is safe to share.
     """
     if k < 1 or m < 1 or a < 1:
         raise ValueError("partial_fraction requires positive k, m, a")

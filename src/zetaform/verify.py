@@ -313,7 +313,7 @@ class _SeriesSummer:
 
 
 # ---------------------------------------------------------------------------
-# Raw-series limit: exact head plus expanded tail
+# Raw-series limit: exact head plus an Euler-Maclaurin tail with a stated remainder
 # ---------------------------------------------------------------------------
 
 # With x = n + z, each H_n^(r)(z) is a constant plus ln x (r = 1 only) plus a

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import math
+import random
 import sys
 from fractions import Fraction as F
 
@@ -385,7 +386,99 @@ class TestReductionTable:
         assert got == want
 
 
+def _random_poly(rng):
+    """One or two monomials of weighted degree <= 3, as in the desk specs."""
+    poly = Polynomial.zero()
+    for _ in range(rng.randint(1, 2)):
+        exps: dict = {}
+        remaining = rng.randint(0, 3)
+        while remaining > 0:
+            v = rng.randint(1, remaining)
+            exps[v] = exps.get(v, 0) + 1
+            remaining -= v
+        key = tuple(exps.get(i, 0) for i in range(1, max(exps) + 1)) if exps else ()
+        poly = poly + Polynomial({key: F(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))})
+    return poly
+
+
+class TestIntegerPush:
+    """The coefficient push runs on integers over one denominator per rule."""
+
+    def _spec_pairs(self, count, seed=20261018):
+        rng = random.Random(seed)
+        while count:
+            m, z = rng.choice([1, 2]), rng.choice([F(0), F(-1, 2), F(-1, 3)])
+            f1, f2 = _random_poly(rng), _random_poly(rng)
+            wt = max(f.weighted_degree() for f in (f1, f2))
+            s = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+            if 2 <= sum(s) <= 6 and m * wt + sum(s) <= 9:
+                count -= 1
+                yield (SeriesSpec(f, m, z, s) for f in (f1, f2, f1 + f2))
+
+    def test_linear_in_the_numerator(self):
+        # the push is linear in its roots, so F1 + F2 must give the sum of the two forms
+        for a, b, both in self._spec_pairs(200):
+            assert closed_form(both) == closed_form(a) + closed_form(b)
+
+    def test_push_matches_a_fraction_reference(self, monkeypatch):
+        # the same rules pushed one Fraction per edge, as a plain reference
+        def fraction_push(ev, roots):
+            coeff, constant, terms = {}, F(0), {}
+            for node, c in roots:
+                coeff[node] = coeff.get(node, 0) + F(c)
+            for node, (den, const, leaves, children, _) in reversed(ev.rules.items()):
+                w = coeff.pop(node, 0)
+                constant += w * const
+                for vec, c in leaves:
+                    terms[(vec,)] = terms.get((vec,), 0) + w * F(c, den)
+                for child, c in children:
+                    coeff[child] = coeff.get(child, 0) + w * F(c, den)
+            return cf(constant, {k: c for k, c in terms.items() if c}, ev.z, ev.m)
+
+        real, seen = engine._Evaluator.push, []
+
+        def recording(ev, roots):
+            seen.append((ev, roots))
+            return real(ev, roots)
+
+        monkeypatch.setattr(engine._Evaluator, "push", recording)
+        for specs in self._spec_pairs(100, seed=11):
+            for spec in specs:
+                got = closed_form(spec)
+                assert got == fraction_push(*seen.pop())
+
+    def test_coefficients_are_reduced_nonzero_fractions(self):
+        for specs in self._spec_pairs(60, seed=7):
+            for spec in specs:
+                out = closed_form(spec)
+                for c in [out.constant, *out.terms.values()]:
+                    assert type(c) is F and c.denominator > 0
+                    assert math.gcd(c.numerator, c.denominator) == 1
+                assert all(out.terms.values())
+
+    def test_cancelling_roots_give_zero(self):
+        ev = engine._Evaluator(1, F(-1, 2))
+        for node in [("step", 2, 3, (2, 1)), ("power", 3, 2, (1, 1)), ("sum", 4, 2, (3,))]:
+            got = ev.push([(node, 1), (node, -1)])
+            assert got == cf(0, {}, z=F(-1, 2)) and not got
+            assert ev.push([(node, F(1, 3)), (node, F(2, 3))]) == ev.push([(node, 1)])
+
+
 class TestClosedFormAlgebra:
+    def test_scaled_by_one_is_a_copy(self):
+        a = cf(F(1, 2), {((2,),): 3, ((1, 3),): F(-1, 5)}, z=F(-1, 3), m=2)
+        b = a.scaled(1)
+        assert b == a and b is not a and b.terms is not a.terms
+        assert (b.constant, b.shift, b.order) == (F(1, 2), F(-1, 3), 2)
+        b.terms[((2,),)] = F(7)
+        del b.terms[((1, 3),)]
+        assert a.terms == {((2,),): 3, ((1, 3),): F(-1, 5)}
+
+    def test_scaled_by_zero_is_zero(self):
+        a = cf(F(1, 2), {((2,),): 3}, z=F(-1, 3), m=2)
+        zero = a.scaled(0)
+        assert not zero and zero == cf(0, {}, z=F(-1, 3), m=2)
+
     def test_mixing_shifts_is_an_error(self):
         a = cf(0, {((2,),): 1}, z=F(0))
         b = cf(0, {((2,),): 1}, z=F(-1, 2))

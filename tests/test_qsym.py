@@ -54,6 +54,24 @@ def random_qsym(rng, max_terms=3, max_weight=4):
     return QSymExpr(terms)
 
 
+class TestScaled:
+    def test_scaled_by_one_is_a_copy(self):
+        x = QSymExpr({(2, 1): F(3, 4), (1,): -2})
+        y = x.scaled(1)
+        assert y == x and y is not x and y.terms is not x.terms
+        y.terms[(1,)] = F(5)
+        del y.terms[(2, 1)]
+        assert x.terms == {(2, 1): F(3, 4), (1,): -2}
+
+    def test_scaled_by_zero_is_zero(self):
+        zero = QSymExpr({(2, 1): F(3, 4)}).scaled(0)
+        assert not zero and zero == QSymExpr.zero()
+
+    def test_scaled_multiplies_every_coefficient(self):
+        x = QSymExpr({(2, 1): F(3, 4), (1,): -2})
+        assert x.scaled(F(-2, 3)) == QSymExpr({(2, 1): F(-1, 2), (1,): F(4, 3)})
+
+
 class TestQuasiShuffle:
     def test_two_letter_stuffle(self):
         assert M((1,)) * M((1,)) == QSymExpr({(1, 1): 2, (2,): 1})

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -46,6 +47,29 @@ class TestPartialFraction:
         for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-2, 1, 1)]:
             with pytest.raises(ValueError):
                 partial_fraction(*bad)
+
+    def test_memo_keeps_rejecting_bad_arguments(self):
+        for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    partial_fraction(*bad)
+
+    def test_memo_returns_an_equal_immutable_expansion(self):
+        first, again = partial_fraction(3, 2, 4), partial_fraction(3, 2, 4)
+        assert again == first
+        assert isinstance(first.pole_at_zero, tuple) and isinstance(first.pole_at_a, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.pole_at_zero = ()
+        assert recombine(again, 3, 2, 4, F(5, 7)) == 1 / (F(5, 7) ** 3 * F(33, 7) ** 2)
+
+    @pytest.mark.parametrize("k, m, a", [(1, 1, 1), (3, 2, 4), (5, 1, 3), (2, 4, 6)])
+    def test_over_common_denominator(self, k, m, a):
+        pf = partial_fraction(k, m, a)
+        den, at_zero, at_a = pf.over_common_denominator
+        assert den > 0 and a ** (k + m - 1) % den == 0  # the shared a^(k+m-1) or a divisor
+        assert all(type(c) is int for _, c in at_zero + at_a)
+        assert tuple((l, F(c, den)) for l, c in at_zero) == pf.pole_at_zero
+        assert tuple((l, F(c, den)) for l, c in at_a) == pf.pole_at_a
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("m", range(1, 7))

@@ -112,6 +112,27 @@ class TestRender:
         out = render(cf, "raw", "latex")
         assert r"\frac{1}{4}" in out.text and r"\zeta(2)\zeta(3)" in out.text
 
+    @pytest.mark.parametrize(
+        "cf,mode,fmt,value",
+        [
+            pytest.param(ClosedForm(0, {}, 0, 1), "raw", "text", "0", id="zero-text"),
+            pytest.param(ClosedForm(0, {}, 0, 1), "raw", "latex", "0", id="zero-latex"),
+            pytest.param(ClosedForm(0, {((1, 2),): -1}, 0, 1), "raw", "text", "-zeta(1,2)",
+                         id="leading-negative-term"),
+            pytest.param(ClosedForm(0, {((2,),): F(-2, 3), ((3,),): F(5, 2)}, 0, 1), "raw",
+                         "latex", r"-\frac{2}{3}\zeta(2) + \frac{5}{2}\zeta(3)",
+                         id="leading-negative-fraction-latex"),
+            pytest.param(ClosedForm(0, {((2,), (3,)): 1}, 0, 1), "raw", "latex",
+                         r"\zeta(2)\zeta(3)", id="unit-product-latex"),
+            pytest.param(ClosedForm(F(-1, 2), {((2,),): -1}, F(-1, 2), 1), "t_values", "text",
+                         "-1/2 - 4*t(2)", id="t-values-constant-unscaled"),
+            pytest.param(ClosedForm(0, {((2,),): 1}, F(-1, 2), 1), "raw", "latex",
+                         r"\zeta(2; -1/2)", id="shifted-latex"),
+        ],
+    )
+    def test_exact_value_line(self, cf, mode, fmt, value):
+        assert render(cf, mode, fmt).text == f"value = {value}"
+
     def test_reduced_mode(self):
         cf = ClosedForm(F(0), {((1, 2),): 1}, F(0), 1)
         out = render(cf, "reduced", "text")

@@ -359,6 +359,27 @@ class TestReductionTable:
         got = apply_reductions(cf(0, {((1, 2), (1, 2)): 1}), ReductionTable(F(0), rules))
         assert got == cf(0, {((4,), (4,)): F(1, 16)})
 
+    def test_rule_constant_inside_a_product(self):
+        # zeta(1,2) = 1/3 + 2 zeta(3): the constant times the rest of the product
+        rules = {(1, 2): ReductionRule((1, 2), F(1, 3), ((((3,),), F(2)),))}
+        got = apply_reductions(cf(1, {((1, 2), (2,)): 3}), ReductionTable(F(0), rules))
+        assert got == cf(1, {((2,),): 1, ((2,), (3,)): 6})
+
+    def test_reductions_cancel_to_nothing(self):
+        # zeta(1,2) -> zeta(3) and zeta(1,3) -> zeta(3)/2 meet with opposite signs
+        rules = {
+            (1, 2): ReductionRule((1, 2), F(0), ((((3,),), F(1)),)),
+            (1, 3): ReductionRule((1, 3), F(0), ((((3,),), F(1, 2)),)),
+        }
+        got = apply_reductions(cf(0, {((1, 2),): 1, ((1, 3),): -2}), ReductionTable(F(0), rules))
+        assert got == cf(0, {}) and not got
+
+    def test_idempotent_on_the_flagship(self):
+        table = default_reduction_table()
+        spec = SeriesSpec(X1, 1, 0, (4, 1, 1, 1, 1, 1))
+        once = apply_reductions(closed_form(spec).scaled(math.factorial(5)), table)
+        assert apply_reductions(once, table) == once
+
     @pytest.mark.parametrize(
         "edges",
         [{(1, 2): (1, 2)}, {(1, 2): (1, 3), (1, 3): (2, 2), (2, 2): (1, 2)}],

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from mpmath import nstr
+
 from .engine import (
     ClosedForm,
     ReductionTable,
@@ -207,6 +209,8 @@ def _records(argv) -> tuple[list, bool]:
                 data = json.load(fh)
         except OSError as exc:
             raise CliError(f"cannot read --input {args.input!r}: {exc.strerror or exc}")
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise CliError(f"cannot parse --input {args.input!r} as JSON: {exc}")
         return (data if isinstance(data, list) else [data]), True
     if not args.F:
         raise CliError("--F is required (or use --input)")
@@ -233,51 +237,31 @@ def parse_request(argv):
 # ---------------------------------------------------------------------------
 
 
-def _frac_latex(fr: Fraction) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    sign = "-" if fr < 0 else ""
-    return rf"{sign}\frac{{{abs(fr.numerator)}}}{{{fr.denominator}}}"
-
-
-def _vector_symbol(vec, shift: Fraction, t_mode: bool, latex: bool) -> str:
-    args = ",".join(str(v) for v in vec)
-    if t_mode:
-        return f"t({args})"
-    name = r"\zeta" if latex else "zeta"
-    return f"{name}({args})" if shift == 0 else f"{name}({args}; {shift})"
-
-
-def _assemble(parts: list[tuple[Fraction, str]], latex: bool) -> str:
-    # parts: (coefficient, symbol-text or "" for the constant)
+def _value(cf: ClosedForm, t_mode: bool, latex: bool) -> str:
+    """The constant, then each term in sort_key order, joined by their signs."""
+    name, times = (r"\zeta", "") if latex else ("zeta", "*")
+    shift = "" if cf.shift == 0 else f"; {cf.shift}"
+    terms = cf.sorted_terms()
+    if cf.constant or not terms:
+        terms.insert(0, ((), cf.constant))
     chunks = []
-    for coeff, symbol in parts:
-        if not symbol:
-            body = _frac_latex(abs(coeff)) if latex else str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = symbol
-        else:
-            num = _frac_latex(abs(coeff)) if latex else str(abs(coeff))
-            body = f"{num}{symbol}" if latex else f"{num}*{symbol}"
+    for mono, coeff in terms:
+        if t_mode:  # zeta(v; -1/2) = 2^|v| t(v); the constant has weight 0
+            coeff *= 2 ** sum(sum(v) for v in mono)
+        negative = coeff < 0
+        size = -coeff if negative else coeff
+        args = (",".join(map(str, v)) for v in mono)
+        body = times.join(f"t({a})" if t_mode else f"{name}({a}{shift})" for a in args)
+        if size != 1 or not mono:
+            num = str(size)
+            if latex and size.denominator != 1:
+                num = rf"\frac{{{size.numerator}}}{{{size.denominator}}}"
+            body = f"{num}{times}{body}" if mono else num
         if not chunks:
-            chunks.append(body if coeff >= 0 else f"-{body}")
+            chunks.append(f"-{body}" if negative else body)
         else:
-            chunks.append(f"+ {body}" if coeff >= 0 else f"- {body}")
-    return " ".join(chunks) if chunks else "0"
-
-
-def _closed_form_parts(cf: ClosedForm, t_mode: bool, latex: bool):
-    parts = []
-    if cf.constant or not cf.terms:
-        parts.append((cf.constant, ""))
-    for mono, coeff in cf.sorted_terms():
-        shown = coeff
-        if t_mode:
-            shown = coeff * Fraction(2) ** sum(sum(v) for v in mono)
-        symbols = (_vector_symbol(v, cf.shift, t_mode, latex) for v in mono)
-        symbol = ("" if latex else "*").join(symbols)
-        parts.append((shown, symbol))
-    return parts
+            chunks.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(chunks)
 
 
 def closed_form_to_json(cf: ClosedForm) -> dict:
@@ -337,14 +321,12 @@ def render(
                 "passed": report.passed,
                 "discrepancy": report.discrepancy,
                 "n_used": report.n_used,
-                "lhs": mp_str(report.lhs_estimate.value),
-                "rhs": mp_str(report.rhs_value.value),
+                "lhs": nstr(report.lhs_estimate.value, 25),
+                "rhs": nstr(report.rhs_value.value, 25),
                 "message": report.message,
             }
         text = json.dumps(payload, sort_keys=True)
         return RenderedIdentity(text)
-    latex = output_format == "latex"
-    body = _assemble(_closed_form_parts(cf, t_mode, latex), latex)
     lines = []
     if echo:
         s_note = f"s={tuple(echo.get('s', ()))}"
@@ -355,7 +337,7 @@ def render(
             f"series: F = {echo.get('F')}, m = {echo.get('m')}, "
             f"z = {echo.get('z')}, {s_note}"
         )
-    lines.append(f"value = {body}")
+    lines.append(f"value = {_value(cf, t_mode, output_format == 'latex')}")
     if report is not None:
         status = "PASS" if report.passed else "FAIL"
         lines.append(
@@ -364,12 +346,6 @@ def render(
             + (f" {report.message}" if report.message else "")
         )
     return RenderedIdentity("\n".join(lines))
-
-
-def mp_str(value) -> str:
-    from mpmath import nstr
-
-    return nstr(value, 25)
 
 
 def run(request: CliRequest) -> tuple[int, str]:
@@ -388,7 +364,7 @@ def run(request: CliRequest) -> tuple[int, str]:
     if request.verify_n is not None:
         report = verify_identity(
             request.spec,
-            apply_reductions(cf, table) if table is not None else cf,
+            apply_reductions(cf, table),
             tol=request.tolerance,
             N=request.verify_n,
         )

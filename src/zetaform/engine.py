@@ -342,7 +342,7 @@ class ReductionRule:
 class ReductionTable:
     """Reduction rules by source vector; no rule may reach its own source.
 
-    That lets apply_reductions substitute until nothing changes.  The check
+    That lets apply_reductions follow each monomial to the end.  The check
     peels off rules whose terms hold no remaining source until none is left.
     """
 
@@ -387,13 +387,14 @@ def _terms(items) -> tuple:
     )
 
 
-def _table_from_dict(data) -> ReductionTable:
-    """Validate a parsed reduction table; any malformed one is a ValueError.
+def _table_from_json(raw: bytes) -> ReductionTable:
+    """Parse and validate a UTF-8 JSON table; any malformed one is a ValueError.
 
     "rules" is a required list of objects.  As in closed-form JSON, vector
     entries must be JSON integers and the rationals strings or integers.
     """
     try:
+        data = json.loads(raw.decode("utf-8"))
         rules = {}
         for entry in _need(_need(data, dict)["rules"], list):
             terms = _terms(entry.get("terms", []))
@@ -408,43 +409,41 @@ def _table_from_dict(data) -> ReductionTable:
 
 def load_reduction_table(path) -> ReductionTable:
     """Load a reduction table from a JSON file (rationals as "p/q" strings)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _table_from_dict(json.load(fh))
+    with open(path, "rb") as fh:
+        return _table_from_json(fh.read())
 
 
 def default_reduction_table() -> ReductionTable:
     """The shipped z = 0 table: the three depth-two reductions of weight <= 5."""
-    text = resources.files("zetaform").joinpath("data/reductions_z0.json").read_text()
-    return _table_from_dict(json.loads(text))
+    shipped = resources.files("zetaform").joinpath("data/reductions_z0.json")
+    return _table_from_json(shipped.read_bytes())
 
 
 def apply_reductions(cf: ClosedForm, table: Optional[ReductionTable]) -> ClosedForm:
-    """Substitute table rules into a closed form, iterating to a fixed point.
+    """Substitute table rules into a closed form until no factor has a rule.
 
     Rules apply only when the table shift matches the closed form's shift;
-    vectors without an entry pass through unchanged.
+    vectors without an entry pass through unchanged.  A worklist follows
+    each monomial down its rules; it ends because a table has no cycle.
     """
     if table is None or table.shift != cf.shift or not table.rules:
         return cf
-    work, changed = cf, True
-    while changed:
-        new = cf._like({})
-        new.constant = work.constant
-        changed = False
-        for mono, coeff in work.terms.items():
-            pos = next((i for i, v in enumerate(mono) if v in table.rules), None)
-            if pos is None:
-                add_term(new.terms, mono, coeff)
-                continue
-            changed = True
-            rule = table.rules[mono[pos]]
-            rest = mono[:pos] + mono[pos + 1 :]
-            if rule.constant:
-                if rest:
-                    add_term(new.terms, rest, coeff * rule.constant)
-                else:
-                    new.constant += coeff * rule.constant
-            for tmono, tc in rule.terms:
-                add_term(new.terms, tuple(sorted(rest + tmono, key=sort_key)), coeff * tc)
-        work = new
-    return work
+    out = cf._like({})
+    out.constant = cf.constant
+    work = list(cf.terms.items())
+    while work:
+        mono, coeff = work.pop()
+        pos = next((i for i, v in enumerate(mono) if v in table.rules), None)
+        if pos is None:
+            add_term(out.terms, mono, coeff)
+            continue
+        rule = table.rules[mono[pos]]
+        rest = mono[:pos] + mono[pos + 1 :]
+        if rule.constant:
+            if rest:
+                work.append((rest, coeff * rule.constant))
+            else:
+                out.constant += coeff * rule.constant
+        for tmono, tc in rule.terms:
+            work.append((tuple(sorted(rest + tmono, key=sort_key)), coeff * tc))
+    return out

@@ -305,6 +305,23 @@ class TestExitCodes:
         line = self.assert_input_error(capsys, self.ARGS + ["--display", "reduced", "--table", str(path)])
         assert "reduction table" in line
 
+    NOT_JSON = [pytest.param(b"{not json", id="not-json"),
+                pytest.param(b'{"F": "x1\xff"}', id="not-utf-8")]
+
+    @pytest.mark.parametrize("raw", NOT_JSON)
+    def test_table_file_not_json(self, capsys, tmp_path, raw):
+        path = tmp_path / "table.json"
+        path.write_bytes(raw)
+        line = self.assert_input_error(capsys, self.ARGS + ["--display", "reduced", "--table", str(path)])
+        assert line.startswith("error: malformed reduction table (")
+
+    @pytest.mark.parametrize("raw", NOT_JSON)
+    def test_input_file_not_json(self, capsys, tmp_path, raw):
+        path = tmp_path / "req.json"
+        path.write_bytes(raw)
+        line = self.assert_input_error(capsys, ["--input", str(path)])
+        assert line.startswith(f"error: cannot parse --input {str(path)!r} as JSON: ")
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_nonpositive_verify_n(self, capsys, n):
         line = self.assert_input_error(capsys, self.ARGS + ["--verify", n])

@@ -14,11 +14,12 @@ verification never reuses the symbolic machinery it is checking.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from itertools import accumulate, count, repeat
+from operator import add, floordiv, mul
 
 from mpmath import mp, mpf, bernfrac
 from mpmath import psi as mppsi, zeta as mpzeta
@@ -29,6 +30,7 @@ from .qsym import as_shift
 DESK_MAX_DEPTH = 5
 DESK_MAX_WEIGHT = 10
 DESK_MAX_TERMS = 10**6
+HEAD_BLOCK = 256  # raw-series terms summed per pass of list operations
 _bernoulli = lru_cache(maxsize=None)(bernfrac)
 
 
@@ -224,6 +226,11 @@ def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
     return _SeriesSummer(spec, Fraction).advance_to(N)
 
 
+def _powers(values, e: int):
+    """Each of values raised to e, lazily."""
+    return values if e == 1 else map(pow, values, repeat(e))
+
+
 class _SeriesSummer:
     """Incremental partial sums of one series, in fixed point or exactly.
 
@@ -233,12 +240,17 @@ class _SeriesSummer:
         q^S sum_k a_k prod_i H_i^e_ik / prod_i (x + i q)^s_i,
 
     where H_i, the harmonic number of order r = i m, grows by q^r / x^r at
-    each n.  Every quotient goes through div(a, b).  With number=Fraction it
-    is exact.  By default it is fixed point at wp = mp.prec + GUARD_BITS
-    bits, div(a, b) = floor(a 2^wp / b), and the sums come back as mpf.
-    A monomial of degree d has its coefficient premultiplied by q^S one^(D - d),
-    with one = div(1, 1) and D = deg F, so all monomials share the scale
-    one^D and each summand takes one division.
+    each n.  Every quotient is div(one a, b): with number=Fraction, div is
+    Fraction and one = 1, exact; by default it is fixed point at
+    wp = mp.prec + GUARD_BITS bits, div is floor division and one = 2^wp, and
+    the sums come back as mpf.  A monomial of degree d has its coefficient
+    premultiplied by q^S one^(D + 1 - d), D = deg F, so each summand takes
+    one division, by one^D prod (x + i q)^s_i.  Terms are summed HEAD_BLOCK
+    at a time in list operations: per H_i one list of increments and one
+    running sum, each monomial an element-wise product of those columns, the
+    denominators a product of lists, and one sum of quotients.  Each floor is
+    the one a term-by-term sum takes, so the sums, and the bound below, are
+    the same.
 
     Fixed-point truncation: after n terms each stored H_i is below the true
     one by less than n 2^-wp (one floor per increment), which is at most
@@ -258,21 +270,20 @@ class _SeriesSummer:
     def __init__(self, spec: SeriesSpec, number=mpf):
         wp = mp.prec + GUARD_BITS
         self.spec, self.number, self.wp = spec, number, wp
-        self.div = Fraction if number is Fraction else lambda a, b: (a << wp) // b
+        self.div, one = (Fraction, 1) if number is Fraction else (floordiv, 1 << wp)
         self.p, self.q = spec.z.numerator, spec.z.denominator
         self.L = math.lcm(*(c.denominator for c in spec.F.terms.values()))
         self.D = spec.F.degree()
-        one = self.div(1, 1)
         q_S = self.q ** sum(spec.s)
         self.monomials = [
             (
-                c.numerator * (self.L // c.denominator) * q_S * one ** (self.D - sum(exps)),
+                c.numerator * (self.L // c.denominator) * q_S * one ** (self.D + 1 - sum(exps)),
                 [(i, e) for i, e in enumerate(exps) if e],
             )
             for exps, c in spec.F.terms.items()
         ]
         ell = spec.F.max_variable()
-        self.q_powers = [self.q ** (i * spec.m) for i in range(1, ell + 1)]
+        self.q_powers = [self.q ** (i * spec.m) * one for i in range(1, ell + 1)]
         self.den_factors = [(i * self.q, e) for i, e in enumerate(spec.s) if e]
         self.den_scale = one**self.D
         self.scale = one * self.L
@@ -281,23 +292,26 @@ class _SeriesSummer:
         self.n = 0
 
     def advance_to(self, M: int):
-        div, H, m = self.div, self.harmonics, self.spec.m
+        div, H, q = self.div, self.harmonics, self.q
         while self.n < M:
-            self.n += 1
-            x = self.q * self.n + self.p
-            step, power = x**m, 1
+            start, self.n = self.n, min(M, self.n + HEAD_BLOCK)
+            xs = range(q * start + q + self.p, q * self.n + self.p + 1, q)
+            steps = power = list(_powers(xs, self.spec.m))
+            columns = []
             for i, q_r in enumerate(self.q_powers):
-                power *= step
-                H[i] += div(q_r, power)
-            top = 0
+                power = list(map(mul, power, steps)) if i else power
+                columns.append(list(accumulate(map(div, repeat(q_r), power), initial=H[i]))[1:])
+                H[i] = columns[-1][-1]
+            tops = [0] * len(xs)
             for a, exps in self.monomials:
+                term = repeat(a)
                 for i, e in exps:
-                    a *= H[i] ** e
-                top += a
-            den = self.den_scale
+                    term = map(mul, term, _powers(columns[i], e))
+                tops = list(map(add, tops, term))
+            dens = [self.den_scale] * len(xs)
             for iq, e in self.den_factors:
-                den *= (x + iq) ** e
-            self.total += div(top, den)
+                dens = list(map(mul, dens, _powers(range(xs.start + iq, xs.stop + iq, q), e)))
+            self.total += sum(map(div, tops, dens))
         return self.number(self.total) / self.scale
 
     def error_bound(self) -> mpf:
@@ -406,7 +420,7 @@ def _tail_order(coeffs: dict, S: int, j: int, a: mpf, logs: list) -> tuple:
     for d, c in ((d, c) for (jj, d), c in coeffs.items() if jj == j and c):
         target, power, last = mp.ldexp(1, -mp.prec) / abs(c * scale), 1, mp.inf
         total = mp.fdot(_em_rule(q, d, 0, mp.prec)[1], logs) + logs[d] / (2 * a)
-        for k in itertools.count(1):
+        for k in count(1):
             term, rem, _ = _em_rule(q, d, k, mp.prec)
             power *= u
             r = mp.fdot(rem, logs) * power

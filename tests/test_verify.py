@@ -10,6 +10,8 @@ from mpmath import bernfrac, inf, log, mp, mpf, pi, quad, zeta
 from zetaform.engine import ClosedForm, SeriesSpec, closed_form
 from zetaform.qsym import Polynomial
 from zetaform.verify import (
+    GUARD_BITS,
+    HEAD_BLOCK,
     DeskLimitError,
     _SeriesSummer,
     _level_expansion,
@@ -23,6 +25,7 @@ from zetaform.verify import (
 )
 
 X1 = Polynomial.variable(1)
+X2 = Polynomial.variable(2)
 
 
 def assert_close(value, reference, bound):
@@ -191,6 +194,80 @@ class TestFixedPointHead:
             assert resumed.total == once.total
 
 
+def per_term_head(spec, N, exact):
+    """The raw-series head summed one term at a time: (total, harmonics).
+
+    The term-by-term loop the block summer replaced, kept as its reference:
+    H_i grows by div(q^r, x^r) at each n and each summand is one
+    div(top, den), with div(a, b) = floor(a 2^wp / b) in fixed point or
+    Fraction(a, b), at the summer's scales.
+    """
+    wp = mp.prec + GUARD_BITS
+    div = F if exact else (lambda a, b: (a << wp) // b)
+    one, p, q, D = div(1, 1), spec.z.numerator, spec.z.denominator, spec.F.degree()
+    L = math.lcm(*(c.denominator for c in spec.F.terms.values()))
+    H, total = [0] * spec.F.max_variable(), 0
+    for n in range(1, N + 1):
+        x = q * n + p
+        for i in range(len(H)):
+            H[i] += div(q ** ((i + 1) * spec.m), x ** ((i + 1) * spec.m))
+        top = sum(
+            c.numerator * (L // c.denominator) * q ** sum(spec.s) * one ** (D - sum(exps))
+            * math.prod(h**e for h, e in zip(H, exps))
+            for exps, c in spec.F.terms.items()
+        )
+        den = one**D * math.prod((x + i * q) ** e for i, e in enumerate(spec.s))
+        total += div(top, den)
+    return total, H
+
+
+def _spec_id(spec):
+    return f"m{spec.m}-z{spec.z}-s{spec.s}"
+
+
+class TestBlockHead:
+    """The block summer takes the same floors as the term-by-term loop."""
+
+    SPECS = [
+        SeriesSpec(
+            X1 * X1 * X2 * F(3, 5) - X2 * F(7, 2) + Polynomial.constant(1), 2, F(-2, 3), (0, 2, 0, 1)
+        ),
+        SeriesSpec(X1 * F(-1, 4) + X2 * X2, 1, F(-2, 3), (1, 0, 3)),
+        SeriesSpec((X1 * X1 - X2) * F(1, 2), 1, 0, (0, 0, 2)),
+    ]
+    COUNTS = [1, HEAD_BLOCK - 1, HEAD_BLOCK, HEAD_BLOCK + 1, 2 * HEAD_BLOCK + 3]
+
+    @pytest.mark.parametrize("N", COUNTS)
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_fixed_point_equals_per_term(self, spec, N):
+        with mp.workdps(30):
+            summer = _SeriesSummer(spec)
+            summer.advance_to(N)
+            total, harmonics = per_term_head(spec, N, exact=False)
+            assert (summer.total, summer.harmonics) == (total, harmonics)
+            reference = _SeriesSummer(spec)
+            reference.n, reference.total, reference.harmonics = N, total, harmonics
+            assert summer.error_bound() == reference.error_bound()
+
+    @pytest.mark.parametrize("N", COUNTS)
+    @pytest.mark.parametrize("spec", SPECS[:2], ids=_spec_id)
+    def test_exact_equals_per_term(self, spec, N):
+        L = math.lcm(*(c.denominator for c in spec.F.terms.values()))
+        assert series_partial_sum(spec, N) == per_term_head(spec, N, exact=True)[0] / L
+
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_uneven_resumption(self, spec):
+        N = 2 * HEAD_BLOCK + 3
+        with mp.workdps(30):
+            summer = _SeriesSummer(spec)
+            summer.advance_to(HEAD_BLOCK - 1)
+            summer.advance_to(N)
+            assert (summer.total, summer.harmonics) == per_term_head(spec, N, exact=False)
+        exact = _SeriesSummer(spec, F)
+        exact.advance_to(HEAD_BLOCK - 1)
+        assert exact.advance_to(N) == series_partial_sum(spec, N)
+
+
 class TestVerifyIdentity:
     def test_adjacent_pair_order_two(self):
         spec = SeriesSpec(X1, 2, 0, (1, 1))
@@ -288,7 +365,6 @@ class TestReducedFunctionalOnMonomials:
             assert tail < 1e-10
 
 
-X2 = Polynomial.variable(2)
 X3 = Polynomial.variable(3)
 E2 = (X1 * X1 - X2) * F(1, 2)  # e_2 = (H^2 - H^(2)) / 2
 

@@ -45,15 +45,6 @@ from .engine import (
     power_family_value,
     telescope_value,
 )
-from .verify import (
-    DeskLimitError,
-    NumericResult,
-    VerificationReport,
-    closed_form_numeric,
-    mhz_numeric,
-    series_partial_sum,
-    verify_identity,
-)
 from .expr import ParseError, parse_polynomial
 
 __version__ = "0.1.0"
@@ -102,3 +93,10 @@ __all__ = [
     "telescope_value",
     "verify_identity",
 ]
+
+
+def __getattr__(name: str):  # PEP 562: the verifier, and mpmath, load on first use
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+    return getattr(verify, name)

@@ -22,7 +22,6 @@ from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
 from mpmath import mp, mpf, bernfrac
-from mpmath import psi as mppsi, zeta as mpzeta
 
 from .engine import ClosedForm, SeriesSpec, ZetaVector, check_vector
 from .qsym import as_shift
@@ -325,6 +324,22 @@ class _SeriesSummer:
         truncation = n * unit * (mpf(1) / self.L + self.D * size * tail)
         return truncation + abs(mpf(self.total) / self.scale) * mpf(2) ** (2 - mp.prec)
 
+    def constants(self, a: mpf, logs: list) -> tuple:
+        """zeta(r, 1+z) of each H^(r) (-psi(1+z) for r = 1), and a bound on their errors.
+
+        Each is H_M^(r) plus the _tail_order of 1/x^r from a = M + 1 + z, off by less
+        than its remainder, M 2^-wp, and prec + 2r + 8 roundings (two per Euler-Maclaurin
+        step, under prec/2 + r steps; README) of 2^-prec (|H_M| + |tail|).
+        """
+        constants, error = [], mpf(0)
+        for i, h in enumerate(self.harmonics):
+            r, h = (i + 1) * self.spec.m, mp.ldexp(h, -self.wp)
+            tail, remainder = _tail_order({(0, 0): 1}, r, 0, a, logs)
+            constants.append(h + tail)
+            rounding = mp.ldexp((abs(h) + abs(tail)) * (mp.prec + 2 * r + 8), -mp.prec)
+            error = max(error, remainder + mp.ldexp(self.n, -self.wp) + rounding)
+        return constants, error
+
 
 # ---------------------------------------------------------------------------
 # Raw-series limit: exact head plus an Euler-Maclaurin tail with a stated remainder
@@ -351,29 +366,20 @@ def _series_mul(a: dict, b: dict, order: int) -> dict:
     return out
 
 
-def _harmonic_expansion(r: int, shift, order: int) -> dict:
-    """H_n^(r)(z) for large x = n + z, through 1/x^order; shift = 1 + z, an exact mpq.
+def _harmonic_expansion(r: int, constant: mpf, order: int) -> dict:
+    """H_n^(r)(z) for large x = n + z, through 1/x^order, from its constant.
 
     H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for
     r = 1 (DLMF 5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).
     """
-    if r == 1:
-        out = {(0, 0): -mppsi(0, shift), (0, 1): mpf(1)}
-    else:
-        out = {(0, 0): mpzeta(r, shift)}
     den, nums = _zeta_tail_coeffs(r, order)
-    for p, c in enumerate(nums):
-        if c:
-            out[(p, 0)] = -_mpf(Fraction(c, den))
-    return out
+    out = {(0, 0): constant, (0, 1): mpf(1)} if r == 1 else {(0, 0): constant}
+    return out | {(p, 0): -_mpf(Fraction(c, den)) for p, c in enumerate(nums) if c}
 
 
-def _summand_expansion(spec: SeriesSpec, order: int) -> dict:
+def _summand_expansion(spec: SeriesSpec, order: int, constants: list) -> dict:
     """x^S times the summand F(H..)/prod (x+i)^s_i, through 1/x^order."""
-    harmonics = [
-        _harmonic_expansion((i + 1) * spec.m, mp.mpq(*(1 + spec.z).as_integer_ratio()), order)
-        for i in range(spec.F.max_variable())
-    ]
+    harmonics = [_harmonic_expansion((i + 1) * spec.m, c, order) for i, c in enumerate(constants)]
     out: dict = {}
     for exps, c in spec.F.terms.items():
         term = {(0, 0): _mpf(c)}
@@ -398,9 +404,12 @@ def _em_rule(q: int, d: int, k: int, prec: int) -> tuple:
     f^(n)(x) = P_n(ln x) / x^(q+n), P_0 = L^d, P_(n+1) = P_n' - (q+n) P_n;
     int_A^oo w |P_2k|(ln x) / x^p dx = A^(1-p) Q(ln A), Q = (w |P_2k| + Q') / (p-1).
     Term B_2k/(2k)! P_(2k-1) and bound Q, p = q + 2k, w = 2 |B_2k|/(2k)!, for K = k,
-    over A^(1-q-2k) as coefficients of ln^i(A); k = 0 has no term and the integral of f.
+    over A^(1-q-2k) as coefficients of ln^i(A); k = 0 has no term and the integral of f,
+    for q = 1 the regularized -ln^(d+1)(A)/(d+1), so 1/x sums to -psi(A) (K >= 1).
     """
     P, prev = _em_rule(q, d, k - 1, prec)[2] if k else (0,) * d + (1,), ()
+    if q + 2 * k == 1:
+        return prev, (0,) * (d + 1) + (_mpf(Fraction(-1, d + 1)),), P
     for p in range(q + max(2 * k - 2, 0), q + 2 * k):
         prev, P = P, tuple((i + 1) * e - p * c for i, (c, e) in enumerate(zip(P, P[1:] + (0,))))
     b = Fraction(*_bernoulli(2 * k)) / math.factorial(2 * k)
@@ -435,45 +444,50 @@ def _tail_order(coeffs: dict, S: int, j: int, a: mpf, logs: list) -> tuple:
 def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     """(estimate, terms summed) of the raw series; see verify_identity.
 
-    The bound adds the omitted orders' tail, the change if the head stops at its
-    half (a wrong coefficient weighs differently there), the remainders sum |c| R_K
-    at both tail points (_tail_order), a working-precision floor and _SeriesSummer's bound.
+    The head comes first (summer.constants); a tail point too small for the precision
+    doubles it and the summer goes on.  The bound adds the omitted orders' tail, the
+    change at the half head, the remainders, the constants' drift (0 < H_n^(r) < |C_r|
+    + 1 + ln x: under e D |F|(|C|+1) sum (1+ln x)^D/x^S), a floor and the head's bound.
     """
-    n_head = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s)))
-    n_half = (n_head + 1) // 2
-    zz, S = _mpf(spec.z), sum(spec.s)
-    points = (n_half + 1 + zz, n_head + 1 + zz)
-    half, full = [(a, [mp.log(a) ** i for i in range(spec.F.degree() + 1)]) for a in points]
-    target = mpf(tol) / 1000
+    S, D, zz, target = sum(spec.s), spec.F.degree(), _mpf(spec.z), mpf(tol) / 1000
+    n_head, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec)
     # H^(r) has no terms of orders 1..r-2, so fewer vanishing orders in a row
     # say nothing about the next ones
     run = max(2, spec.m * spec.F.max_variable() - 1)
-    order = max(8, run)
-    coeffs = _summand_expansion(spec, order)
-    at_half: list = []
-    # grow the expansion until `run` consecutive orders of the tail from the
-    # half point are negligible; those are the omitted ones
     while True:
-        j = len(at_half)
-        if j > order:
-            if order >= _MAX_ORDER:
+        n_half = (n_head + 1) // 2
+        head_half, head = summer.advance_to(n_half), summer.advance_to(n_head)
+        points = (n_half + 1 + zz, n_head + 1 + zz)
+        half, full = [(a, [mp.log(a) ** i for i in range(D + 1)]) for a in points]
+        constants, error = summer.constants(*full)
+        order, at_half = max(8, run), []
+        coeffs = _summand_expansion(spec, order, constants)
+        # grow the expansion until `run` consecutive orders of the tail from the
+        # half point are negligible; those are the omitted ones
+        while True:
+            j = len(at_half)
+            if j > order:
+                if order >= _MAX_ORDER:
+                    break
+                order *= 2
+                coeffs = _summand_expansion(spec, order, constants)
+            at_half.append(_tail_order(coeffs, S, j, *half))
+            negligible = j >= run - 1 and sum(abs(t) for t, _ in at_half[-run:]) <= target
+            if negligible or at_half[-1][1] == mp.inf:  # inf: retried with a longer head
                 break
-            order *= 2
-            coeffs = _summand_expansion(spec, order)
-        at_half.append(_tail_order(coeffs, S, j, *half))
-        negligible = j >= run - 1 and sum(abs(t) for t, _ in at_half[-run:]) <= target
-        if negligible or at_half[-1][1] == mp.inf:  # inf: retried with a longer head
+        at_full = [_tail_order(coeffs, S, j, *full) for j in range(len(at_half))]
+        remainders = sum(r for _, r in at_half + at_full)
+        if remainders + error < mp.inf:
             break
-    at_full = [_tail_order(coeffs, S, j, *full) for j in range(len(at_half))]
-    remainders = sum(r for _, r in at_half + at_full)
-    if remainders == mp.inf:  # a tail point too small for the working precision
-        return _series_limit(spec, 2 * n_head, tol)
-    summer, kept = _SeriesSummer(spec), len(at_half) - run
-    est_half = summer.advance_to(n_half) + sum(t for t, _ in at_half[:kept])
-    est = summer.advance_to(n_head) + sum(t for t, _ in at_full[:kept])
+        n_head *= 2  # a tail point too small for the working precision
+    kept = len(at_half) - run
+    est_half = head_half + sum(t for t, _ in at_half[:kept])
+    est = head + sum(t for t, _ in at_full[:kept])
     omitted = sum(abs(t) for t, _ in at_full[kept:])
+    size = D * error * spec.F.evaluate([abs(c) + 1 for c in constants], lambda c: abs(_mpf(c)))
+    drift = sum(_tail_order({(0, d): math.comb(D, d) * size for d in range(D + 1)}, S, 0, *full))
     floor = n_head * mpf(10) ** (3 - mp.dps) * max(1, abs(est))
-    bound = omitted + abs(est - est_half) + remainders + floor + summer.error_bound()
+    bound = omitted + abs(est - est_half) + remainders + drift + floor + summer.error_bound()
     return NumericResult(est, float(bound)), n_head
 
 

@@ -1,7 +1,11 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -14,8 +18,8 @@ from zetaform.verify import (
     HEAD_BLOCK,
     DeskLimitError,
     _SeriesSummer,
+    _digits_for,
     _level_expansion,
-    _summand_expansion,
     _tail_order,
     _zeta_tail_coeffs,
     closed_form_numeric,
@@ -76,15 +80,24 @@ class TestMhzNumeric:
         )
 
     def test_depth_one_without_mpmath_zeta(self, monkeypatch):
-        # one fixed-point path for every depth: mpmath's zeta is never asked
+        # mpmath only does arithmetic: neither the oracle, at every depth, nor
+        # the LHS, whose constants come from its own head, asks for zeta or psi
+        import mpmath
         from zetaform import verify
 
-        def refuse(*args):
-            raise AssertionError("mhz_numeric called mpmath's zeta")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verifier called mpmath's zeta or psi")
 
-        monkeypatch.setattr(verify, "mpzeta", refuse)
+        for name in ("zeta", "psi"):
+            monkeypatch.setattr(mpmath, name, refuse)
+            monkeypatch.setattr(mp, name, refuse)
         verify._mhz.cache_clear()
         r = mhz_numeric((3,), F(-1, 3), 1e-20)
+        spec = SeriesSpec(X1 * X2, 1, F(-1, 3), (0, 0, 3))
+        rep = verify_identity(spec, closed_form(spec), tol=1e-12, N=600)
+        monkeypatch.undo()
+        assert rep.passed, rep.message
+        assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-12
         with mp.workdps(50):
             assert abs(r.value - zeta(3, mpf(2) / 3)) <= r.abs_err_bound <= 1e-20
 
@@ -519,11 +532,12 @@ class TestEulerMaclaurinTail:
             a = base + mpf(z.numerator) / z.denominator
             logs = [mp.log(a) ** i for i in range(5)]
             ulp = mp.ldexp(1, -mp.prec)
-            for q, d in itertools.product(range(2, 14), range(5)):
+            # q = 1: the regularized sum of 1/x from a is -psi(a)
+            for q, d in [(1, 0), *itertools.product(range(2, 14), range(5))]:
                 value, remainder = _tail_order({(0, d): 1}, q, 0, a, logs)
                 assert remainder <= ulp
                 with mp.workdps(dps + 20):
-                    reference = (-1) ** d * zeta(q, a, d)
+                    reference = -mp.psi(0, a) if q == 1 else (-1) ** d * zeta(q, a, d)
                     err = abs(value - reference)
                 assert err <= remainder + 8 * ulp * abs(reference), (q, d, err, remainder)
 
@@ -562,16 +576,63 @@ class TestShiftNearMinusOne:
             assert r.abs_err_bound <= float(old_bound), (s, abs_err, r)
 
     def test_lhs_constants_at_exact_shift(self):
-        # the constants of H^(r) in the LHS expansion: zeta(r, 1+z), -psi(1+z)
+        # the constants of H^(r) in the LHS expansion, zeta(r, 1+z) and -psi(1+z),
+        # from the head at the exact shift: within 4 ulps of mpmath's
         z = F(-999999, 1000000)
         for r in (1, 2, 3):
             with mp.workdps(30):
-                value = _summand_expansion(SeriesSpec(X1, r, z, (2,)), 8)[(0, 0)]
+                summer = _SeriesSummer(SeriesSpec(X1, r, z, (2,)))
+                summer.advance_to(44)
+                a = 45 + mpf(z.numerator) / z.denominator
+                (value,), _ = summer.constants(a, [mpf(1), mp.log(a)])
                 ulp = mp.ldexp(1, -mp.prec)
             with mp.workdps(60):
                 shift = mp.mpq(1, 1000000)
                 reference = -mp.psi(0, shift) if r == 1 else zeta(r, shift)
                 assert abs(value - reference) <= 4 * ulp * abs(reference), r
+
+
+class TestLhsConstants:
+    """The LHS constants from the raw series' own head, against mpmath."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-60])
+    @pytest.mark.parametrize("M", [44, 600, 10000])
+    @pytest.mark.parametrize(
+        "z", [F(0), F(-1, 2), F(-1, 3), F(-2, 3), F(-1, 7), F(-999999, 1000000)]
+    )
+    def test_within_stated_error(self, z, M, tol):
+        # x6 keeps H^(1), ..., H^(6) in the head
+        with mp.workdps(_digits_for(tol)):
+            summer = _SeriesSummer(SeriesSpec(Polynomial.variable(6), 1, z, (2,)))
+            summer.advance_to(M)
+            a = M + 1 + mpf(z.numerator) / z.denominator
+            constants, error = summer.constants(a, [mpf(1), mp.log(a)])
+        assert len(constants) == 6 and error < inf
+        with mp.workdps(_digits_for(tol) + 20):
+            shift = mp.mpq(*(1 + z).as_integer_ratio())
+            for r, value in enumerate(constants, 1):
+                reference = -mp.psi(0, shift) if r == 1 else zeta(r, shift)
+                assert abs(value - reference) <= error, (r, value - reference, error)
+
+
+class TestLazyVerifier:
+    def test_exact_path_leaves_mpmath_unloaded(self):
+        # mpmath does arithmetic for the verifier only: the exact pipeline, in a
+        # fresh interpreter, never loads it, and a verification name does
+        import zetaform
+
+        code = (
+            "import sys, zetaform\n"
+            "x1 = zetaform.Polynomial.variable(1)\n"
+            "zetaform.closed_form(zetaform.SeriesSpec(x1, 1, 0, (4, 1, 1, 1, 1, 1)))\n"
+            "zetaform.default_reduction_table()\n"
+            "assert 'mpmath' not in sys.modules, 'the exact path loaded mpmath'\n"
+            "assert callable(zetaform.verify_identity) and 'mpmath' in sys.modules\n"
+            "assert not hasattr(zetaform, 'no_such_name')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(zetaform.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMhzMemo:

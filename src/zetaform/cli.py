@@ -61,36 +61,34 @@ class RenderedIdentity:
     text: str
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="zetaform",
-        description=(
-            "Rewrite series of harmonic numbers over shifted-integer "
-            "denominators as exact combinations of multiple Hurwitz zeta "
-            "values, optionally verifying the identity numerically."
-        ),
-    )
-    p.add_argument("--F", help="numerator polynomial in x1..x9, e.g. 'x1^2 - x2'")
-    p.add_argument("--m", type=int, help="harmonic order (default 1)")
-    p.add_argument("--z", help="rational shift in (-1, 0], e.g. -1/2")
-    p.add_argument("--s", help="comma-separated denominator exponents, e.g. 0,1,1")
-    p.add_argument(
-        "--binomial",
-        help="p,k shorthand for denominator n^p * C(n+k,k); implies a k! prefactor",
-    )
-    p.add_argument("--format", choices=OUTPUT_FORMATS)
-    p.add_argument("--display", choices=DISPLAY_MODES)
-    p.add_argument(
-        "--verify",
-        type=int,
-        metavar="N",
-        help="verify numerically: sum N terms directly, then the tail by "
-        "Euler-Maclaurin with a stated remainder",
-    )
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--table", help="path to a reduction table JSON file")
-    p.add_argument("--input", help="JSON file with one request record or a list")
-    return p
+_PARSER = argparse.ArgumentParser(  # once per process: building costs 3 parses
+    prog="zetaform",
+    description=(
+        "Rewrite series of harmonic numbers over shifted-integer "
+        "denominators as exact combinations of multiple Hurwitz zeta "
+        "values, optionally verifying the identity numerically."
+    ),
+)
+_PARSER.add_argument("--F", help="numerator polynomial in x1..x9, e.g. 'x1^2 - x2'")
+_PARSER.add_argument("--m", type=int, help="harmonic order (default 1)")
+_PARSER.add_argument("--z", help="rational shift in (-1, 0], e.g. -1/2")
+_PARSER.add_argument("--s", help="comma-separated denominator exponents, e.g. 0,1,1")
+_PARSER.add_argument(
+    "--binomial",
+    help="p,k shorthand for denominator n^p * C(n+k,k); implies a k! prefactor",
+)
+_PARSER.add_argument("--format", choices=OUTPUT_FORMATS)
+_PARSER.add_argument("--display", choices=DISPLAY_MODES)
+_PARSER.add_argument(
+    "--verify",
+    type=int,
+    metavar="N",
+    help="verify numerically: sum N terms directly, then the tail by "
+    "Euler-Maclaurin with a stated remainder",
+)
+_PARSER.add_argument("--tolerance", type=float)
+_PARSER.add_argument("--table", help="path to a reduction table JSON file")
+_PARSER.add_argument("--input", help="JSON file with one request record or a list")
 
 
 def _field(record: dict, name: str, what: str, *types, default=None):
@@ -200,7 +198,7 @@ def _join_dash_values(argv):
 
 def _records(argv) -> tuple[list, bool]:
     """The request records that argv names, and whether they came from --input."""
-    args = _build_parser().parse_args(_join_dash_values(list(argv)))
+    args = _PARSER.parse_args(_join_dash_values(list(argv)))
     if args.input:
         if args.F or args.s or args.binomial:
             raise CliError("--input cannot be combined with --F/--s/--binomial")
@@ -340,11 +338,10 @@ def render(
     lines.append(f"value = {_value(cf, t_mode, output_format == 'latex')}")
     if report is not None:
         status = "PASS" if report.passed else "FAIL"
-        lines.append(
-            f"verify: {status} (N={report.n_used}, "
-            f"discrepancy={report.discrepancy:.3e})"
-            + (f" {report.message}" if report.message else "")
-        )
+        d, floor = report.discrepancy, report.floor  # below the floor, d is roundoff
+        shown = f"discrepancy < {floor:.1e}" if d < floor else f"discrepancy={d:.3e}"
+        message = f" {report.message}" if report.message else ""
+        lines.append(f"verify: {status} (N={report.n_used}, {shown}){message}")
     return RenderedIdentity("\n".join(lines))
 
 

@@ -54,6 +54,7 @@ class VerificationReport:
     passed: bool
     n_used: int
     message: str = ""
+    floor: float = 0.0  # the LHS working-precision floor: a discrepancy below it is roundoff
 
 
 def _digits_for(abs_err: float) -> int:
@@ -442,7 +443,7 @@ def _tail_order(coeffs: dict, S: int, j: int, a: mpf, logs: list) -> tuple:
 
 
 def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
-    """(estimate, terms summed) of the raw series; see verify_identity.
+    """(estimate, terms summed, working-precision floor) of the raw series; see verify_identity.
 
     The head comes first (summer.constants); a tail point too small for the precision
     doubles it and the summer goes on.  The bound adds the omitted orders' tail, the
@@ -488,7 +489,7 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     drift = sum(_tail_order({(0, d): math.comb(D, d) * size for d in range(D + 1)}, S, 0, *full))
     floor = n_head * mpf(10) ** (3 - mp.dps) * max(1, abs(est))
     bound = omitted + abs(est - est_half) + remainders + drift + floor + summer.error_bound()
-    return NumericResult(est, float(bound)), n_head
+    return NumericResult(est, float(bound)), n_head, floor
 
 
 def verify_identity(
@@ -499,20 +500,20 @@ def verify_identity(
 ) -> VerificationReport:
     """Numerically certify that a closed form matches its series.
 
-    The LHS is the raw series, never the symbolic machinery: its first N
-    terms are summed directly, the rest from the summand's large-n expansion
-    in terms c f, f = ln^d(x)/x^q, x = n + z, each summed from A = N + 1 + z
-    by Euler-Maclaurin, int_A^oo f + f(A)/2 - sum_{k<K} B_2k/(2k)! f^(2k-1)(A),
-    with K such that the remainder bound 2 |B_2K|/(2K)! int_A^oo |f^(2K)| is
-    at most 2^-prec / |c| (DLMF 2.10.1-2.10.2, as |B~_2K - B_2K| <= 2 |B_2K|).
-    The expansion grows until two consecutive orders of the tail past
-    ceil(N/2) are below tol/1000 (more when F holds H^(r), r > 3, whose
-    expansion skips orders 1..r-2).  _series_limit states the LHS bound.  N
-    is raised to 2 * (LHS_HEAD_FLOOR + len(s)) when smaller, and doubled
-    while the Euler-Maclaurin terms, which bottom out near e^(-2 pi A),
-    cannot reach that remainder; ``n_used`` is the head summed.  Precision
-    follows tol as in closed_form_numeric.  ``passed`` means
-    |LHS - RHS| <= tol + LHS bound + RHS bound.
+    The LHS is the raw series, never the symbolic machinery or a special
+    function: its first N terms are summed directly, the rest from the summand's
+    large-n expansion, whose constants come from that head, in terms c f,
+    f = ln^d(x)/x^q, x = n + z, each summed from A = N + 1 + z by Euler-Maclaurin,
+    int_A^oo f + f(A)/2 - sum_{k<K} B_2k/(2k)! f^(2k-1)(A), with K such that the
+    remainder bound 2 |B_2K|/(2K)! int_A^oo |f^(2K)| is at most 2^-prec / |c|
+    (DLMF 2.10.1-2.10.2, as |B~_2K - B_2K| <= 2 |B_2K|).  The expansion grows until
+    two consecutive orders of the tail past ceil(N/2) are below tol/1000 (more when
+    F holds H^(r), r > 3, whose expansion skips orders 1..r-2).  _series_limit
+    states the LHS bound.  N is raised to 2 * (LHS_HEAD_FLOOR + len(s)) when
+    smaller, and doubled while the Euler-Maclaurin terms, which bottom out near
+    e^(-2 pi A), cannot reach that remainder; ``n_used`` is the head summed and
+    ``floor`` its working-precision floor.  Precision follows tol as in
+    closed_form_numeric.  ``passed`` means |LHS - RHS| <= tol + LHS + RHS bound.
     """
     if cf.shift != spec.z or cf.order != spec.m:
         raise ValueError("closed form metadata does not match the series spec")
@@ -521,9 +522,9 @@ def verify_identity(
     _check_terms(N)
     rhs = closed_form_numeric(cf, abs_err=tol / 8)
     with mp.workdps(_digits_for(tol)):
-        lhs, n_used = _series_limit(spec, N, tol)
+        lhs, n_used, floor = _series_limit(spec, N, tol)
         discrepancy = float(abs(lhs.value - rhs.value))
     combined = tol + lhs.abs_err_bound + rhs.abs_err_bound
     passed = discrepancy <= combined
     message = "" if passed else f"discrepancy {discrepancy:.3e} exceeds budget {combined:.3e}"
-    return VerificationReport(lhs, rhs, discrepancy, passed, n_used, message)
+    return VerificationReport(lhs, rhs, discrepancy, passed, n_used, message, float(floor))

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -224,6 +226,26 @@ class TestRun:
         assert code == 1
         assert "verify: FAIL" in text
 
+    def test_discrepancy_below_the_floor_is_not_printed_as_digits(self):
+        # sum 1/n^2 against zeta(2) agrees far below the LHS working-precision
+        # floor: the text names the floor, not the roundoff; JSON keeps the float
+        argv = ["--F", "1", "--m", "2", "--z", "0", "--s", "2", "--verify", "600",
+                "--tolerance", "1e-5"]
+        code, text = run(parse_request(argv))
+        assert code == 0
+        assert text.splitlines()[-1] == "verify: PASS (N=600, discrepancy < 9.9e-25)"
+        _, text = run(parse_request(argv + ["--format", "json"]))
+        verification = json.loads(text)["verification"]
+        assert sorted(verification) == ["discrepancy", "lhs", "message", "n_used", "passed", "rhs"]
+        assert isinstance(verification["discrepancy"], float)
+        assert verification["discrepancy"] < 9.9e-25
+        # above the floor, the digits are shown as before
+        argv = ["--F", "x1", "--m", "2", "--z", "0", "--s", "1,1", "--verify", "500",
+                "--tolerance", "1e-6"]
+        _, text = run(parse_request(argv))
+        line = text.splitlines()[-1]
+        assert re.fullmatch(r"verify: PASS \(N=500, discrepancy=\d\.\d{3}e-\d\d\)", line)
+
 
 class TestMain:
     def test_exit_zero(self, capsys):
@@ -239,6 +261,19 @@ class TestMain:
         assert main(["--F", "x1", "--m", "1", "--z", "0", "--s", "0,1"]) == 2
         err = capsys.readouterr().err
         assert "diverges" in err
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        # requests share the parser built at import; --help, a bad flag and a
+        # value that starts with '-' behave as before
+        def refuse(*args, **kwargs):
+            raise AssertionError("a request built a new parser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert parse_request(["--F", "x1", "--z", "-1/2", "--s", "0,2"]).spec.z == F(-1, 2)
+        assert main(["--help"]) == 0
+        assert "usage: zetaform" in capsys.readouterr().out
+        assert main(["--F", "x1", "--s", "0,2", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 class TestExitCodes:

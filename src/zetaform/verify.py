@@ -368,7 +368,7 @@ def _series_mul(a: dict, b: dict, order: int) -> dict:
 
 
 def _harmonic_expansion(r: int, constant: mpf, order: int) -> dict:
-    """H_n^(r)(z) for large x = n + z, through 1/x^order, from its constant.
+    """H_n^(r)(z) for large x = n + z, through 1/x^order, from _SeriesSummer.constants.
 
     H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for
     r = 1 (DLMF 5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).
@@ -410,7 +410,7 @@ def _em_rule(q: int, d: int, k: int, prec: int) -> tuple:
     """
     P, prev = _em_rule(q, d, k - 1, prec)[2] if k else (0,) * d + (1,), ()
     if q + 2 * k == 1:
-        return prev, (0,) * (d + 1) + (_mpf(Fraction(-1, d + 1)),), P
+        return (), (0,) * (d + 1) + (_mpf(Fraction(-1, d + 1)),), P
     for p in range(q + max(2 * k - 2, 0), q + 2 * k):
         prev, P = P, tuple((i + 1) * e - p * c for i, (c, e) in enumerate(zip(P, P[1:] + (0,))))
     b = Fraction(*_bernoulli(2 * k)) / math.factorial(2 * k)

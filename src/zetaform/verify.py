@@ -59,7 +59,7 @@ class VerificationReport:
 
 def _digits_for(abs_err: float) -> int:
     """Working precision, in decimal digits, for a target absolute error."""
-    return max(30, int(-mp.log10(mpf(abs_err))) + 12)
+    return max(30, int(-math.log10(abs_err)) + 12)
 
 
 def _mpf(q: Fraction) -> mpf:
@@ -87,7 +87,11 @@ def _zeta_tail_coeffs(sigma: int, order: int) -> tuple:
         p, (b, d) = sigma - 1 + k, _bernoulli(k)
         nums[p], dens[p] = (b * math.comb(p - 1, k), d * (sigma - 1)) if sigma > 1 else (b, d * k)
     den = math.lcm(*dens)
-    nums = [n * (den // d) for n, d in zip(nums, dens)]
+    return _reduced(den, [n * (den // d) for n, d in zip(nums, dens)])
+
+
+def _reduced(den: int, nums) -> tuple:
+    """(den, nums) with their common factor divided out."""
     g = math.gcd(den, *nums)
     return den // g, tuple(n // g for n in nums)
 
@@ -112,8 +116,7 @@ def _level_expansion(svec: ZetaVector, dps: int) -> tuple:
         for p, b in enumerate(nums):
             if b:
                 out[p] += c * b
-    g = math.gcd(den * lcm, *out)
-    return den * lcm // g, tuple(n // g for n in out)
+    return _reduced(den * lcm, out)
 
 
 def _omitted_orders(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
@@ -325,19 +328,21 @@ class _SeriesSummer:
         truncation = n * unit * (mpf(1) / self.L + self.D * size * tail)
         return truncation + abs(mpf(self.total) / self.scale) * mpf(2) ** (2 - mp.prec)
 
-    def constants(self, a: mpf, logs: list) -> tuple:
+    def constants(self, a: Fraction, logs: list) -> tuple:
         """zeta(r, 1+z) of each H^(r) (-psi(1+z) for r = 1), and a bound on their errors.
 
-        Each is H_M^(r) plus the _tail_order of 1/x^r from a = M + 1 + z, off by less
-        than its remainder, M 2^-wp, and prec + 2r + 8 roundings (two per Euler-Maclaurin
-        step, under prec/2 + r steps; README) of 2^-prec (|H_M| + |tail|).
+        Each is H_M^(r) plus the _tail_order of 1/x^r from the exact a = M + 1 + z, off by
+        less than that tail's bound (remainder and fixed-point error), M 2^-wp, and 8
+        roundings of 2^-prec (|H_M| + |tail|): one for H_M, two for the tail's value, two
+        for ln a of the rounded a (r = 1 only, where |tail| = psi(a) > ln a - 1/a, a > 43),
+        one for the sum, and two to spare.
         """
         constants, error = [], mpf(0)
         for i, h in enumerate(self.harmonics):
             r, h = (i + 1) * self.spec.m, mp.ldexp(h, -self.wp)
             tail, remainder = _tail_order({(0, 0): 1}, r, 0, a, logs)
             constants.append(h + tail)
-            rounding = mp.ldexp((abs(h) + abs(tail)) * (mp.prec + 2 * r + 8), -mp.prec)
+            rounding = mp.ldexp((abs(h) + abs(tail)) * 8, -mp.prec)
             error = max(error, remainder + mp.ldexp(self.n, -self.wp) + rounding)
         return constants, error
 
@@ -399,46 +404,76 @@ def _summand_expansion(spec: SeriesSpec, order: int, constants: list) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _em_rule(q: int, d: int, k: int, prec: int) -> tuple:
-    """Step k of Euler-Maclaurin for f = ln^d(x) / x^q: (term, remainder bound, P_2k).
+def _em_rule(q: int, d: int, k: int) -> tuple:
+    """Step k of Euler-Maclaurin for f = ln^d(x) / x^q, in integers: (term, remainder bound, P_2k).
 
     f^(n)(x) = P_n(ln x) / x^(q+n), P_0 = L^d, P_(n+1) = P_n' - (q+n) P_n;
     int_A^oo w |P_2k|(ln x) / x^p dx = A^(1-p) Q(ln A), Q = (w |P_2k| + Q') / (p-1).
-    Term B_2k/(2k)! P_(2k-1) and bound Q, p = q + 2k, w = 2 |B_2k|/(2k)!, for K = k,
-    over A^(1-q-2k) as coefficients of ln^i(A); k = 0 has no term and the integral of f,
-    for q = 1 the regularized -ln^(d+1)(A)/(d+1), so 1/x sums to -psi(A) (K >= 1).
+    Term B_2k/(2k)! P_(2k-1) and bound Q, p = q + 2k, w = 2 |B_2k|/(2k)!, for K = k, over
+    A^(1-q-2k) as (den, numerators of ln^i(A)): the term over (2k)! den(B_2k), Q over one
+    reduced denominator.  k = 0 has no term and the integral of f, for q = 1 the regularized
+    -ln^(d+1)(A)/(d+1), so 1/x sums to -psi(A) (K >= 1).  Exact; no precision in the key.
     """
-    P, prev = _em_rule(q, d, k - 1, prec)[2] if k else (0,) * d + (1,), ()
+    P, prev = _em_rule(q, d, k - 1)[2] if k else (0,) * d + (1,), ()
     if q + 2 * k == 1:
-        return (), (0,) * (d + 1) + (_mpf(Fraction(-1, d + 1)),), P
+        return (1, ()), (d + 1, (0,) * (d + 1) + (-1,)), P
     for p in range(q + max(2 * k - 2, 0), q + 2 * k):
         prev, P = P, tuple((i + 1) * e - p * c for i, (c, e) in enumerate(zip(P, P[1:] + (0,))))
-    b = Fraction(*_bernoulli(2 * k)) / math.factorial(2 * k)
-    w, Q = 2 * abs(b) if k else 1, [Fraction(0)] * (d + 2)
+    b, den = _bernoulli(2 * k)
+    den, p1 = den * math.factorial(2 * k), q + 2 * k - 1
+    w, Q = 2 * abs(b) if k else 1, [0] * (d + 2)
+    # Q[t] = N[t] / (den p1^(d+1)): N[t] holds the factor p1^t, so each // is exact
     for t in range(d, -1, -1):
-        Q[t] = (w * abs(P[t]) + (t + 1) * Q[t + 1]) / (q + 2 * k - 1)
-    return tuple(_mpf(b * c) for c in prev), tuple(map(_mpf, Q[:-1])), P
+        Q[t] = (w * abs(P[t]) * p1 ** (d + 1) + (t + 1) * Q[t + 1]) // p1
+    return (den, tuple(b * c for c in prev)), _reduced(den * p1 ** (d + 1), Q[:-1]), P
 
 
-def _tail_order(coeffs: dict, S: int, j: int, a: mpf, logs: list) -> tuple:
-    """(sum over n > M of the order-j terms, a = M + 1 + z; remainder bound).
+def _row(row: tuple, L: list, power: int, x_power: int) -> tuple:
+    """floor(row(ln a) a^-2k 2^W), a^-2k = power / x_power, and its error bound, in units.
 
-    Euler-Maclaurin as in verify_identity; logs[i] = ln^i(a).  Per term c ln^d(x)/x^q, K is
-    the first with |c R_K| <= 2^-prec; the bound is infinite if R_K stops shrinking first.
+    L[i] = floor(ln^i(a) 2^W) is short of ln^i(a) 2^W by under a unit, so the error is
+    under one unit for the floor plus sum |row| a^-2k.
     """
-    q, scale, u, value, bound = S + j, a ** (1 - S - j), a**-2, mpf(0), mpf(0)
+    den, nums = row
+    div = den * x_power
+    return sum(map(mul, nums, L)) * power // div, 1 - (-sum(map(abs, nums)) * power // div)
+
+
+def _tail_order(coeffs: dict, S: int, j: int, a: Fraction, logs: list) -> tuple:
+    """(sum over n > M of the order-j terms, a = M + 1 + z exact; bound).
+
+    Euler-Maclaurin as in verify_identity; logs[i] = ln^i(a).  A term c ln^d(x)/x^q is
+    c a^(1-q) times a sum of _em_rule rows at ln a over a^2k, each taken by _row in fixed
+    point at W = prec + GUARD_BITS + mag(c a^(1-q)) bits, so the target
+    2^-prec / |c a^(1-q)| is at least 2^GUARD_BITS units.  a^-2k = qa^2k / X^2k is exact
+    (a = X/qa).  K is the first with R_K plus the error of the rows used, f(a)/2's
+    included, at most the target; the bound, that sum, is infinite if R_K stops
+    shrinking first.  The logs' own rounding and the conversion to mpf (three roundings)
+    are the caller's.
+    """
+    q, X, qa = S + j, a.numerator, a.denominator
+    top, bottom = qa ** (q - 1), X ** (q - 1)  # a^(1-q)
+    scale, value, bound = mpf(top) / bottom, mpf(0), mpf(0)
     for d, c in ((d, c) for (jj, d), c in coeffs.items() if jj == j and c):
-        target, power, last = mp.ldexp(1, -mp.prec) / abs(c * scale), 1, mp.inf
-        total = mp.fdot(_em_rule(q, d, 0, mp.prec)[1], logs) + logs[d] / (2 * a)
+        size = abs(c * scale)
+        W = mp.prec + GUARD_BITS + mp.mag(size)
+        target = int(mp.ldexp(1 / size, W - mp.prec))
+        L = [int(mp.ldexp(x, W)) for x in logs]
+        total, error = _row(_em_rule(q, d, 0)[1], L, 1, 1)
+        # f(a)/2 = ln^d(a) qa / (2 X): a floor, and L[d]'s truncation times 1/(2a) < 1
+        total, error = total + L[d] * qa // (2 * X), error + 2
+        power, x_power, last = 1, 1, math.inf
         for k in count(1):
-            term, rem, _ = _em_rule(q, d, k, mp.prec)
-            power *= u
-            r = mp.fdot(rem, logs) * power
-            if r <= target or r >= last:
+            term, rem, _ = _em_rule(q, d, k)
+            power, x_power = power * qa * qa, x_power * X * X
+            r, r_error = _row(rem, L, power, x_power)
+            if r + r_error + error <= target or r >= last:
                 break
-            total, last = total - mp.fdot(term, logs) * power, r
-        value += c * scale * total
-        bound += abs(c) * scale * r if r <= target else mp.inf
+            t, t_error = _row(term, L, power, x_power)
+            total, error, last = total - t, error + t_error, r
+        value += mp.ldexp(c * (total * top), -W) / bottom
+        stated = r + r_error + error
+        bound += mp.ldexp(size * stated, -W) if stated <= target else mp.inf
     return value, bound
 
 
@@ -446,11 +481,12 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     """(estimate, terms summed, working-precision floor) of the raw series; see verify_identity.
 
     The head comes first (summer.constants); a tail point too small for the precision
-    doubles it and the summer goes on.  The bound adds the omitted orders' tail, the
+    doubles it and the summer goes on.  Tail points are exact, with logs of the rounded
+    point.  The bound adds the omitted orders' tail, the
     change at the half head, the remainders, the constants' drift (0 < H_n^(r) < |C_r|
     + 1 + ln x: under e D |F|(|C|+1) sum (1+ln x)^D/x^S), a floor and the head's bound.
     """
-    S, D, zz, target = sum(spec.s), spec.F.degree(), _mpf(spec.z), mpf(tol) / 1000
+    S, D, target = sum(spec.s), spec.F.degree(), mpf(tol) / 1000
     n_head, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec)
     # H^(r) has no terms of orders 1..r-2, so fewer vanishing orders in a row
     # say nothing about the next ones
@@ -458,7 +494,7 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     while True:
         n_half = (n_head + 1) // 2
         head_half, head = summer.advance_to(n_half), summer.advance_to(n_head)
-        points = (n_half + 1 + zz, n_head + 1 + zz)
+        points = (n_half + 1 + spec.z, n_head + 1 + spec.z)
         half, full = [(a, [mp.log(a) ** i for i in range(D + 1)]) for a in points]
         constants, error = summer.constants(*full)
         order, at_half = max(8, run), []

@@ -19,6 +19,7 @@ from zetaform.verify import (
     DeskLimitError,
     _SeriesSummer,
     _digits_for,
+    _em_rule,
     _level_expansion,
     _tail_order,
     _zeta_tail_coeffs,
@@ -524,27 +525,38 @@ class TestSeriesLimit:
 class TestEulerMaclaurinTail:
     """Each ln^d(x)/x^q tail against mpmath's Hurwitz zeta derivatives."""
 
-    @pytest.mark.parametrize("dps", [30, 45])
+    @pytest.mark.parametrize("dps", [30, 45, 72])
     @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3)])
     @pytest.mark.parametrize("base", [21, 301])
     def test_within_stated_remainder(self, base, z, dps):
+        # tiny and huge coefficients pin each term's fixed-point width to its size;
+        # the terms bottom out near e^(-2 pi a) of the sum, so an absolute target
+        # ulp / |c| below that is out of reach (at a = 21: c = 1e30, or 72 digits)
         with mp.workdps(dps):
-            a = base + mpf(z.numerator) / z.denominator
+            a = base + z
             logs = [mp.log(a) ** i for i in range(5)]
             ulp = mp.ldexp(1, -mp.prec)
             # q = 1: the regularized sum of 1/x from a is -psi(a)
             for q, d in [(1, 0), *itertools.product(range(2, 14), range(5))]:
-                value, remainder = _tail_order({(0, d): 1}, q, 0, a, logs)
-                assert remainder <= ulp
-                with mp.workdps(dps + 20):
-                    reference = -mp.psi(0, a) if q == 1 else (-1) ** d * zeta(q, a, d)
-                    err = abs(value - reference)
-                assert err <= remainder + 8 * ulp * abs(reference), (q, d, err, remainder)
+                # mpmath's zeta(q, a) is good to about 10^-(dps+10) absolute, and
+                # c = 1e30 scales values near 1e-31: 20 digits, plus 30 for c
+                with mp.workdps(dps + 50):
+                    f_sum = -mp.psi(0, a) if q == 1 else (-1) ** d * zeta(q, a, d)
+                for c in [1, mpf("1e-30"), mpf("1e30")]:
+                    value, remainder = _tail_order({(0, d): c}, q, 0, a, logs)
+                    if abs(c) / ulp > mp.exp(2 * mp.pi * a):
+                        assert remainder == inf, (c, q, d)
+                        continue
+                    assert remainder <= ulp
+                    with mp.workdps(dps + 50):
+                        reference = c * f_sum
+                        err = abs(value - reference)
+                    assert err <= remainder + 8 * ulp * abs(reference), (c, q, d, err, remainder)
 
     def test_remainder_is_infinite_when_a_is_too_small(self):
         # the remainder bound bottoms out near e^(-2 pi a) ~ 1e-6 at a = 2
         with mp.workdps(30):
-            a = mpf(2)
+            a = F(2)
             value, remainder = _tail_order({(0, 0): 1}, 2, 0, a, [mpf(1)])
             assert remainder == mp.inf
             assert abs(value - zeta(2, a)) < 1e-3
@@ -583,7 +595,7 @@ class TestShiftNearMinusOne:
             with mp.workdps(30):
                 summer = _SeriesSummer(SeriesSpec(X1, r, z, (2,)))
                 summer.advance_to(44)
-                a = 45 + mpf(z.numerator) / z.denominator
+                a = 45 + z
                 (value,), _ = summer.constants(a, [mpf(1), mp.log(a)])
                 ulp = mp.ldexp(1, -mp.prec)
             with mp.workdps(60):
@@ -605,7 +617,7 @@ class TestLhsConstants:
         with mp.workdps(_digits_for(tol)):
             summer = _SeriesSummer(SeriesSpec(Polynomial.variable(6), 1, z, (2,)))
             summer.advance_to(M)
-            a = M + 1 + mpf(z.numerator) / z.denominator
+            a = M + 1 + z
             constants, error = summer.constants(a, [mpf(1), mp.log(a)])
         assert len(constants) == 6 and error < inf
         with mp.workdps(_digits_for(tol) + 20):
@@ -636,6 +648,13 @@ class TestLazyVerifier:
 
 
 class TestMhzMemo:
+    def test_digits_do_not_depend_on_the_ambient_precision(self):
+        # closed_form_numeric asks mhz_numeric for values inside its own workdps
+        for abs_err, digits in [(1e-5, 30), (1e-22, 34), (1e-25, 37), (1e-30, 42), (1e-60, 72)]:
+            assert _digits_for(abs_err) == digits
+            with mp.workdps(60):
+                assert _digits_for(abs_err) == digits
+
     def test_value_does_not_depend_on_earlier_requests(self):
         from zetaform import verify
 
@@ -722,7 +741,50 @@ def _reference_level_expansion(svec, dps):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_em_rule(q, d, k):
+    # reference: the Euler-Maclaurin step recurrence in Fraction arithmetic
+    P, prev = _reference_em_rule(q, d, k - 1)[2] if k else (0,) * d + (1,), ()
+    if q + 2 * k == 1:
+        return (), (0,) * (d + 1) + (F(-1, d + 1),), P
+    for p in range(q + max(2 * k - 2, 0), q + 2 * k):
+        prev, P = P, tuple((i + 1) * e - p * c for i, (c, e) in enumerate(zip(P, P[1:] + (0,))))
+    b = F(*bernfrac(2 * k)) / math.factorial(2 * k)
+    w, Q = 2 * abs(b) if k else 1, [F(0)] * (d + 2)
+    for t in range(d, -1, -1):
+        Q[t] = (w * abs(P[t]) + (t + 1) * Q[t + 1]) / (q + 2 * k - 1)
+    return tuple(b * c for c in prev), tuple(Q[:-1]), P
+
+
 class TestIntegerExpansions:
+    def test_em_rules_are_exact(self):
+        for q, d, k in itertools.product(range(1, 13), range(5), range(15)):
+            (term_den, term), (rem_den, rem), P = _em_rule(q, d, k)
+            reference = _reference_em_rule(q, d, k)
+            assert [F(c, term_den) for c in term] == list(reference[0]), (q, d, k)
+            assert [F(c, rem_den) for c in rem] == list(reference[1]), (q, d, k)
+            assert P == reference[2], (q, d, k)
+
+    def test_em_rules_hold_only_ints(self, monkeypatch):
+        # every rule a tol 1e-60 verification builds or reuses holds Python ints only
+        from zetaform import verify
+
+        rule, rules = verify._em_rule, []
+
+        def recorded(*key):
+            rules.append(rule(*key))
+            return rules[-1]
+
+        monkeypatch.setattr(verify, "_em_rule", recorded)
+        spec = SeriesSpec(X1 * X1, 1, F(-1, 3), (0, 2))
+        assert verify_identity(spec, closed_form(spec), tol=1e-60, N=1).passed
+        assert len(rules) > 1000
+
+        def ints(x):
+            return all(map(ints, x)) if isinstance(x, tuple) else type(x) is int
+
+        assert all(map(ints, rules))
+
     @pytest.mark.parametrize("dps", [30, 44])
     def test_zeta_tail_coeffs_are_exact(self, dps):
         for sigma in range(1, 41):

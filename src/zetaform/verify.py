@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
@@ -31,6 +31,7 @@ DESK_MAX_WEIGHT = 10
 DESK_MAX_TERMS = 10**6
 HEAD_BLOCK = 256  # raw-series terms summed per pass of list operations
 _bernoulli = lru_cache(maxsize=None)(bernfrac)
+_add_up, _mul_up, _div_up = (partial(f, rounding="u") for f in (mp.fadd, mp.fmul, mp.fdiv))
 
 
 class DeskLimitError(ValueError):
@@ -351,55 +352,65 @@ class _SeriesSummer:
 # Raw-series limit: exact head plus an Euler-Maclaurin tail with a stated remainder
 # ---------------------------------------------------------------------------
 
-# With x = n + z, each H_n^(r)(z) is a constant plus ln x (r = 1 only) plus a
-# power series in 1/x with Bernoulli-number coefficients, and each
-# 1/(x+i)^e is x^-e (1 + i/x)^-e.  Multiplied through F, the summand becomes
-# sum c[j, d] ln^d(x) / x^(S+j), S = sum(s).  Expansions are dicts {(j, d): c}
-# standing for sum c ln^d(x) / x^j; _tail_order sums them past the head.
+# With x = n + z and 1/(x+i)^e = x^-e (1 + i/x)^-e, the summand times x^S, S = sum(s),
+# expands in ln^d(x) / x^j.  An expansion through an order is a dict {(j, d): c},
+# sum c ln^d(x) / x^j, with a majorant u_d at (order + 1, d) of the rest for x >= A (a
+# Taylor model).  There ln^d(x)/x^j <= inv[j-k] ln^d(x)/x^k for j >= k, inv[i] = A^-i,
+# so terms past an order fold into it.  Majorants are rounded up.
 
 LHS_HEAD_FLOOR = 20
 _MAX_ORDER = 64
 
 
-def _series_mul(a: dict, b: dict, order: int) -> dict:
-    """Product of two expansions, dropping powers of 1/x beyond order."""
+def _series_mul(a: dict, b: dict, order: int, inv: list) -> dict:
+    """Product through 1/x^order; the pairs past it fold in through folds[k], b from order k on."""
+    folds = [{d: abs(c) for (jj, d), c in b.items() if jj == j} for j in range(order + 2)]
+    for k in range(order, -1, -1):
+        for d, u in folds[k + 1].items():
+            folds[k][d] = _add_up(folds[k].get(d, 0), _mul_up(u, inv[1]))
     out: dict = {}
     for (j1, d1), c1 in a.items():
         for (j2, d2), c2 in b.items():
             if j1 + j2 <= order:
                 key = (j1 + j2, d1 + d2)
                 out[key] = out.get(key, 0) + c1 * c2
+        for d2, u in folds[order + 1 - j1].items():
+            out[order + 1, d1 + d2] = _add_up(out.get((order + 1, d1 + d2), 0), _mul_up(abs(c1), u))
     return out
 
 
-def _harmonic_expansion(r: int, constant: mpf, order: int) -> dict:
+def _harmonic_expansion(r: int, constant: mpf, order: int, inv: list) -> dict:
     """H_n^(r)(z) for large x = n + z, through 1/x^order, from _SeriesSummer.constants.
 
-    H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for
-    r = 1 (DLMF 5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).
+    H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for r = 1 (DLMF
+    5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).  The majorant folds the
+    terms past order through the first Euler-Maclaurin step K past it and its remainder.
     """
-    den, nums = _zeta_tail_coeffs(r, order)
+    K = max(1, (order + 3 - r) // 2)
+    den, nums = _zeta_tail_coeffs(r, r - 2 + 2 * K)
+    rem_den, (rem,) = _em_rule(r, 0, K)[1]
+    past = [_div_up(abs(c), den) for c in nums[order + 1 :]] + [_div_up(rem, rem_den)]
     out = {(0, 0): constant, (0, 1): mpf(1)} if r == 1 else {(0, 0): constant}
-    return out | {(p, 0): -_mpf(Fraction(c, den)) for p, c in enumerate(nums) if c}
+    out |= {(p, 0): -_mpf(Fraction(c, den)) for p, c in enumerate(nums[: order + 1]) if c}
+    return out | {(order + 1, 0): reduce(_add_up, map(_mul_up, past, inv))}
 
 
-def _summand_expansion(spec: SeriesSpec, order: int, constants: list) -> dict:
+def _summand_expansion(spec: SeriesSpec, order: int, constants: list, inv: list) -> dict:
     """x^S times the summand F(H..)/prod (x+i)^s_i, through 1/x^order."""
-    harmonics = [_harmonic_expansion((i + 1) * spec.m, c, order) for i, c in enumerate(constants)]
+    harmonics = [_harmonic_expansion(i * spec.m, c, order, inv) for i, c in enumerate(constants, 1)]
     out: dict = {}
     for exps, c in spec.F.terms.items():
         term = {(0, 0): _mpf(c)}
         for h, e in zip(harmonics, exps):
             for _ in range(e):
-                term = _series_mul(term, h, order)
+                term = _series_mul(term, h, order, inv)
         for key, v in term.items():
-            out[key] = out.get(key, 0) + v
+            out[key] = (_add_up if key[0] > order else add)(out.get(key, 0), v)
     for i, e in enumerate(spec.s):
         if i and e:
-            binomial = {
-                (j, 0): mpf((-i) ** j * math.comb(e + j - 1, j)) for j in range(order + 1)
-            }
-            out = _series_mul(out, binomial, order)
+            binomial = {(j, 0): (-i) ** j * math.comb(e + j - 1, j) for j in range(order + 2)}
+            binomial[order + 1, 0] = abs(binomial[order + 1, 0])  # Lagrange remainder
+            out = _series_mul(out, binomial, order, inv)
     return out
 
 
@@ -480,51 +491,42 @@ def _tail_order(coeffs: dict, S: int, j: int, a: Fraction, logs: list) -> tuple:
 def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     """(estimate, terms summed, working-precision floor) of the raw series; see verify_identity.
 
-    The head comes first (summer.constants); a tail point too small for the precision
-    doubles it and the summer goes on.  Tail points are exact, with logs of the rounded
-    point.  The bound adds the omitted orders' tail, the
-    change at the half head, the remainders, the constants' drift (0 < H_n^(r) < |C_r|
-    + 1 + ln x: under e D |F|(|C|+1) sum (1+ln x)^D/x^S), a floor and the head's bound.
+    One tail point A = M + 1 + z, exact, with logs of the rounded point.  Folded to
+    order 0, the orders past those kept and the majorant sum past M to at most their
+    weights times tails[d] >= sum_{x >= A} ln^d(x)/x^S.  The bound adds that, the
+    constants' drift (0 < H_n^(r) < |C_r| + 1 + ln x: under e D |F|(|C|+1) (1+ln x)^D),
+    the kept orders' remainders, a floor (every value's roundings) and the head's bound.
     """
     S, D, target = sum(spec.s), spec.F.degree(), mpf(tol) / 1000
     n_head, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec)
-    # H^(r) has no terms of orders 1..r-2, so fewer vanishing orders in a row
-    # say nothing about the next ones
-    run = max(2, spec.m * spec.F.max_variable() - 1)
     while True:
-        n_half = (n_head + 1) // 2
-        head_half, head = summer.advance_to(n_half), summer.advance_to(n_head)
-        points = (n_half + 1 + spec.z, n_head + 1 + spec.z)
-        half, full = [(a, [mp.log(a) ** i for i in range(D + 1)]) for a in points]
-        constants, error = summer.constants(*full)
-        order, at_half = max(8, run), []
-        coeffs = _summand_expansion(spec, order, constants)
-        # grow the expansion until `run` consecutive orders of the tail from the
-        # half point are negligible; those are the omitted ones
-        while True:
-            j = len(at_half)
-            if j > order:
-                if order >= _MAX_ORDER:
-                    break
-                order *= 2
-                coeffs = _summand_expansion(spec, order, constants)
-            at_half.append(_tail_order(coeffs, S, j, *half))
-            negligible = j >= run - 1 and sum(abs(t) for t, _ in at_half[-run:]) <= target
-            if negligible or at_half[-1][1] == mp.inf:  # inf: retried with a longer head
-                break
-        at_full = [_tail_order(coeffs, S, j, *full) for j in range(len(at_half))]
-        remainders = sum(r for _, r in at_half + at_full)
-        if remainders + error < mp.inf:
+        head, a = summer.advance_to(n_head), n_head + 1 + spec.z
+        logs = [mp.log(a) ** i for i in range(D + 1)]
+        constants, error = summer.constants(a, logs)
+        tails = [_add_up(*_tail_order({(0, d): 1}, S, 0, a, logs)) for d in range(D + 1)]
+        size = D * error * spec.F.evaluate([abs(c) + 1 for c in constants], lambda c: abs(_mpf(c)))
+        spread = reduce(_add_up, (_mul_up(math.comb(D, d), t) for d, t in enumerate(tails)))
+        drift = _mul_up(size, spread)  # the tail of size (1 + ln x)^D / x^S
+        order, fit, inv = 2, 0, [mpf(1), _div_up(a.denominator, a.numerator)]  # 4 first
+        while fit < 1 and order < _MAX_ORDER and drift + sum(tails) < mp.inf:
+            order *= 2
+            while len(inv) < order + 2 + spec.m * spec.F.max_variable():
+                inv.append(_mul_up(inv[-1], inv[1]))
+            coeffs = _summand_expansion(spec, order, constants, inv)
+            weights = [mpf(0)] * (order + 2)
+            for (j, d), c in coeffs.items():
+                weights[j] = _add_up(weights[j], _mul_up(_mul_up(abs(c), inv[j]), tails[d]))
+            pasts = list(accumulate(reversed(weights), _add_up, initial=mpf(0)))
+            fit = sum(p <= target for p in pasts) - 1
+        kept, majorant = (order + 2 - fit, pasts[fit]) if fit >= 1 else (0, mp.inf)
+        sums = [_tail_order(coeffs, S, j, a, logs) for j in range(kept)]
+        remainders = sum(r for _, r in sums)
+        if majorant + remainders < mp.inf:
             break
-        n_head *= 2  # a tail point too small for the working precision
-    kept = len(at_half) - run
-    est_half = head_half + sum(t for t, _ in at_half[:kept])
-    est = head + sum(t for t, _ in at_full[:kept])
-    omitted = sum(abs(t) for t, _ in at_full[kept:])
-    size = D * error * spec.F.evaluate([abs(c) + 1 for c in constants], lambda c: abs(_mpf(c)))
-    drift = sum(_tail_order({(0, d): math.comb(D, d) * size for d in range(D + 1)}, S, 0, *full))
+        n_head *= 2
+    est = head + sum(t for t, _ in sums)
     floor = n_head * mpf(10) ** (3 - mp.dps) * max(1, abs(est))
-    bound = omitted + abs(est - est_half) + remainders + drift + floor + summer.error_bound()
+    bound = majorant + drift + remainders + floor + summer.error_bound()
     return NumericResult(est, float(bound)), n_head, floor
 
 
@@ -542,14 +544,12 @@ def verify_identity(
     f = ln^d(x)/x^q, x = n + z, each summed from A = N + 1 + z by Euler-Maclaurin,
     int_A^oo f + f(A)/2 - sum_{k<K} B_2k/(2k)! f^(2k-1)(A), with K such that the
     remainder bound 2 |B_2K|/(2K)! int_A^oo |f^(2K)| is at most 2^-prec / |c|
-    (DLMF 2.10.1-2.10.2, as |B~_2K - B_2K| <= 2 |B_2K|).  The expansion grows until
-    two consecutive orders of the tail past ceil(N/2) are below tol/1000 (more when
-    F holds H^(r), r > 3, whose expansion skips orders 1..r-2).  _series_limit
-    states the LHS bound.  N is raised to 2 * (LHS_HEAD_FLOOR + len(s)) when
-    smaller, and doubled while the Euler-Maclaurin terms, which bottom out near
-    e^(-2 pi A), cannot reach that remainder; ``n_used`` is the head summed and
-    ``floor`` its working-precision floor.  Precision follows tol as in
-    closed_form_numeric.  ``passed`` means |LHS - RHS| <= tol + LHS + RHS bound.
+    (DLMF 2.10.1-2.10.2, as |B~_2K - B_2K| <= 2 |B_2K|).  The expansion keeps the
+    fewest orders whose stated majorant past them is at most tol/1000 (_series_limit
+    states the LHS bound); N is raised to 2 * (LHS_HEAD_FLOOR + len(s)) when smaller
+    and doubled while A is too small for either (the terms bottom out near e^(-2 pi A)).
+    ``n_used`` is the head summed, ``floor`` its working-precision floor; precision
+    follows tol as in closed_form_numeric; ``passed``: |LHS - RHS| <= tol + both bounds.
     """
     if cf.shift != spec.z or cf.order != spec.m:
         raise ValueError("closed form metadata does not match the series spec")

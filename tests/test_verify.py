@@ -11,6 +11,8 @@ from fractions import Fraction as F
 import pytest
 from mpmath import bernfrac, inf, log, mp, mpf, pi, quad, zeta
 
+from test_golden import cases
+from zetaform import cli, verify
 from zetaform.engine import ClosedForm, SeriesSpec, closed_form
 from zetaform.qsym import Polynomial
 from zetaform.verify import (
@@ -21,6 +23,7 @@ from zetaform.verify import (
     _digits_for,
     _em_rule,
     _level_expansion,
+    _mpf,
     _tail_order,
     _zeta_tail_coeffs,
     closed_form_numeric,
@@ -441,20 +444,25 @@ class TestSeriesLimit:
         assert rep.passed and lhs.abs_err_bound + rep.rhs_value.abs_err_bound <= tol
 
     def test_expansion_with_skipped_orders(self):
-        # H^(6) expands as zeta(6) - x^-5/5 + ..., with no orders 1..4; with
-        # the stuffle sum_n H_n^(6)/n^2 + H_n^(2)/n^6 = zeta(2)zeta(6) + zeta(8)
-        gap = SeriesSpec(Polynomial.variable(3), 2, 0, (2,))
-        other = SeriesSpec(X1, 2, 0, (6,))
-        reps = [
-            verify_identity(spec, closed_form(spec), tol=1e-12, N=100)
-            for spec in (gap, other)
-        ]
-        for rep in reps:
-            assert rep.passed
-            assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-12
-        with mp.workdps(50):
-            err = abs(sum(r.lhs_estimate.value for r in reps) - zeta(2) * zeta(6) - zeta(8))
-        assert err <= sum(r.lhs_estimate.abs_err_bound for r in reps)
+        # the stuffle sum_n H_n^(r)/n^s + H_n^(s)/n^r = zeta(r)zeta(s) + zeta(r+s):
+        # H^(6) expands as zeta(6) - x^-5/5 + ..., with no orders 1..4, and the
+        # x^-7/7 and -x^-8/2 of H^(8) lie past a low expansion order
+        for r, s, total in [
+            (6, 2, lambda: zeta(2) * zeta(6) + zeta(8)),
+            (8, 2, lambda: zeta(2) * zeta(8) + zeta(10)),
+        ]:
+            gap = SeriesSpec(Polynomial.variable(r // s), s, 0, (s,))
+            other = SeriesSpec(X1, s, 0, (r,))
+            reps = [
+                verify_identity(spec, closed_form(spec), tol=1e-12, N=100)
+                for spec in (gap, other)
+            ]
+            for rep in reps:
+                assert rep.passed
+                assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-12
+            with mp.workdps(50):
+                err = abs(sum(rep.lhs_estimate.value for rep in reps) - total())
+            assert err <= sum(rep.lhs_estimate.abs_err_bound for rep in reps), r
 
     @pytest.mark.parametrize(
         "spec",
@@ -492,15 +500,26 @@ class TestSeriesLimit:
         rep = verify_identity(spec, closed_form(spec), tol=1e-8, N=1)
         assert rep.passed and rep.n_used == 44  # 2 * (20 + len(s))
 
-    def test_head_raised_for_tight_tolerance(self):
-        # at the floor, A = 22 + 2/3, the Euler-Maclaurin terms bottom out near
-        # e^(-2 pi A) ~ 1e-62, above the 72-digit target: the head must grow
+    def test_head_raised_for_tight_tolerance(self, monkeypatch):
+        # with a head floor of 14, A = 14 + 2/3 and the Euler-Maclaurin terms bottom
+        # out near e^(-2 pi A) ~ 1e-40, above the 52-digit target: the head must grow
+        monkeypatch.setattr(verify, "LHS_HEAD_FLOOR", 5)
         spec = SeriesSpec(X1 * X1, 1, F(-1, 3), (0, 2))
         start = time.perf_counter()
-        rep = verify_identity(spec, closed_form(spec), tol=1e-60, N=1)
-        assert time.perf_counter() - start < 20  # about 0.5 s on a 2-vCPU VM
-        assert rep.passed and rep.n_used >= 44
-        assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-60
+        rep = verify_identity(spec, closed_form(spec), tol=1e-40, N=1)
+        assert time.perf_counter() - start < 20  # about 0.1 s on a 2-vCPU VM
+        assert rep.passed and rep.n_used > 14
+        assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-40
+
+    def test_constants_drift_does_not_grow_the_head(self):
+        # near z = -1 the constants are near 1e18, and their drift alone is far above
+        # tol/1000 at any head length: it goes into the bound, and the head stays N
+        spec = SeriesSpec(X1 * X2, 1, F(-999999, 1000000), (0, 0, 3))
+        start = time.perf_counter()
+        rep = verify_identity(spec, closed_form(spec), tol=1e-20, N=600)
+        assert time.perf_counter() - start < 20  # about 0.2 s on a 2-vCPU VM
+        assert rep.passed and rep.n_used == 600
+        assert rep.lhs_estimate.abs_err_bound >= rep.discrepancy
 
     @pytest.mark.parametrize("N", [0, -3])
     def test_rejects_nonpositive_n(self, N):
@@ -520,6 +539,89 @@ class TestSeriesLimit:
         spec = SeriesSpec(X1, 2, 0, (1, 1))
         with pytest.raises(ValueError):
             verify_identity(spec, closed_form(spec), tol=tol, N=100)
+
+
+class TestTaylorModel:
+    """Each truncated expansion's majorant bounds what it leaves out, for every x >= A."""
+
+    @staticmethod
+    def inv(A, n):
+        return [mpf(A.denominator) ** i / A.numerator**i for i in range(n)]
+
+    @staticmethod
+    def at(expansion, x, order):
+        """(sum of the terms through order, the majorant) at x."""
+        terms = sum(c * log(x) ** d / x**j for (j, d), c in expansion.items() if j <= order)
+        rest = sum(c * log(x) ** d for (j, d), c in expansion.items() if j > order)
+        return terms, rest / x ** (order + 1)
+
+    @staticmethod
+    def model(poly, order, A):
+        """poly through order, the terms past it folded at A into its majorant."""
+        out = {key: _mpf(F(c)) for key, c in poly.items() if key[0] <= order}
+        for (j, d), c in poly.items():
+            if j > order:
+                out[order + 1, d] = out.get((order + 1, d), 0) + abs(c) * _mpf(A) ** (order + 1 - j)
+        return out
+
+    @pytest.mark.parametrize("order", [1, 4, 9])
+    def test_product_of_polynomials(self, order):
+        # coefficients growing like (2A)^j make the pairs far past order the largest
+        # at x = A, so every dropped pair must reach the majorant
+        A = F(131, 3)
+        grow = {(j, j % 2): (-2 * A) ** j for j in range(order + 5)}
+        mixed = {(j, j // 3 % 2): F((-1) ** j * 7, j + 1) for j in range(order + 3)}
+        with mp.workdps(60):
+            for a, b in [(grow, grow), (grow, mixed), (mixed, mixed)]:
+                ma, mb = self.model(a, order, A), self.model(b, order, A)
+                product = verify._series_mul(ma, mb, order, self.inv(A, order + 2))
+                for x in [_mpf(A), _mpf(A) * 3 / 2, _mpf(A) * 10, mpf(10) ** 6]:
+                    exact = self.at(a, x, len(a))[0] * self.at(b, x, len(b))[0]
+                    terms, rest = self.at(product, x, order)
+                    assert abs(exact - terms) <= rest * (1 + mpf(10) ** -40), (order, x)
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "poly, m, z, s",
+        [
+            (X1 * X1 - X2, 1, F(-1, 3), (1, 2, 1)),
+            (Polynomial.variable(4), 2, F(0), (2,)),  # H^(8): nothing kept below order 7
+            (X1 * X1 * X1, 1, F(-1, 2), (0, 1, 0, 3)),
+        ],
+    )
+    def test_summand(self, poly, m, z, s, order):
+        # the raw summand x^S F(H..)/prod (x+i)^s_i against its expansion from A on
+        spec, A = SeriesSpec(poly, m, z, s), F(43) + z
+        with mp.workdps(60):
+            orders = [r * m for r in range(1, poly.max_variable() + 1)]
+            shift = 1 + _mpf(z)
+            constants = [-mp.psi(0, shift) if r == 1 else zeta(r, shift) for r in orders]
+            coeffs = verify._summand_expansion(spec, order, constants, self.inv(A, order + 12))
+            for n in [43, 44, 86, 430]:
+                x = n + _mpf(z)
+                harmonics = [mp.fsum((k + _mpf(z)) ** -r for k in range(1, n + 1)) for r in orders]
+                exact = poly.evaluate(harmonics, _mpf)
+                for i, e in enumerate(s):
+                    exact *= (x / (x + i)) ** e
+                terms, rest = self.at(coeffs, x, order)
+                assert abs(exact - terms) <= rest, (order, n, exact - terms, rest)
+
+
+class TestGoldenCorpusBound:
+    """The stated LHS bound against the closed form, over the golden rendering corpus."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-20])
+    @pytest.mark.parametrize("cid, argv", cases(), ids=[cid for cid, _ in cases()])
+    def test_bound_covers_closed_form(self, cid, argv, tol):
+        spec = cli.parse_request(list(argv)).spec
+        cf = closed_form(spec)
+        rep = verify_identity(spec, cf, tol=tol, N=600)
+        lhs = rep.lhs_estimate
+        reference = closed_form_numeric(cf, tol * 1e-15)
+        with mp.workdps(_digits_for(tol * 1e-15)):
+            err = abs(lhs.value - reference.value) + reference.abs_err_bound
+        assert err <= lhs.abs_err_bound, (float(err), lhs.abs_err_bound)
+        assert lhs.abs_err_bound + rep.rhs_value.abs_err_bound <= tol
 
 
 class TestEulerMaclaurinTail:

@@ -29,6 +29,8 @@ from .qsym import as_shift
 DESK_MAX_DEPTH = 5
 DESK_MAX_WEIGHT = 10
 DESK_MAX_TERMS = 10**6
+MHZ_CUTOFF = 40
+GUARD_BITS = 24
 HEAD_BLOCK = 256  # raw-series terms summed per pass of list operations
 _bernoulli = lru_cache(maxsize=None)(bernfrac)
 _add_up, _mul_up, _div_up = (partial(f, rounding="u") for f in (mp.fadd, mp.fmul, mp.fdiv))
@@ -60,6 +62,8 @@ class VerificationReport:
 
 def _digits_for(abs_err: float) -> int:
     """Working precision, in decimal digits, for a target absolute error."""
+    if not 0 < abs_err < math.inf:
+        raise ValueError("abs_err must be positive and finite")
     return max(30, int(-math.log10(abs_err)) + 12)
 
 
@@ -97,45 +101,47 @@ def _reduced(den: int, nums) -> tuple:
     return den // g, tuple(n // g for n in nums)
 
 
+def _zeta_tail(sigma: int, order: int) -> tuple:
+    """(den, nums, past): _zeta_tail_coeffs and a majorant of the rest past order, x > 0.
+
+    past[i] is on 1/x^(order+1+i): the terms past order through the first B_2K one, that
+    one twice, as Euler-Maclaurin's remainder after the B_2k, k < K, is at most
+    2 |B_2K|/(2K)! |f^(2K-1)(x)| (DLMF 2.10.2; f^(2K) has one sign).  nums reaches it.
+    """
+    den, nums = _zeta_tail_coeffs(sigma, max(order + 2, sigma + 1))
+    last = sigma - 1 + 2 * max(1, (order + 3 - sigma) // 2)  # the B_2K term
+    return den, nums, [abs(c) for c in nums[order + 1 : last]] + [2 * abs(nums[last])]
+
+
 @lru_cache(maxsize=None)
 def _level_expansion(svec: ZetaVector, dps: int) -> tuple:
-    """f(n) ~ sum_p nums[p] / (den x^p), x = n + z, p <= dps + 22, as (den, nums).
+    """f(n) ~ sum_p nums[p] / (den x^p), x = n + z, p <= top = dps + 20, as (den, nums).
 
     f(n) = sum_{n < t_1 < ... < t_k} prod (t_i + z)^-s_i.  Going inward to
     outward, each term c / x^q of the inner level's expansion contributes c
     times the expansion of zeta(s_1 + q, x + 1), in integers over the lcm of
-    their denominators, reduced once.  Orders up to dps + 20 are kept; the
-    last two are the first omitted ones.  No z dependence.
+    their denominators, reduced once; no z.  U = nums[top + 1] bounds the rest:
+    |f(n) - the sum| <= U / (den x^(top+1)) for x >= x0 = MHZ_CUTOFF - 1.  It adds
+    |c| times each zeta's rest (_zeta_tail) and the inner U times sum_{t>n} (t+z)^-(s_1+top+1)
+    <= x^-(s_1+top) / (s_1+top); x^-p <= x0^(top+1-p) x^-(top+1) for p > top + 1.
     """
-    top = dps + 22
-    den, inner = _level_expansion(svec[1:], dps) if len(svec) > 1 else (1, (1,))
-    tails = [(c, _zeta_tail_coeffs(svec[0] + q, top)) for q, c in enumerate(inner) if c]
-    lcm = math.lcm(*(d for _, (d, _) in tails))
-    out = [0] * (top + 1)
-    for c, (d, nums) in tails:
+    top, s, x0 = dps + 20, svec[0], MHZ_CUTOFF - 1
+    den, inner = _level_expansion(svec[1:], dps) if len(svec) > 1 else (1, (1, 0))
+    tails = [(c, _zeta_tail(s + q, top)) for q, c in enumerate(inner[:-1]) if c]
+    lcm = math.lcm(*(d for _, (d, _, _) in tails))
+    out, rest = [0] * (top + 1), -(-inner[-1] * lcm * x0 // (s + top))  # over den lcm x0^s
+    for c, (d, nums, past) in tails:
         c *= lcm // d
-        for p, b in enumerate(nums):
+        for p, b in enumerate(nums[: top + 1]):
             if b:
                 out[p] += c * b
-    return _reduced(den * lcm, out)
+        rest += abs(c) * sum(u * x0 ** (s - i) for i, u in enumerate(past))
+    reduced, nums = _reduced(den * lcm, out)
+    return reduced, nums + (-(-rest * reduced // (den * lcm * x0**s)),)
 
 
-def _omitted_orders(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
-    """The first two omitted orders of every level's expansion at the cutoff."""
-    x = cutoff + _mpf(zq)
-    total = mpf(0)
-    for j in range(len(svec)):
-        den, nums = _level_expansion(svec[j:], mp.dps)
-        total += (abs(nums[-2]) + abs(nums[-1]) / x) / den * x ** (2 - len(nums))
-    return total
-
-
-MHZ_CUTOFF = 40
-GUARD_BITS = 24
-
-
-def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
-    """One evaluation at a fixed cutoff >= 1; precision from the ambient context.
+def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> tuple:
+    """(value, bound) at a fixed cutoff >= MHZ_CUTOFF; precision from the ambient context.
 
     Level j is f_j(n) = sum_{t>n} (t+z)^-s_j f_(j+1)(t), with f_k = 1 and the
     value f_0(0).  Each level starts at n = cutoff from its expansion, summed
@@ -143,28 +149,32 @@ def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> mpf:
     point at wp = mp.prec + GUARD_BITS bits: with z = p/q, the weight is
     floor(q^s 2^wp / (q n + p)^s) and a product is (w f) >> wp.
 
-    Truncation: a level adds under 1 + 3c floors of u = 2^-wp at cutoff c (the
-    start; per step the weight's floor times the inner level at n >= 1, which
-    is at most its z = 0 multiple zeta value, below zeta(2) by the sum theorem,
-    and the product's floor).  A level multiplies the inner error by its weight
-    sum: under L = 2 + ln c over t >= 2, plus (1+z)^-s_0 at t = 1 for the
-    outermost.  So at depth k, for every z in (-1, 0], the result is off by
-    less than u (1 + 3c) k ((1+z)^-s_0 + L) L^(k-2); `_mhz` adds that.  At
-    k = 1 the inner level is exactly 2^wp, so a step adds only the weight's
-    floor: under u (1 + c), which the same expression covers.
+    Error: level j's own error e_j is its expansion's rest at x, rounded up, plus
+    under 1 + 3c floors of u = 2^-wp at cutoff c (the start; per step the weight's
+    floor times the inner level at n >= 1, at most its z = 0 multiple zeta value,
+    below zeta(2) by the sum theorem, and the product's floor).  E_j <= e_j +
+    W_j E_(j+1), with the weight sum W_j under L = 2 + ln c over t >= 2, plus
+    (1+z)^-s_0 at t = 1 for the outermost.  So at depth k, for every z in
+    (-1, 0], the result is off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2);
+    the bound adds the final rounding.  At k = 1 the inner level is exactly 2^wp,
+    so a step adds only the weight's floor: under u (1 + c).
     """
     p, q, wp = zq.numerator, zq.denominator, mp.prec + GUARD_BITS
     x = q * cutoff + p  # q (cutoff + z)
-    f = [1 << wp] * (cutoff + 1)
+    f, rest = [1 << wp] * (cutoff + 1), mpf(0)
     for j in range(len(svec) - 1, -1, -1):
         den, nums = _level_expansion(svec[j:], mp.dps)
-        acc = 0
-        for k, c in enumerate(nums[:-2]):
+        acc, top = 0, len(nums) - 2
+        for k, c in enumerate(nums[:-1]):
             acc = acc * x + c * q**k
-        acc, scaled = (acc << wp) // (den * x ** (len(nums) - 3)), q ** svec[j] << wp
+        acc, scaled = (acc << wp) // (den * x**top), q ** svec[j] << wp
+        rest = max(rest, _div_up(nums[-1] * q ** (top + 1), den * x ** (top + 1)))
         for n in range(cutoff, 0, -1):
             f[n], acc = acc, acc + (scaled // (q * n + p) ** svec[j] * f[n] >> wp)
-    return mp.ldexp(acc, -wp)
+    value, k, L = mp.ldexp(acc, -wp), len(svec), 2 + mp.log(cutoff)
+    factor = k * (_mpf(1 + zq) ** -svec[0] + L) * L ** (k - 2)
+    bound = (rest + mp.ldexp(1 + 3 * cutoff, -wp)) * factor
+    return value, bound + mp.ldexp(abs(value), -mp.prec)  # + the rounding
 
 
 def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
@@ -173,31 +183,22 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
     Desk-scale only (depth <= 5, weight <= 10).  The value depends only on
     the vector, the shift and the working precision dps that abs_err asks
     for, never on earlier requests.  Every depth, 1 included, is summed once
-    in fixed point at cutoff max(MHZ_CUTOFF, 6 dps / 5); the bound adds the
-    first two omitted orders of every level's expansion there, the change
-    when the cutoff is halved (the truncation error is then about 2^order
-    times larger, and a wrong coefficient shows), _mhz_once's fixed-point
-    bound with the final rounding, and a precision floor 10^(5 - dps).
+    in fixed point at cutoff max(MHZ_CUTOFF, 6 dps / 5); the bound is
+    _mhz_once's, stated from each level's majorant and the fixed-point error,
+    plus a precision floor 10^(5 - dps).
     """
     vec = check_vector(v)
     if len(vec) > DESK_MAX_DEPTH:
         raise DeskLimitError(f"vector depth {len(vec)} exceeds {DESK_MAX_DEPTH}")
     if sum(vec) > DESK_MAX_WEIGHT:
         raise DeskLimitError(f"vector weight {sum(vec)} exceeds {DESK_MAX_WEIGHT}")
-    zq = as_shift(z)
-    if abs_err <= 0:
-        raise ValueError("abs_err must be positive")
-    return _mhz(vec, zq, _digits_for(abs_err))
+    return _mhz(vec, as_shift(z), _digits_for(abs_err))
 
 
 @lru_cache(maxsize=None)
 def _mhz(vec: ZetaVector, zq: Fraction, dps: int) -> NumericResult:
     with mp.workdps(dps):
-        c, k = max(MHZ_CUTOFF, 6 * dps // 5), len(vec)
-        value, L = _mhz_once(vec, zq, c), 2 + mp.log(c)
-        fixed = (1 + 3 * c) * k * (_mpf(1 + zq) ** -vec[0] + L) * L ** (k - 2)
-        fixed = mp.ldexp(mp.ldexp(fixed, -GUARD_BITS) + abs(value), -mp.prec)  # + rounding
-        bound = _omitted_orders(vec, zq, c) + abs(value - _mhz_once(vec, zq, c // 2)) + fixed
+        value, bound = _mhz_once(vec, zq, max(MHZ_CUTOFF, 6 * dps // 5))
         return NumericResult(value, float(bound + mpf(10) ** (5 - dps)))
 
 
@@ -383,13 +384,11 @@ def _harmonic_expansion(r: int, constant: mpf, order: int, inv: list) -> dict:
     """H_n^(r)(z) for large x = n + z, through 1/x^order, from _SeriesSummer.constants.
 
     H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for r = 1 (DLMF
-    5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).  The majorant folds the
-    terms past order through the first Euler-Maclaurin step K past it and its remainder.
+    5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).  The majorant folds
+    _zeta_tail's rest at A.
     """
-    K = max(1, (order + 3 - r) // 2)
-    den, nums = _zeta_tail_coeffs(r, r - 2 + 2 * K)
-    rem_den, (rem,) = _em_rule(r, 0, K)[1]
-    past = [_div_up(abs(c), den) for c in nums[order + 1 :]] + [_div_up(rem, rem_den)]
+    den, nums, past = _zeta_tail(r, order)
+    past = [_div_up(c, den) for c in past]
     out = {(0, 0): constant, (0, 1): mpf(1)} if r == 1 else {(0, 0): constant}
     out |= {(p, 0): -_mpf(Fraction(c, den)) for p, c in enumerate(nums[: order + 1]) if c}
     return out | {(order + 1, 0): reduce(_add_up, map(_mul_up, past, inv))}

@@ -23,6 +23,7 @@ from zetaform.verify import (
     _digits_for,
     _em_rule,
     _level_expansion,
+    _mhz_once,
     _mpf,
     _tail_order,
     _zeta_tail_coeffs,
@@ -108,6 +109,14 @@ class TestMhzNumeric:
     def test_rejects_nonconvergent(self):
         with pytest.raises(ValueError):
             mhz_numeric((2, 1), 0)
+
+    @pytest.mark.parametrize("abs_err", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_abs_err(self, abs_err):
+        cf = ClosedForm(F(1, 4), {((2,),): F(1, 2)}, F(0), 1)
+        with pytest.raises(ValueError, match="abs_err"):
+            mhz_numeric((2,), 0, abs_err)
+        with pytest.raises(ValueError, match="abs_err"):
+            closed_form_numeric(cf, abs_err)
 
     def test_desk_limits(self):
         with pytest.raises(DeskLimitError):
@@ -807,17 +816,50 @@ class TestSumTheorem:
         assert err <= sum(r.abs_err_bound for r in results), (w, k, err)
 
 
+def _truncated(den, nums, x):
+    """sum_{p <= top} nums[p] / (den x^p), exactly: a level expansion without its majorant."""
+    acc, X, q = 0, x.numerator, x.denominator
+    for p, c in enumerate(nums[:-1]):
+        acc = acc * X + c * q**p
+    return F(acc, den * X ** (len(nums) - 2))
+
+
 class TestLevelExpansion:
+    VECTORS = [(1, 2), (2, 1, 3), (1, 1, 1, 1, 2), (3, 1, 1, 2)]
+
     @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3)])
     def test_cutoffs_20_and_40_agree(self, z):
         # with exact level expansions only the omitted orders differ, and at
         # 60 digits those are far below 1e-40; one wrong coefficient is not
-        from zetaform.verify import _mhz_once
-
         with mp.workdps(60):
-            for vec in [(1, 2), (2, 1, 3), (1, 1, 1, 1, 2), (3, 1, 1, 2)]:
-                delta = abs(_mhz_once(vec, z, 20) - _mhz_once(vec, z, 40))
+            for vec in self.VECTORS:
+                delta = abs(_mhz_once(vec, z, 20)[0] - _mhz_once(vec, z, 40)[0])
                 assert delta < mpf(10) ** -40, (vec, delta)
+
+    @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3), F(-999999, 1000000)])
+    def test_cutoffs_c_and_2c_agree_within_stated_bounds(self, z):
+        # a wrong coefficient at order p moves the value at c by 2^p times more than at 2c
+        for dps in (30, 72):
+            with mp.workdps(dps):
+                c = max(verify.MHZ_CUTOFF, 6 * dps // 5)
+                for vec in self.VECTORS:
+                    (a, bound_a), (b, bound_b) = _mhz_once(vec, z, c), _mhz_once(vec, z, 2 * c)
+                    assert abs(a - b) <= bound_a + bound_b, (vec, dps, a - b)
+
+    @pytest.mark.parametrize("dps", [30, 44, 72])
+    def test_stated_rest_covers_the_truncation(self, dps):
+        # |sum through top - f| <= U / (den x^(top+1)) for x >= MHZ_CUTOFF - 1; the
+        # expansion at dps + 40, twenty orders longer, stands in for f
+        vectors = [
+            v for k in range(1, 6) for v in itertools.product((1, 2, 3), repeat=k)
+            if v[-1] > 1 and sum(v) <= 10
+        ]
+        for vec in vectors:
+            den, nums = _level_expansion(vec, dps)
+            ref_den, ref = _level_expansion(vec, dps + 40)
+            for x in (F(391, 10), F(40), F(80)):
+                err = abs(_truncated(den, nums, x) - _truncated(ref_den, ref, x))
+                assert err <= F(nums[-1], den) / x ** (len(nums) - 1), (vec, x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -833,7 +875,7 @@ def _reference_tail(sigma, order):
 @functools.lru_cache(maxsize=None)
 def _reference_level_expansion(svec, dps):
     # reference: the level recursion in Fraction arithmetic
-    top = dps + 22
+    top = dps + 20
     inner = _reference_level_expansion(svec[1:], dps) if len(svec) > 1 else (F(1),)
     out = [F(0)] * (top + 1)
     for q, c in enumerate(inner):
@@ -898,7 +940,7 @@ class TestIntegerExpansions:
     def test_level_expansions_are_exact(self, dps):
         vectors = [v for k in range(1, 5) for v in itertools.product((1, 2, 3), repeat=k)]
         for vec in vectors:
-            den, nums = _level_expansion(vec, dps)
+            den, (*nums, _) = _level_expansion(vec, dps)
             assert [F(c, den) for c in nums] == list(_reference_level_expansion(vec, dps)), vec
 
 

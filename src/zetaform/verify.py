@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
@@ -33,7 +33,6 @@ MHZ_CUTOFF = 40
 GUARD_BITS = 24
 HEAD_BLOCK = 256  # raw-series terms summed per pass of list operations
 _bernoulli = lru_cache(maxsize=None)(bernfrac)
-_add_up, _mul_up, _div_up = (partial(f, rounding="u") for f in (mp.fadd, mp.fmul, mp.fdiv))
 
 
 class DeskLimitError(ValueError):
@@ -149,31 +148,31 @@ def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> tuple:
     point at wp = mp.prec + GUARD_BITS bits: with z = p/q, the weight is
     floor(q^s 2^wp / (q n + p)^s) and a product is (w f) >> wp.
 
-    Error: level j's own error e_j is its expansion's rest at x, rounded up, plus
-    under 1 + 3c floors of u = 2^-wp at cutoff c (the start; per step the weight's
-    floor times the inner level at n >= 1, at most its z = 0 multiple zeta value,
-    below zeta(2) by the sum theorem, and the product's floor).  E_j <= e_j +
+    Error: level j's own error e_j is its expansion's rest at x, a ceiling in units of
+    u = 2^-wp, plus under 1 + 3c floors of u at cutoff c (the start; per step the
+    weight's floor times the inner level at n >= 1, at most its z = 0 multiple zeta
+    value, below zeta(2) by the sum theorem, and the product's floor).  E_j <= e_j +
     W_j E_(j+1), with the weight sum W_j under L = 2 + ln c over t >= 2, plus
-    (1+z)^-s_0 at t = 1 for the outermost.  So at depth k, for every z in
-    (-1, 0], the result is off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2);
-    the bound adds the final rounding.  At k = 1 the inner level is exactly 2^wp,
-    so a step adds only the weight's floor: under u (1 + c).
+    (1+z)^-s_0 at t = 1 for the outermost.  So at depth k, for every z in (-1, 0], the
+    result is off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2); the bound adds the
+    final rounding.  At k = 1 the inner level is exactly 2^wp, so a step adds only the
+    weight's floor: under u (1 + c).
     """
     p, q, wp = zq.numerator, zq.denominator, mp.prec + GUARD_BITS
     x = q * cutoff + p  # q (cutoff + z)
-    f, rest = [1 << wp] * (cutoff + 1), mpf(0)
+    f, rest = [1 << wp] * (cutoff + 1), 0
     for j in range(len(svec) - 1, -1, -1):
         den, nums = _level_expansion(svec[j:], mp.dps)
         acc, top = 0, len(nums) - 2
         for k, c in enumerate(nums[:-1]):
             acc = acc * x + c * q**k
         acc, scaled = (acc << wp) // (den * x**top), q ** svec[j] << wp
-        rest = max(rest, _div_up(nums[-1] * q ** (top + 1), den * x ** (top + 1)))
+        rest = max(rest, -(-(nums[-1] * q ** (top + 1) << wp) // (den * x ** (top + 1))))
         for n in range(cutoff, 0, -1):
             f[n], acc = acc, acc + (scaled // (q * n + p) ** svec[j] * f[n] >> wp)
     value, k, L = mp.ldexp(acc, -wp), len(svec), 2 + mp.log(cutoff)
     factor = k * (_mpf(1 + zq) ** -svec[0] + L) * L ** (k - 2)
-    bound = (rest + mp.ldexp(1 + 3 * cutoff, -wp)) * factor
+    bound = mp.ldexp(rest + 1 + 3 * cutoff, -wp) * factor
     return value, bound + mp.ldexp(abs(value), -mp.prec)  # + the rounding
 
 
@@ -331,20 +330,19 @@ class _SeriesSummer:
         return truncation + abs(mpf(self.total) / self.scale) * mpf(2) ** (2 - mp.prec)
 
     def constants(self, a: Fraction, logs: list) -> tuple:
-        """zeta(r, 1+z) of each H^(r) (-psi(1+z) for r = 1), and a bound on their errors.
+        """zeta(r, 1+z) of each H^(r) (-psi(1+z) for r = 1) in 2^-wp units, and their error bound.
 
-        Each is H_M^(r) plus the _tail_order of 1/x^r from the exact a = M + 1 + z, off by
-        less than that tail's bound (remainder and fixed-point error), M 2^-wp, and 8
-        roundings of 2^-prec (|H_M| + |tail|): one for H_M, two for the tail's value, two
+        Each is H_M^(r) plus the _tail_order of 1/x^r from the exact a = M + 1 + z, floored
+        to 2^-wp, off by less than that tail's bound (remainder and fixed-point error),
+        M 2^-wp, and 8 roundings of 2^-prec (|H_M| + |tail|): two for the tail's value, two
         for ln a of the rounded a (r = 1 only, where |tail| = psi(a) > ln a - 1/a, a > 43),
-        one for the sum, and two to spare.
+        one for the floor (2^-wp < 2^-prec H_M, as H_M >= 1), and three to spare.
         """
         constants, error = [], mpf(0)
         for i, h in enumerate(self.harmonics):
-            r, h = (i + 1) * self.spec.m, mp.ldexp(h, -self.wp)
-            tail, remainder = _tail_order({(0, 0): 1}, r, 0, a, logs)
-            constants.append(h + tail)
-            rounding = mp.ldexp((abs(h) + abs(tail)) * 8, -mp.prec)
+            tail, remainder = _tail_order((1, {(0, 0): 1}), (i + 1) * self.spec.m, 0, a, logs)
+            constants.append(h + int(mp.floor(mp.ldexp(tail, self.wp))))
+            rounding = mp.ldexp((mp.ldexp(h, -self.wp) + abs(tail)) * 8, -mp.prec)
             error = max(error, remainder + mp.ldexp(self.n, -self.wp) + rounding)
         return constants, error
 
@@ -354,63 +352,64 @@ class _SeriesSummer:
 # ---------------------------------------------------------------------------
 
 # With x = n + z and 1/(x+i)^e = x^-e (1 + i/x)^-e, the summand times x^S, S = sum(s),
-# expands in ln^d(x) / x^j.  An expansion through an order is a dict {(j, d): c},
-# sum c ln^d(x) / x^j, with a majorant u_d at (order + 1, d) of the rest for x >= A (a
-# Taylor model).  There ln^d(x)/x^j <= inv[j-k] ln^d(x)/x^k for j >= k, inv[i] = A^-i,
-# so terms past an order fold into it.  Majorants are rounded up.
+# expands in ln^d(x) / x^j.  An expansion through an order is (den, {(j, d): c}): exact
+# integers c on ln^d(x) / (den x^j), and at (order + 1, d) a majorant of the rest for x >= A
+# (a Taylor model).  den carries 2^wp; ln^d(x)/x^j <= A^(k-j) ln^d(x)/x^k for j >= k folds
+# terms past an order into it, A = X/qa exact, by ceiling division, the only rounding.
 
 LHS_HEAD_FLOOR = 20
 _MAX_ORDER = 64
 
 
-def _series_mul(a: dict, b: dict, order: int, inv: list) -> dict:
+def _series_mul(a: tuple, b: tuple, order: int, A: Fraction) -> tuple:
     """Product through 1/x^order; the pairs past it fold in through folds[k], b from order k on."""
+    (den_a, a), (den_b, b), out = a, b, {}
     folds = [{d: abs(c) for (jj, d), c in b.items() if jj == j} for j in range(order + 2)]
     for k in range(order, -1, -1):
         for d, u in folds[k + 1].items():
-            folds[k][d] = _add_up(folds[k].get(d, 0), _mul_up(u, inv[1]))
-    out: dict = {}
+            folds[k][d] = folds[k].get(d, 0) - (-u * A.denominator // A.numerator)
     for (j1, d1), c1 in a.items():
         for (j2, d2), c2 in b.items():
             if j1 + j2 <= order:
                 key = (j1 + j2, d1 + d2)
                 out[key] = out.get(key, 0) + c1 * c2
         for d2, u in folds[order + 1 - j1].items():
-            out[order + 1, d1 + d2] = _add_up(out.get((order + 1, d1 + d2), 0), _mul_up(abs(c1), u))
-    return out
+            out[order + 1, d1 + d2] = out.get((order + 1, d1 + d2), 0) + abs(c1) * u
+    return den_a * den_b, out
 
 
-def _harmonic_expansion(r: int, constant: mpf, order: int, inv: list) -> dict:
+def _harmonic_expansion(r: int, constant: int, order: int, A: Fraction) -> tuple:
     """H_n^(r)(z) for large x = n + z, through 1/x^order, from _SeriesSummer.constants.
 
     H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for r = 1 (DLMF
     5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).  The majorant folds
     _zeta_tail's rest at A.
     """
-    den, nums, past = _zeta_tail(r, order)
-    past = [_div_up(c, den) for c in past]
-    out = {(0, 0): constant, (0, 1): mpf(1)} if r == 1 else {(0, 0): constant}
-    out |= {(p, 0): -_mpf(Fraction(c, den)) for p, c in enumerate(nums[: order + 1]) if c}
-    return out | {(order + 1, 0): reduce(_add_up, map(_mul_up, past, inv))}
+    (den, nums, past), one = _zeta_tail(r, order), 1 << (mp.prec + GUARD_BITS)
+    out = {(0, 0): constant * den, (0, 1): den * one} if r == 1 else {(0, 0): constant * den}
+    out |= {(p, 0): -c * one for p, c in enumerate(nums[: order + 1]) if c}
+    rest = sum(u / A**i for i, u in enumerate(past))  # exact
+    return den * one, out | {(order + 1, 0): math.ceil(rest * one)}
 
 
-def _summand_expansion(spec: SeriesSpec, order: int, constants: list, inv: list) -> dict:
-    """x^S times the summand F(H..)/prod (x+i)^s_i, through 1/x^order."""
-    harmonics = [_harmonic_expansion(i * spec.m, c, order, inv) for i, c in enumerate(constants, 1)]
-    out: dict = {}
+def _summand_expansion(spec: SeriesSpec, order: int, constants: list, A: Fraction) -> tuple:
+    """x^S times the summand F(H..)/prod (x+i)^s_i, through 1/x^order; constants over 2^wp."""
+    harmonics = [_harmonic_expansion(i * spec.m, c, order, A) for i, c in enumerate(constants, 1)]
+    den, out, one = 1, {}, 1 << (mp.prec + GUARD_BITS)
     for exps, c in spec.F.terms.items():
-        term = {(0, 0): _mpf(c)}
+        d, term = c.denominator, {(0, 0): c.numerator}
         for h, e in zip(harmonics, exps):
             for _ in range(e):
-                term = _series_mul(term, h, order, inv)
-        for key, v in term.items():
-            out[key] = (_add_up if key[0] > order else add)(out.get(key, 0), v)
+                d, term = _series_mul((d, term), h, order, A)
+        lcm = math.lcm(den, d)
+        out = {k: out.get(k, 0) * (lcm // den) + term.get(k, 0) * (lcm // d) for k in out | term}
+        den = lcm
     for i, e in enumerate(spec.s):
         if i and e:
-            binomial = {(j, 0): (-i) ** j * math.comb(e + j - 1, j) for j in range(order + 2)}
+            binomial = {(j, 0): (-i) ** j * math.comb(e + j - 1, j) * one for j in range(order + 2)}
             binomial[order + 1, 0] = abs(binomial[order + 1, 0])  # Lagrange remainder
-            out = _series_mul(out, binomial, order, inv)
-    return out
+            den, out = _series_mul((den, out), (one, binomial), order, A)
+    return den, out
 
 
 @lru_cache(maxsize=None)
@@ -449,8 +448,8 @@ def _row(row: tuple, L: list, power: int, x_power: int) -> tuple:
     return sum(map(mul, nums, L)) * power // div, 1 - (-sum(map(abs, nums)) * power // div)
 
 
-def _tail_order(coeffs: dict, S: int, j: int, a: Fraction, logs: list) -> tuple:
-    """(sum over n > M of the order-j terms, a = M + 1 + z exact; bound).
+def _tail_order(model: tuple, S: int, j: int, a: Fraction, logs: list) -> tuple:
+    """(sum over n > M of a (den, coeffs) model's order-j terms, a = M + 1 + z exact; bound).
 
     Euler-Maclaurin as in verify_identity; logs[i] = ln^i(a).  A term c ln^d(x)/x^q is
     c a^(1-q) times a sum of _em_rule rows at ln a over a^2k, each taken by _row in fixed
@@ -461,8 +460,8 @@ def _tail_order(coeffs: dict, S: int, j: int, a: Fraction, logs: list) -> tuple:
     shrinking first.  The logs' own rounding and the conversion to mpf (three roundings)
     are the caller's.
     """
-    q, X, qa = S + j, a.numerator, a.denominator
-    top, bottom = qa ** (q - 1), X ** (q - 1)  # a^(1-q)
+    (den, coeffs), q, X, qa = model, S + j, a.numerator, a.denominator
+    top, bottom = qa ** (q - 1), X ** (q - 1) * den  # a^(1-q) / den
     scale, value, bound = mpf(top) / bottom, mpf(0), mpf(0)
     for d, c in ((d, c) for (jj, d), c in coeffs.items() if jj == j and c):
         size = abs(c * scale)
@@ -490,42 +489,43 @@ def _tail_order(coeffs: dict, S: int, j: int, a: Fraction, logs: list) -> tuple:
 def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     """(estimate, terms summed, working-precision floor) of the raw series; see verify_identity.
 
-    One tail point A = M + 1 + z, exact, with logs of the rounded point.  Folded to
-    order 0, the orders past those kept and the majorant sum past M to at most their
-    weights times tails[d] >= sum_{x >= A} ln^d(x)/x^S.  The bound adds that, the
-    constants' drift (0 < H_n^(r) < |C_r| + 1 + ln x: under e D |F|(|C|+1) (1+ln x)^D),
-    the kept orders' remainders, a floor (every value's roundings) and the head's bound.
+    One tail point A = M + 1 + z, exact, with logs of the rounded point.  Folded to order 0,
+    the orders past those kept and the majorant sum past M to at most their weights times
+    tails[d] >= sum_{x >= A} ln^d(x)/x^S, in units of 2^-wp rounded up, as is the constants'
+    drift (0 < H_n^(r) < |C_r| + 1 + ln x: under e D |F|(|C|+1) (1+ln x)^D).  The bound adds
+    both, the kept orders' remainders, a floor (all roundings) and the head's bound.
     """
-    S, D, target = sum(spec.s), spec.F.degree(), mpf(tol) / 1000
-    n_head, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec)
-    while True:
+    S, D, target = sum(spec.s), spec.F.degree(), Fraction(tol) / 1000
+    n_first, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec)
+    wp = summer.wp
+    for n_head in (n_first << i for i in count()):
         head, a = summer.advance_to(n_head), n_head + 1 + spec.z
         logs = [mp.log(a) ** i for i in range(D + 1)]
         constants, error = summer.constants(a, logs)
-        tails = [_add_up(*_tail_order({(0, d): 1}, S, 0, a, logs)) for d in range(D + 1)]
-        size = D * error * spec.F.evaluate([abs(c) + 1 for c in constants], lambda c: abs(_mpf(c)))
-        spread = reduce(_add_up, (_mul_up(math.comb(D, d), t) for d, t in enumerate(tails)))
-        drift = _mul_up(size, spread)  # the tail of size (1 + ln x)^D / x^S
-        order, fit, inv = 2, 0, [mpf(1), _div_up(a.denominator, a.numerator)]  # 4 first
-        while fit < 1 and order < _MAX_ORDER and drift + sum(tails) < mp.inf:
+        tails = [_tail_order((1, {(0, d): 1}), S, 0, a, logs) for d in range(D + 1)]
+        if error + sum(r for _, r in tails) == mp.inf:
+            continue
+        tails = [int(mp.ldexp(t, wp)) + int(mp.ldexp(r, wp)) + 2 for t, r in tails]  # rounded up
+        size = spec.F.evaluate([Fraction(abs(c) + 1, 1 << wp) + 1 for c in constants], abs)
+        spread = sum(math.comb(D, d) * t for d, t in enumerate(tails))  # (1 + ln x)^D / x^S
+        drift = math.ceil(D * (int(mp.ldexp(error, wp)) + 1) * size * spread / (1 << wp))
+        order, fit, X, qa = 2, 0, a.numerator, a.denominator  # order 4 first
+        while fit < 1 and order < _MAX_ORDER:
             order *= 2
-            while len(inv) < order + 2 + spec.m * spec.F.max_variable():
-                inv.append(_mul_up(inv[-1], inv[1]))
-            coeffs = _summand_expansion(spec, order, constants, inv)
-            weights = [mpf(0)] * (order + 2)
+            model = den, coeffs = _summand_expansion(spec, order, constants, a)
+            weights, scale = [0] * (order + 2), den * X ** (order + 1) << wp
             for (j, d), c in coeffs.items():
-                weights[j] = _add_up(weights[j], _mul_up(_mul_up(abs(c), inv[j]), tails[d]))
-            pasts = list(accumulate(reversed(weights), _add_up, initial=mpf(0)))
-            fit = sum(p <= target for p in pasts) - 1
-        kept, majorant = (order + 2 - fit, pasts[fit]) if fit >= 1 else (0, mp.inf)
-        sums = [_tail_order(coeffs, S, j, a, logs) for j in range(kept)]
+                weights[j] += abs(c) * qa**j * X ** (order + 1 - j) * tails[d]
+            pasts = list(accumulate(reversed(weights), initial=0))
+            fit = sum(p <= target * scale for p in pasts) - 1
+        kept, majorant = (order + 2 - fit, -(-(pasts[fit] << wp) // scale)) if fit else (0, 0)
+        sums = [_tail_order(model, S, j, a, logs) for j in range(kept)]
         remainders = sum(r for _, r in sums)
-        if majorant + remainders < mp.inf:
+        if fit and remainders < mp.inf:
             break
-        n_head *= 2
     est = head + sum(t for t, _ in sums)
     floor = n_head * mpf(10) ** (3 - mp.dps) * max(1, abs(est))
-    bound = majorant + drift + remainders + floor + summer.error_bound()
+    bound = mp.ldexp(majorant + drift, -wp) + remainders + floor + summer.error_bound()
     return NumericResult(est, float(bound)), n_head, floor
 
 

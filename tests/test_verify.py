@@ -433,6 +433,12 @@ class TestSeriesLimit:
             ClosedForm(F(0), {((4,),): F(5, 4)}, F(0), 1),
             lambda: zeta(4) * 5 / 4,
         ),
+        # the whole tail, near 201^-9/9, folds into the majorant at tol 1e-8 and 1e-12
+        "1/n^10": (
+            SeriesSpec(Polynomial.constant(1), 1, 0, (10,)),
+            ClosedForm(F(0), {((10,),): 1}, F(0), 1),
+            lambda: zeta(10),
+        ),
         # telescopes: sum H_n(z)/((n+1+z)(n+2+z)) = 1/(1+z)
         "H_n(-1/2)/((n+1/2)(n+3/2))": (
             SeriesSpec(X1, 1, F(-1, 2), (0, 1, 1)),
@@ -554,24 +560,23 @@ class TestTaylorModel:
     """Each truncated expansion's majorant bounds what it leaves out, for every x >= A."""
 
     @staticmethod
-    def inv(A, n):
-        return [mpf(A.denominator) ** i / A.numerator**i for i in range(n)]
-
-    @staticmethod
     def at(expansion, x, order):
         """(sum of the terms through order, the majorant) at x."""
+        den, expansion = expansion
         terms = sum(c * log(x) ** d / x**j for (j, d), c in expansion.items() if j <= order)
         rest = sum(c * log(x) ** d for (j, d), c in expansion.items() if j > order)
-        return terms, rest / x ** (order + 1)
+        return terms / den, rest / den / x ** (order + 1)
 
     @staticmethod
     def model(poly, order, A):
-        """poly through order, the terms past it folded at A into its majorant."""
-        out = {key: _mpf(F(c)) for key, c in poly.items() if key[0] <= order}
+        """poly through order, the terms past it folded at A into its majorant, in integers."""
+        den = math.lcm(*(F(c).denominator for c in poly.values())) << (mp.prec + GUARD_BITS)
+        out = {key: int(c * den) for key, c in poly.items() if key[0] <= order}
         for (j, d), c in poly.items():
             if j > order:
-                out[order + 1, d] = out.get((order + 1, d), 0) + abs(c) * _mpf(A) ** (order + 1 - j)
-        return out
+                fold = math.ceil(abs(c) * den * A ** (order + 1 - j))
+                out[order + 1, d] = out.get((order + 1, d), 0) + fold
+        return den, out
 
     @pytest.mark.parametrize("order", [1, 4, 9])
     def test_product_of_polynomials(self, order):
@@ -583,9 +588,9 @@ class TestTaylorModel:
         with mp.workdps(60):
             for a, b in [(grow, grow), (grow, mixed), (mixed, mixed)]:
                 ma, mb = self.model(a, order, A), self.model(b, order, A)
-                product = verify._series_mul(ma, mb, order, self.inv(A, order + 2))
+                product = verify._series_mul(ma, mb, order, A)
                 for x in [_mpf(A), _mpf(A) * 3 / 2, _mpf(A) * 10, mpf(10) ** 6]:
-                    exact = self.at(a, x, len(a))[0] * self.at(b, x, len(b))[0]
+                    exact = self.at((1, a), x, len(a))[0] * self.at((1, b), x, len(b))[0]
                     terms, rest = self.at(product, x, order)
                     assert abs(exact - terms) <= rest * (1 + mpf(10) ** -40), (order, x)
 
@@ -605,7 +610,8 @@ class TestTaylorModel:
             orders = [r * m for r in range(1, poly.max_variable() + 1)]
             shift = 1 + _mpf(z)
             constants = [-mp.psi(0, shift) if r == 1 else zeta(r, shift) for r in orders]
-            coeffs = verify._summand_expansion(spec, order, constants, self.inv(A, order + 12))
+            constants = [int(mp.ldexp(c, mp.prec + GUARD_BITS)) for c in constants]
+            coeffs = verify._summand_expansion(spec, order, constants, A)
             for n in [43, 44, 86, 430]:
                 x = n + _mpf(z)
                 harmonics = [mp.fsum((k + _mpf(z)) ** -r for k in range(1, n + 1)) for r in orders]
@@ -619,7 +625,7 @@ class TestTaylorModel:
 class TestGoldenCorpusBound:
     """The stated LHS bound against the closed form, over the golden rendering corpus."""
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-20])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-20, 1e-30])
     @pytest.mark.parametrize("cid, argv", cases(), ids=[cid for cid, _ in cases()])
     def test_bound_covers_closed_form(self, cid, argv, tol):
         spec = cli.parse_request(list(argv)).spec
@@ -654,7 +660,7 @@ class TestEulerMaclaurinTail:
                 with mp.workdps(dps + 50):
                     f_sum = -mp.psi(0, a) if q == 1 else (-1) ** d * zeta(q, a, d)
                 for c in [1, mpf("1e-30"), mpf("1e30")]:
-                    value, remainder = _tail_order({(0, d): c}, q, 0, a, logs)
+                    value, remainder = _tail_order((1, {(0, d): c}), q, 0, a, logs)
                     if abs(c) / ulp > mp.exp(2 * mp.pi * a):
                         assert remainder == inf, (c, q, d)
                         continue
@@ -668,7 +674,7 @@ class TestEulerMaclaurinTail:
         # the remainder bound bottoms out near e^(-2 pi a) ~ 1e-6 at a = 2
         with mp.workdps(30):
             a = F(2)
-            value, remainder = _tail_order({(0, 0): 1}, 2, 0, a, [mpf(1)])
+            value, remainder = _tail_order((1, {(0, 0): 1}), 2, 0, a, [mpf(1)])
             assert remainder == mp.inf
             assert abs(value - zeta(2, a)) < 1e-3
 
@@ -710,6 +716,7 @@ class TestShiftNearMinusOne:
                 (value,), _ = summer.constants(a, [mpf(1), mp.log(a)])
                 ulp = mp.ldexp(1, -mp.prec)
             with mp.workdps(60):
+                value = mp.ldexp(value, -summer.wp)  # exact at 60 digits
                 shift = mp.mpq(1, 1000000)
                 reference = -mp.psi(0, shift) if r == 1 else zeta(r, shift)
                 assert abs(value - reference) <= 4 * ulp * abs(reference), r
@@ -733,7 +740,7 @@ class TestLhsConstants:
         assert len(constants) == 6 and error < inf
         with mp.workdps(_digits_for(tol) + 20):
             shift = mp.mpq(*(1 + z).as_integer_ratio())
-            for r, value in enumerate(constants, 1):
+            for r, value in enumerate((mp.ldexp(c, -summer.wp) for c in constants), 1):
                 reference = -mp.psi(0, shift) if r == 1 else zeta(r, shift)
                 assert abs(value - reference) <= error, (r, value - reference, error)
 
@@ -846,6 +853,19 @@ class TestLevelExpansion:
                     (a, bound_a), (b, bound_b) = _mhz_once(vec, z, c), _mhz_once(vec, z, 2 * c)
                     assert abs(a - b) <= bound_a + bound_b, (vec, dps, a - b)
 
+    @pytest.mark.parametrize("z", [F(0), F(-1, 3), F(-999999, 1000000)])
+    def test_bound_carries_a_short_expansions_rest(self, z, monkeypatch):
+        # expansions through order 10 (top = dps + 20 at dps = -10) leave a level rest
+        # near 40^-11 at the cutoff, far above the fixed-point error: the bound must carry it
+        with mp.workdps(30):
+            references = {vec: _mhz_once(vec, z, 40) for vec in self.VECTORS}
+            monkeypatch.setattr(
+                verify, "_level_expansion", lambda svec, dps: _level_expansion(svec, -10)
+            )
+            for vec, (reference, reference_bound) in references.items():
+                value, bound = _mhz_once(vec, z, 40)
+                assert abs(value - reference) <= bound + reference_bound, vec
+
     @pytest.mark.parametrize("dps", [30, 44, 72])
     def test_stated_rest_covers_the_truncation(self, dps):
         # |sum through top - f| <= U / (den x^(top+1)) for x >= MHZ_CUTOFF - 1; the
@@ -928,6 +948,26 @@ class TestIntegerExpansions:
             return all(map(ints, x)) if isinstance(x, tuple) else type(x) is int
 
         assert all(map(ints, rules))
+
+    def test_lhs_expansions_hold_only_ints(self, monkeypatch):
+        # with log powers and binomial factors at tol 1e-30, every denominator,
+        # coefficient and majorant of the summand's expansion is a Python int
+        expansion, models = verify._summand_expansion, []
+
+        def recorded(spec, order, *args):
+            models.append((order, expansion(spec, order, *args)))
+            return models[-1][1]
+
+        monkeypatch.setattr(verify, "_summand_expansion", recorded)
+        spec = SeriesSpec(X1 * X1 * X2, 1, F(-1, 3), (0, 1, 2))
+        assert verify_identity(spec, closed_form(spec), tol=1e-30, N=600).passed
+        with mp.workdps(_digits_for(1e-30)):
+            one = 1 << (mp.prec + GUARD_BITS)
+        assert models
+        for order, (den, coeffs) in models:
+            assert type(den) is int and den % one == 0  # so a fold's ceiling is at most 2^-wp
+            assert any(d for _, d in coeffs) and any(j > order for j, _ in coeffs)
+            assert all(type(c) is int for c in coeffs.values())
 
     @pytest.mark.parametrize("dps", [30, 44])
     def test_zeta_tail_coeffs_are_exact(self, dps):

@@ -71,8 +71,8 @@ def _mpf(q: Fraction) -> mpf:
 
 
 def _check_terms(N: int) -> None:
-    if N < 1:
-        raise ValueError("N must be positive")
+    if not isinstance(N, int) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     if N > DESK_MAX_TERMS:
         raise DeskLimitError(f"N={N} exceeds desk cap {DESK_MAX_TERMS}")
 
@@ -227,7 +227,7 @@ def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult
 def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
     """Exact rational partial sum of the series through n = N."""
     _check_terms(N)
-    return _SeriesSummer(spec, Fraction).advance_to(N)
+    return _SeriesSummer(spec, None).advance_to(N)
 
 
 def _powers(values, e: int):
@@ -236,7 +236,7 @@ def _powers(values, e: int):
 
 
 class _SeriesSummer:
-    """Incremental partial sums of one series, in fixed point or exactly.
+    """Incremental partial sums of one series, in fixed point at wp bits or exactly (wp None).
 
     With z = p/q, x = q n + p, and F's coefficients written a_k / L over
     their least common denominator L, L times the n-th summand is
@@ -244,17 +244,16 @@ class _SeriesSummer:
         q^S sum_k a_k prod_i H_i^e_ik / prod_i (x + i q)^s_i,
 
     where H_i, the harmonic number of order r = i m, grows by q^r / x^r at
-    each n.  Every quotient is div(one a, b): with number=Fraction, div is
-    Fraction and one = 1, exact; by default it is fixed point at
-    wp = mp.prec + GUARD_BITS bits, div is floor division and one = 2^wp, and
-    the sums come back as mpf.  A monomial of degree d has its coefficient
-    premultiplied by q^S one^(D + 1 - d), D = deg F, so each summand takes
-    one division, by one^D prod (x + i q)^s_i.  Terms are summed HEAD_BLOCK
-    at a time in list operations: per H_i one list of increments and one
-    running sum, each monomial an element-wise product of those columns, the
-    denominators a product of lists, and one sum of quotients.  Each floor is
-    the one a term-by-term sum takes, so the sums, and the bound below, are
-    the same.
+    each n.  Every quotient is div(one a, b): with wp None, div is Fraction
+    and one = 1, exact; otherwise div is floor division and one = 2^wp.
+    `advance_to` returns the sum as an exact Fraction either way.  A monomial
+    of degree d has its coefficient premultiplied by q^S one^(D + 1 - d),
+    D = deg F, so each summand takes one division, by one^D prod (x + i q)^s_i.
+    Terms are summed HEAD_BLOCK at a time in list operations: per H_i one
+    list of increments and one running sum, each monomial an element-wise
+    product of those columns, the denominators a product of lists, and one
+    sum of quotients.  Each floor is the one a term-by-term sum takes, so the
+    sums, and the bound below, are the same.
 
     Fixed-point truncation: after n terms each stored H_i is below the true
     one by less than n 2^-wp (one floor per increment), which is at most
@@ -265,16 +264,14 @@ class _SeriesSummer:
     1/prod (n+i+z)^s_i at most (1+z)^-S + (1+z)^(1-S)/(S-1), a partial sum
     through N differs from the exact one by less than
 
-        N 2^-wp (1/L + D |F|(H_N) ((1+z)^-S + (1+z)^(1-S)/(S-1)))
+        N 2^-wp (1/L + D |F|(H_N) ((1+z)^-S + (1+z)^(1-S)/(S-1))),
 
-    plus the two roundings of the conversion to mpf; `error_bound` returns
-    this total.
+    which `error_bound` returns exactly.
     """
 
-    def __init__(self, spec: SeriesSpec, number=mpf):
-        wp = mp.prec + GUARD_BITS
-        self.spec, self.number, self.wp = spec, number, wp
-        self.div, one = (Fraction, 1) if number is Fraction else (floordiv, 1 << wp)
+    def __init__(self, spec: SeriesSpec, wp):
+        self.spec, self.wp = spec, wp
+        self.div, one = (Fraction, 1) if wp is None else (floordiv, 1 << wp)
         self.p, self.q = spec.z.numerator, spec.z.denominator
         self.L = math.lcm(*(c.denominator for c in spec.F.terms.values()))
         self.D = spec.F.degree()
@@ -295,7 +292,7 @@ class _SeriesSummer:
         self.total = 0
         self.n = 0
 
-    def advance_to(self, M: int):
+    def advance_to(self, M: int) -> Fraction:
         div, H, q = self.div, self.harmonics, self.q
         while self.n < M:
             start, self.n = self.n, min(M, self.n + HEAD_BLOCK)
@@ -316,35 +313,29 @@ class _SeriesSummer:
             for iq, e in self.den_factors:
                 dens = list(map(mul, dens, _powers(range(xs.start + iq, xs.stop + iq, q), e)))
             self.total += sum(map(div, tops, dens))
-        return self.number(self.total) / self.scale
+        return Fraction(self.total, self.scale)
 
-    def error_bound(self) -> mpf:
+    def error_bound(self) -> Fraction:
         """Bound on |fixed-point partial sum - exact one| through self.n."""
-        n, unit = self.n, mpf(2) ** -self.wp
-        S, a = sum(self.spec.s), 1 + _mpf(self.spec.z)
-        size = self.spec.F.evaluate(
-            [(h + n) * unit for h in self.harmonics], lambda c: abs(_mpf(c))
-        )
+        n, unit = self.n, Fraction(1, 1 << self.wp)
+        S, a = sum(self.spec.s), 1 + self.spec.z
+        size = self.spec.F.evaluate([(h + n) * unit for h in self.harmonics], abs)
         tail = a**-S + a ** (1 - S) / (S - 1)  # >= sum of 1/prod (n+i+z)^s_i
-        truncation = n * unit * (mpf(1) / self.L + self.D * size * tail)
-        return truncation + abs(mpf(self.total) / self.scale) * mpf(2) ** (2 - mp.prec)
+        return n * unit * (Fraction(1, self.L) + self.D * size * tail)
 
-    def constants(self, a: Fraction, logs: list) -> tuple:
-        """zeta(r, 1+z) of each H^(r) (-psi(1+z) for r = 1) in 2^-wp units, and their error bound.
+    def constants(self, a: Fraction) -> tuple:
+        """zeta(r, 1+z) of each H^(r) (-psi(1+z) for r = 1), and their error bound, in 2^-wp units.
 
-        Each is H_M^(r) plus the _tail_order of 1/x^r from the exact a = M + 1 + z, floored
-        to 2^-wp, off by less than that tail's bound (remainder and fixed-point error),
-        M 2^-wp, and 8 roundings of 2^-prec (|H_M| + |tail|): two for the tail's value, two
-        for ln a of the rounded a (r = 1 only, where |tail| = psi(a) > ln a - 1/a, a > 43),
-        one for the floor (2^-wp < 2^-prec H_M, as H_M >= 1), and three to spare.
+        Each is H_M^(r) plus the _tail_order of 1/x^r from the exact a = M + 1 + z, off by
+        less than that tail's bound plus M units, one per floor of H_M^(r)'s increments.
+        The bound is None if a tail's remainder stops shrinking.
         """
-        constants, error = [], mpf(0)
+        constants, errors = [], [0]
         for i, h in enumerate(self.harmonics):
-            tail, remainder = _tail_order((1, {(0, 0): 1}), (i + 1) * self.spec.m, 0, a, logs)
-            constants.append(h + int(mp.floor(mp.ldexp(tail, self.wp))))
-            rounding = mp.ldexp((mp.ldexp(h, -self.wp) + abs(tail)) * 8, -mp.prec)
-            error = max(error, remainder + mp.ldexp(self.n, -self.wp) + rounding)
-        return constants, error
+            tail, bound = _tail_order((1, {(0, 0): 1}), (i + 1) * self.spec.m, 0, a, self.wp)
+            constants.append(h + tail)
+            errors.append(None if bound is None else bound + self.n)
+        return constants, None if None in errors else max(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +369,26 @@ def _series_mul(a: tuple, b: tuple, order: int, A: Fraction) -> tuple:
     return den_a * den_b, out
 
 
-def _harmonic_expansion(r: int, constant: int, order: int, A: Fraction) -> tuple:
+def _harmonic_expansion(r: int, constant: int, order: int, A: Fraction, wp: int) -> tuple:
     """H_n^(r)(z) for large x = n + z, through 1/x^order, from _SeriesSummer.constants.
 
     H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for r = 1 (DLMF
     5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).  The majorant folds
     _zeta_tail's rest at A.
     """
-    (den, nums, past), one = _zeta_tail(r, order), 1 << (mp.prec + GUARD_BITS)
+    (den, nums, past), one = _zeta_tail(r, order), 1 << wp
     out = {(0, 0): constant * den, (0, 1): den * one} if r == 1 else {(0, 0): constant * den}
     out |= {(p, 0): -c * one for p, c in enumerate(nums[: order + 1]) if c}
     rest = sum(u / A**i for i, u in enumerate(past))  # exact
     return den * one, out | {(order + 1, 0): math.ceil(rest * one)}
 
 
-def _summand_expansion(spec: SeriesSpec, order: int, constants: list, A: Fraction) -> tuple:
+def _summand_expansion(spec: SeriesSpec, order: int, constants, A: Fraction, wp: int) -> tuple:
     """x^S times the summand F(H..)/prod (x+i)^s_i, through 1/x^order; constants over 2^wp."""
-    harmonics = [_harmonic_expansion(i * spec.m, c, order, A) for i, c in enumerate(constants, 1)]
-    den, out, one = 1, {}, 1 << (mp.prec + GUARD_BITS)
+    harmonics = [
+        _harmonic_expansion(i * spec.m, c, order, A, wp) for i, c in enumerate(constants, 1)
+    ]
+    den, out, one = 1, {}, 1 << wp
     for exps, c in spec.F.terms.items():
         d, term = c.denominator, {(0, 0): c.numerator}
         for h, e in zip(harmonics, exps):
@@ -437,39 +430,46 @@ def _em_rule(q: int, d: int, k: int) -> tuple:
     return (den, tuple(b * c for c in prev)), _reduced(den * p1 ** (d + 1), Q[:-1]), P
 
 
-def _row(row: tuple, L: list, power: int, x_power: int) -> tuple:
+@lru_cache(maxsize=4096)
+def _logs(a: Fraction, powers: int, W: int) -> tuple:
+    """round(ln^i(a) 2^W), i <= powers, each within a unit while ln^i(a) < 2^56."""
+    with mp.workprec(max(W, 0) + 64):  # off by under 2^-56 of a unit before the rounding
+        log = mp.log(mpf(a.numerator) / a.denominator)
+        return tuple(int(mp.nint(mp.ldexp(log**i, W))) for i in range(powers + 1))
+
+
+def _row(row: tuple, L: tuple, power: int, x_power: int) -> tuple:
     """floor(row(ln a) a^-2k 2^W), a^-2k = power / x_power, and its error bound, in units.
 
-    L[i] = floor(ln^i(a) 2^W) is short of ln^i(a) 2^W by under a unit, so the error is
-    under one unit for the floor plus sum |row| a^-2k.
+    L[i], from _logs, is within a unit of ln^i(a) 2^W, so the error is under one unit for
+    the floor plus sum |row| a^-2k.
     """
     den, nums = row
     div = den * x_power
     return sum(map(mul, nums, L)) * power // div, 1 - (-sum(map(abs, nums)) * power // div)
 
 
-def _tail_order(model: tuple, S: int, j: int, a: Fraction, logs: list) -> tuple:
+def _tail_order(model: tuple, S: int, j: int, a: Fraction, wp: int) -> tuple:
     """(sum over n > M of a (den, coeffs) model's order-j terms, a = M + 1 + z exact; bound).
 
-    Euler-Maclaurin as in verify_identity; logs[i] = ln^i(a).  A term c ln^d(x)/x^q is
+    Both in units of 2^-wp.  Euler-Maclaurin as in verify_identity.  A term c ln^d(x)/x^q is
     c a^(1-q) times a sum of _em_rule rows at ln a over a^2k, each taken by _row in fixed
-    point at W = prec + GUARD_BITS + mag(c a^(1-q)) bits, so the target
-    2^-prec / |c a^(1-q)| is at least 2^GUARD_BITS units.  a^-2k = qa^2k / X^2k is exact
-    (a = X/qa).  K is the first with R_K plus the error of the rows used, f(a)/2's
-    included, at most the target; the bound, that sum, is infinite if R_K stops
-    shrinking first.  The logs' own rounding and the conversion to mpf (three roundings)
-    are the caller's.
+    point at W = wp + mag bits, 2^(mag-1) < |c a^(1-q)| < 2^(mag+1), with the _logs at W: a
+    unit at W is under one of 2^-wp, and 2^(GUARD_BITS-1) of them, the target, under
+    2^-prec.  a^-2k = qa^2k / X^2k is exact (a = X/qa).  K is the first with R_K plus the
+    error of the rows used, f(a)/2's included, at most the target.  The value is each
+    term's sum floored; the bound is the ceiling of its stated error, plus a unit per
+    floor, or None if R_K stops shrinking first.
     """
     (den, coeffs), q, X, qa = model, S + j, a.numerator, a.denominator
-    top, bottom = qa ** (q - 1), X ** (q - 1) * den  # a^(1-q) / den
-    scale, value, bound = mpf(top) / bottom, mpf(0), mpf(0)
+    scale, target = Fraction(qa ** (q - 1), X ** (q - 1) * den), 1 << (GUARD_BITS - 1)
+    value, bound, stalled = 0, 0, False
     for d, c in ((d, c) for (jj, d), c in coeffs.items() if jj == j and c):
-        size = abs(c * scale)
-        W = mp.prec + GUARD_BITS + mp.mag(size)
-        target = int(mp.ldexp(1 / size, W - mp.prec))
-        L = [int(mp.ldexp(x, W)) for x in logs]
+        size = abs(c) * scale
+        mag = size.numerator.bit_length() - size.denominator.bit_length()
+        L, unit = _logs(a, d + 1, wp + mag), scale / Fraction(2) ** mag  # W units to 2^-wp
         total, error = _row(_em_rule(q, d, 0)[1], L, 1, 1)
-        # f(a)/2 = ln^d(a) qa / (2 X): a floor, and L[d]'s truncation times 1/(2a) < 1
+        # f(a)/2 = ln^d(a) qa / (2 X): a floor, and L[d]'s error times 1/(2a) < 1
         total, error = total + L[d] * qa // (2 * X), error + 2
         power, x_power, last = 1, 1, math.inf
         for k in count(1):
@@ -480,53 +480,52 @@ def _tail_order(model: tuple, S: int, j: int, a: Fraction, logs: list) -> tuple:
                 break
             t, t_error = _row(term, L, power, x_power)
             total, error, last = total - t, error + t_error, r
-        value += mp.ldexp(c * (total * top), -W) / bottom
-        stated = r + r_error + error
-        bound += mp.ldexp(size * stated, -W) if stated <= target else mp.inf
-    return value, bound
+        value += math.floor(c * total * unit)
+        bound += math.ceil(abs(c) * (r + r_error + error) * unit) + 1
+        stalled = stalled or r + r_error + error > target
+    return value, None if stalled else bound
 
 
 def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     """(estimate, terms summed, working-precision floor) of the raw series; see verify_identity.
 
-    One tail point A = M + 1 + z, exact, with logs of the rounded point.  Folded to order 0,
-    the orders past those kept and the majorant sum past M to at most their weights times
-    tails[d] >= sum_{x >= A} ln^d(x)/x^S, in units of 2^-wp rounded up, as is the constants'
-    drift (0 < H_n^(r) < |C_r| + 1 + ln x: under e D |F|(|C|+1) (1+ln x)^D).  The bound adds
-    both, the kept orders' remainders, a floor (all roundings) and the head's bound.
+    The precision is read here, once; past the head every quantity is an integer in units
+    of 2^-wp, and the estimate becomes an mpf at the end.  One tail point A = M + 1 + z.
+    Folded to order 0, the orders past those kept and the majorant sum past M to at most
+    their weights times tails[d] >= sum_{x >= A} ln^d(x)/x^S, as does the constants' drift
+    (0 < H_n^(r) < |C_r| + 1 + ln x: under e D |F|(|C|+1) (1+ln x)^D).  The bound adds both,
+    the kept orders' bounds, a floor M 10^(3-dps) max(1, |LHS|) and the head's bound.
     """
     S, D, target = sum(spec.s), spec.F.degree(), Fraction(tol) / 1000
-    n_first, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec)
-    wp = summer.wp
+    wp, dps = mp.prec + GUARD_BITS, mp.dps
+    n_first, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec, wp)
     for n_head in (n_first << i for i in count()):
         head, a = summer.advance_to(n_head), n_head + 1 + spec.z
-        logs = [mp.log(a) ** i for i in range(D + 1)]
-        constants, error = summer.constants(a, logs)
-        tails = [_tail_order((1, {(0, d): 1}), S, 0, a, logs) for d in range(D + 1)]
-        if error + sum(r for _, r in tails) == mp.inf:
+        constants, error = summer.constants(a)
+        tails = [_tail_order((1, {(0, d): 1}), S, 0, a, wp) for d in range(D + 1)]
+        if error is None or any(r is None for _, r in tails):
             continue
-        tails = [int(mp.ldexp(t, wp)) + int(mp.ldexp(r, wp)) + 2 for t, r in tails]  # rounded up
+        tails = [t + r for t, r in tails]  # rounded up
         size = spec.F.evaluate([Fraction(abs(c) + 1, 1 << wp) + 1 for c in constants], abs)
         spread = sum(math.comb(D, d) * t for d, t in enumerate(tails))  # (1 + ln x)^D / x^S
-        drift = math.ceil(D * (int(mp.ldexp(error, wp)) + 1) * size * spread / (1 << wp))
+        drift = math.ceil(D * error * size * spread / (1 << wp))
         order, fit, X, qa = 2, 0, a.numerator, a.denominator  # order 4 first
         while fit < 1 and order < _MAX_ORDER:
             order *= 2
-            model = den, coeffs = _summand_expansion(spec, order, constants, a)
+            model = den, coeffs = _summand_expansion(spec, order, constants, a, wp)
             weights, scale = [0] * (order + 2), den * X ** (order + 1) << wp
             for (j, d), c in coeffs.items():
                 weights[j] += abs(c) * qa**j * X ** (order + 1 - j) * tails[d]
             pasts = list(accumulate(reversed(weights), initial=0))
             fit = sum(p <= target * scale for p in pasts) - 1
         kept, majorant = (order + 2 - fit, -(-(pasts[fit] << wp) // scale)) if fit else (0, 0)
-        sums = [_tail_order(model, S, j, a, logs) for j in range(kept)]
-        remainders = sum(r for _, r in sums)
-        if fit and remainders < mp.inf:
+        sums = [_tail_order(model, S, j, a, wp) for j in range(kept)]
+        if fit and all(r is not None for _, r in sums):
             break
-    est = head + sum(t for t, _ in sums)
-    floor = n_head * mpf(10) ** (3 - mp.dps) * max(1, abs(est))
-    bound = mp.ldexp(majorant + drift, -wp) + remainders + floor + summer.error_bound()
-    return NumericResult(est, float(bound)), n_head, floor
+    est = head + Fraction(sum(t for t, _ in sums), 1 << wp)
+    floor = Fraction(n_head * max(1, abs(est)), 10 ** (dps - 3))
+    bound = Fraction(majorant + drift + sum(r for _, r in sums), 1 << wp) + floor
+    return NumericResult(_mpf(est), float(bound + summer.error_bound())), n_head, floor
 
 
 def verify_identity(

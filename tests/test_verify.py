@@ -166,6 +166,12 @@ class TestSeriesPartialSum:
         # n=1: H_1(-1/2) / ((3/2)(5/2)) = 2 * 4/15
         assert series_partial_sum(spec, 1) == F(8, 15)
 
+    @pytest.mark.parametrize("N", [0, 10.0])
+    def test_rejects_bad_n(self, N):
+        spec = SeriesSpec(X1, 1, 0, (0, 2))
+        with pytest.raises(ValueError, match="N"):
+            series_partial_sum(spec, N)
+
     def test_monotone_increments(self):
         spec = SeriesSpec(X1 * X1, 1, 0, (0, 1, 1))
         values = [series_partial_sum(spec, n) for n in range(1, 9)]
@@ -176,9 +182,9 @@ class TestSeriesPartialSum:
     def test_checkpoint_sums_match_exact(self):
         spec = SeriesSpec(X1 * X1 - Polynomial.variable(2), 2, F(-1, 3), (1, 1))
         with mp.workdps(30):
-            summer = _SeriesSummer(spec)
+            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
             for n in [5, 10]:
-                a = summer.advance_to(n)
+                a = _mpf(summer.advance_to(n))
                 exact = series_partial_sum(spec, n)
                 assert abs(a - mpf(exact.numerator) / exact.denominator) < 1e-25
 
@@ -202,20 +208,21 @@ class TestFixedPointHead:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: str(spec.s))
     def test_within_stated_bound_of_exact(self, spec):
         with mp.workdps(30):
-            summer = _SeriesSummer(spec)
+            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
+        with mp.workdps(80):  # the head and its bound are exact: compare them far below the bound
             for n in [1, 2, 37, 600]:
-                head = summer.advance_to(n)
+                head = _mpf(summer.advance_to(n))
                 exact = series_partial_sum(spec, n)
-                bound = summer.error_bound()
+                bound = _mpf(summer.error_bound())
                 assert abs(head - mpf(exact.numerator) / exact.denominator) <= bound, n
                 assert bound < 1e-26
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: str(spec.s))
     def test_resuming_is_bit_identical(self, spec):
         with mp.workdps(30):
-            resumed = _SeriesSummer(spec)
+            resumed = _SeriesSummer(spec, mp.prec + GUARD_BITS)
             resumed.advance_to(300)
-            once = _SeriesSummer(spec)
+            once = _SeriesSummer(spec, mp.prec + GUARD_BITS)
             assert resumed.advance_to(600) == once.advance_to(600)
             assert resumed.total == once.total
 
@@ -267,11 +274,11 @@ class TestBlockHead:
     @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
     def test_fixed_point_equals_per_term(self, spec, N):
         with mp.workdps(30):
-            summer = _SeriesSummer(spec)
+            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
             summer.advance_to(N)
             total, harmonics = per_term_head(spec, N, exact=False)
             assert (summer.total, summer.harmonics) == (total, harmonics)
-            reference = _SeriesSummer(spec)
+            reference = _SeriesSummer(spec, mp.prec + GUARD_BITS)
             reference.n, reference.total, reference.harmonics = N, total, harmonics
             assert summer.error_bound() == reference.error_bound()
 
@@ -285,11 +292,11 @@ class TestBlockHead:
     def test_uneven_resumption(self, spec):
         N = 2 * HEAD_BLOCK + 3
         with mp.workdps(30):
-            summer = _SeriesSummer(spec)
+            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
             summer.advance_to(HEAD_BLOCK - 1)
             summer.advance_to(N)
             assert (summer.total, summer.harmonics) == per_term_head(spec, N, exact=False)
-        exact = _SeriesSummer(spec, F)
+        exact = _SeriesSummer(spec, None)
         exact.advance_to(HEAD_BLOCK - 1)
         assert exact.advance_to(N) == series_partial_sum(spec, N)
 
@@ -536,7 +543,7 @@ class TestSeriesLimit:
         assert rep.passed and rep.n_used == 600
         assert rep.lhs_estimate.abs_err_bound >= rep.discrepancy
 
-    @pytest.mark.parametrize("N", [0, -3])
+    @pytest.mark.parametrize("N", [0, -3, 1e4, 600.0, 2.5])
     def test_rejects_nonpositive_n(self, N):
         spec = SeriesSpec(X1, 2, 0, (1, 1))
         with pytest.raises(ValueError):
@@ -611,7 +618,7 @@ class TestTaylorModel:
             shift = 1 + _mpf(z)
             constants = [-mp.psi(0, shift) if r == 1 else zeta(r, shift) for r in orders]
             constants = [int(mp.ldexp(c, mp.prec + GUARD_BITS)) for c in constants]
-            coeffs = verify._summand_expansion(spec, order, constants, A)
+            coeffs = verify._summand_expansion(spec, order, constants, A, mp.prec + GUARD_BITS)
             for n in [43, 44, 86, 430]:
                 x = n + _mpf(z)
                 harmonics = [mp.fsum((k + _mpf(z)) ** -r for k in range(1, n + 1)) for r in orders]
@@ -650,8 +657,7 @@ class TestEulerMaclaurinTail:
         # the terms bottom out near e^(-2 pi a) of the sum, so an absolute target
         # ulp / |c| below that is out of reach (at a = 21: c = 1e30, or 72 digits)
         with mp.workdps(dps):
-            a = base + z
-            logs = [mp.log(a) ** i for i in range(5)]
+            a, wp = base + z, mp.prec + GUARD_BITS
             ulp = mp.ldexp(1, -mp.prec)
             # q = 1: the regularized sum of 1/x from a is -psi(a)
             for q, d in [(1, 0), *itertools.product(range(2, 14), range(5))]:
@@ -659,8 +665,11 @@ class TestEulerMaclaurinTail:
                 # c = 1e30 scales values near 1e-31: 20 digits, plus 30 for c
                 with mp.workdps(dps + 50):
                     f_sum = -mp.psi(0, a) if q == 1 else (-1) ** d * zeta(q, a, d)
-                for c in [1, mpf("1e-30"), mpf("1e30")]:
-                    value, remainder = _tail_order((1, {(0, d): c}), q, 0, a, logs)
+                for den, num in [(1, 1), (10**30, 1), (1, 10**30)]:
+                    c = mpf(num) / den
+                    value, remainder = _tail_order((den, {(0, d): num}), q, 0, a, wp)
+                    value = mp.ldexp(value, -wp)
+                    remainder = inf if remainder is None else mp.ldexp(remainder, -wp)
                     if abs(c) / ulp > mp.exp(2 * mp.pi * a):
                         assert remainder == inf, (c, q, d)
                         continue
@@ -673,8 +682,10 @@ class TestEulerMaclaurinTail:
     def test_remainder_is_infinite_when_a_is_too_small(self):
         # the remainder bound bottoms out near e^(-2 pi a) ~ 1e-6 at a = 2
         with mp.workdps(30):
-            a = F(2)
-            value, remainder = _tail_order((1, {(0, 0): 1}), 2, 0, a, [mpf(1)])
+            a, wp = F(2), mp.prec + GUARD_BITS
+            value, remainder = _tail_order((1, {(0, 0): 1}), 2, 0, a, wp)
+            value = mp.ldexp(value, -wp)
+            remainder = inf if remainder is None else mp.ldexp(remainder, -wp)
             assert remainder == mp.inf
             assert abs(value - zeta(2, a)) < 1e-3
 
@@ -710,10 +721,10 @@ class TestShiftNearMinusOne:
         z = F(-999999, 1000000)
         for r in (1, 2, 3):
             with mp.workdps(30):
-                summer = _SeriesSummer(SeriesSpec(X1, r, z, (2,)))
+                summer = _SeriesSummer(SeriesSpec(X1, r, z, (2,)), mp.prec + GUARD_BITS)
                 summer.advance_to(44)
                 a = 45 + z
-                (value,), _ = summer.constants(a, [mpf(1), mp.log(a)])
+                (value,), _ = summer.constants(a)
                 ulp = mp.ldexp(1, -mp.prec)
             with mp.workdps(60):
                 value = mp.ldexp(value, -summer.wp)  # exact at 60 digits
@@ -733,16 +744,33 @@ class TestLhsConstants:
     def test_within_stated_error(self, z, M, tol):
         # x6 keeps H^(1), ..., H^(6) in the head
         with mp.workdps(_digits_for(tol)):
-            summer = _SeriesSummer(SeriesSpec(Polynomial.variable(6), 1, z, (2,)))
+            spec = SeriesSpec(Polynomial.variable(6), 1, z, (2,))
+            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
             summer.advance_to(M)
             a = M + 1 + z
-            constants, error = summer.constants(a, [mpf(1), mp.log(a)])
+            constants, error = summer.constants(a)
         assert len(constants) == 6 and error < inf
-        with mp.workdps(_digits_for(tol) + 20):
+        # the error is absolute, in units of 2^-wp: near z = -1 a constant near 1e24 needs
+        # 60 more digits than the head for a reference as fine as that error
+        with mp.workdps(_digits_for(tol) + 60):
+            error = mp.ldexp(error, -summer.wp)  # exact at this precision
             shift = mp.mpq(*(1 + z).as_integer_ratio())
             for r, value in enumerate((mp.ldexp(c, -summer.wp) for c in constants), 1):
                 reference = -mp.psi(0, shift) if r == 1 else zeta(r, shift)
                 assert abs(value - reference) <= error, (r, value - reference, error)
+
+    @pytest.mark.parametrize("r", [2, 4, 6])
+    def test_one_constant_carries_the_head_floors(self, r):
+        # H^(r) alone at M = 10000: the tail's bound is a few dozen units of 2^-wp there,
+        # while the head's M floors lose about M/2, so the error bound must carry them
+        z = F(-1, 3)
+        with mp.workdps(30):
+            summer = _SeriesSummer(SeriesSpec(X1, r, z, (2,)), mp.prec + GUARD_BITS)
+            summer.advance_to(10000)
+            (value,), error = summer.constants(10001 + z)
+        with mp.workdps(90):
+            value, error = mp.ldexp(value, -summer.wp), mp.ldexp(error, -summer.wp)
+            assert abs(value - zeta(r, mp.mpq(2, 3))) <= error, r
 
 
 class TestLazyVerifier:
@@ -968,6 +996,63 @@ class TestIntegerExpansions:
             assert type(den) is int and den % one == 0  # so a fold's ceiling is at most 2^-wp
             assert any(d for _, d in coeffs) and any(j > order for j, _ in coeffs)
             assert all(type(c) is int for c in coeffs.values())
+
+    def test_lhs_tail_holds_only_ints(self, monkeypatch):
+        # every value, bound and constant of a tol 1e-30 verification's LHS tail is a
+        # Python int, in units of 2^-wp; a bound is None only for a stalled remainder
+        tail_order, summer_constants, tails, constants = (
+            verify._tail_order, verify._SeriesSummer.constants, [], []
+        )
+
+        def recorded_tail(*args):
+            tails.append(tail_order(*args))
+            return tails[-1]
+
+        def recorded_constants(summer, a):
+            constants.append(summer_constants(summer, a))
+            return constants[-1]
+
+        monkeypatch.setattr(verify, "_tail_order", recorded_tail)
+        monkeypatch.setattr(verify._SeriesSummer, "constants", recorded_constants)
+        spec = SeriesSpec(X1 * X1 * X1, 1, F(-1, 3), (0, 2))
+        rep = verify_identity(spec, closed_form(spec), tol=1e-30, N=600)
+        assert rep.passed and rep.n_used == 600  # the head never doubled: nothing stalled
+        assert len(tails) > 3 and constants
+        assert all(type(value) is int and type(bound) is int for value, bound in tails)
+        for values, error in constants:
+            assert type(error) is int and all(type(c) is int for c in values)
+        with mp.workdps(30):  # at a = 2, R_K stops shrinking above the target
+            value, bound = tail_order((1, {(0, 0): 1}), 2, 0, F(2), mp.prec + GUARD_BITS)
+        assert type(value) is int and bound is None
+
+    def test_row_error_covers_logs_a_unit_off(self):
+        # _row's stated error at its worst: each log a unit (less 2^-20) off, in the
+        # direction that raises the row's value, on top of the floor's loss
+        worst, off = 0, 1 - F(1, 2**20)
+        for (q, d, k), a in itertools.product(
+            itertools.product((1, 2, 5), (0, 2, 4), (0, 1, 3)), (F(43), F(131, 3), F(601))
+        ):
+            X, qa = a.numerator, a.denominator
+            for den, nums in (row for row in _em_rule(q, d, k)[:2] if row[1]):
+                L = verify._logs(a, len(nums) - 1, 60)
+                logs = [l + off * ((c > 0) - (c < 0)) for l, c in zip(L, nums)]
+                power, x_power = qa ** (2 * k), X ** (2 * k)
+                value, error = verify._row((den, nums), L, power, x_power)
+                exact = sum(c * l for c, l in zip(nums, logs)) * power / (den * x_power)
+                assert abs(value - exact) <= error, (q, d, k, a)
+                worst = max(worst, abs(value - exact) / error)
+        assert worst > F(9, 10)  # the worst case comes close
+
+    @pytest.mark.parametrize("a", [F(43), F(2**20) - F(1, 3), F(10**6) + F(2, 3)], ids=str)
+    def test_logs_within_a_unit(self, a):
+        # round(ln^i(a) 2^W), i <= 6, against mpmath at 2W bits
+        for W in (40, 127, 263, 600):
+            logs = verify._logs(a, 6, W)
+            assert len(logs) == 7 and all(type(L) is int for L in logs)
+            with mp.workprec(2 * W):
+                log = mp.log(mp.mpq(a.numerator, a.denominator))
+                for i, L in enumerate(logs):
+                    assert abs(L - mp.ldexp(log**i, W)) <= 1, (W, i)
 
     @pytest.mark.parametrize("dps", [30, 44])
     def test_zeta_tail_coeffs_are_exact(self, dps):

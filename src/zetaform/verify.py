@@ -430,7 +430,6 @@ def _em_rule(q: int, d: int, k: int) -> tuple:
     return (den, tuple(b * c for c in prev)), _reduced(den * p1 ** (d + 1), Q[:-1]), P
 
 
-@lru_cache(maxsize=4096)
 def _logs(a: Fraction, powers: int, W: int) -> tuple:
     """round(ln^i(a) 2^W), i <= powers, each within a unit while ln^i(a) < 2^56."""
     with mp.workprec(max(W, 0) + 64):  # off by under 2^-56 of a unit before the rounding
@@ -455,7 +454,7 @@ def _tail_order(model: tuple, S: int, j: int, a: Fraction, wp: int) -> tuple:
     Both in units of 2^-wp.  Euler-Maclaurin as in verify_identity.  A term c ln^d(x)/x^q is
     c a^(1-q) times a sum of _em_rule rows at ln a over a^2k, each taken by _row in fixed
     point at W = wp + mag bits, 2^(mag-1) < |c a^(1-q)| < 2^(mag+1), with the _logs at W: a
-    unit at W is under one of 2^-wp, and 2^(GUARD_BITS-1) of them, the target, under
+    unit at W is under two of 2^-wp, and 2^(GUARD_BITS-1) of them, the target, under
     2^-prec.  a^-2k = qa^2k / X^2k is exact (a = X/qa).  K is the first with R_K plus the
     error of the rows used, f(a)/2's included, at most the target.  The value is each
     term's sum floored; the bound is the ceiling of its stated error, plus a unit per

@@ -246,19 +246,19 @@ def _value(cf: ClosedForm, t_mode: bool, latex: bool) -> str:
     for mono, coeff in terms:
         if t_mode:  # zeta(v; -1/2) = 2^|v| t(v); the constant has weight 0
             coeff *= 2 ** sum(sum(v) for v in mono)
-        negative = coeff < 0
-        size = -coeff if negative else coeff
+        num, den = coeff.numerator, coeff.denominator
+        size = abs(num)
         args = (",".join(map(str, v)) for v in mono)
         body = times.join(f"t({a})" if t_mode else f"{name}({a}{shift})" for a in args)
-        if size != 1 or not mono:
-            num = str(size)
-            if latex and size.denominator != 1:
-                num = rf"\frac{{{size.numerator}}}{{{size.denominator}}}"
-            body = f"{num}{times}{body}" if mono else num
+        if size != 1 or den != 1 or not mono:
+            text = str(size) if den == 1 else f"{size}/{den}"
+            if latex and den != 1:
+                text = rf"\frac{{{size}}}{{{den}}}"
+            body = f"{text}{times}{body}" if mono else text
         if not chunks:
-            chunks.append(f"-{body}" if negative else body)
+            chunks.append(f"-{body}" if num < 0 else body)
         else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
+            chunks.append(f"- {body}" if num < 0 else f"+ {body}")
     return " ".join(chunks)
 
 

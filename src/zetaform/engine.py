@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional
 
 from .qsym import (
@@ -280,19 +280,26 @@ class _Evaluator:
 def closed_form(spec: SeriesSpec) -> ClosedForm:
     """Full pipeline: exact closed form of the series described by `spec`."""
     u = poly_to_qsym(spec.F)
-    comb = canonicalize(spec.s)
     ev = _Evaluator(spec.m, spec.z)
     shapes: dict = {}  # node shape -> its coefficient summed over the canonical keys
-    for key, c1 in comb.items():
+    for key, c1 in canonicalize(spec.s).items():
         for shape, c in _root_shape(key):
             shapes[shape] = shapes.get(shape, 0) + c1 * c
-        for comp in u.terms:
-            top = max(ev.build(shape + (comp,)) for shape, _ in _root_shape(key))
-            bound = spec.m * sum(comp) + sum(spec.s)
-            if top > bound:
-                raise AssertionError(f"emitted weight {top} exceeds bound {bound}")
-    roots = [(s + (comp,), c * c2) for comp, c2 in u.terms.items() for s, c in shapes.items()]
-    return ev.push(roots)
+    den_s = lcm(*(c.denominator for c in shapes.values()))
+    den_u = lcm(*(c.denominator for c in u.terms.values()))
+    nums_s = [(shape, c.numerator * (den_s // c.denominator)) for shape, c in shapes.items()]
+    children, top = [], 0  # each root node with its integer numerator over den_s * den_u
+    for comp, cu in u.terms.items():
+        bound = spec.m * sum(comp) + sum(spec.s)
+        nu = cu.numerator * (den_u // cu.denominator)
+        for shape, ns in nums_s:
+            weight = ev.build(shape + (comp,))
+            if weight > bound:
+                raise AssertionError(f"emitted weight {weight} exceeds bound {bound}")
+            children.append((shape + (comp,), ns * nu))
+            top = max(top, weight)
+    ev.rules[("root",)] = (den_s * den_u, 0, (), children, top)  # added last, so pushed first
+    return ev.push([(("root",), 1)])
 
 
 def index_value(index, comp, m: int, z) -> ClosedForm:

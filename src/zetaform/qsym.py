@@ -377,14 +377,20 @@ def bell_polynomial(k: int, args: Sequence):
 
 def poly_to_qsym(poly: Polynomial) -> QSymExpr:
     """Substitute x_i -> i-th power sum and expand via quasi-shuffle."""
-    total = QSymExpr.zero()
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))  # sums in integers over den
+    totals: dict = {}
     for exps, coeff in poly.terms.items():
-        term = QSymExpr.one()
+        term = {(): coeff.numerator * (den // coeff.denominator)}
         for i, e in enumerate(exps, start=1):
             for _ in range(e):
-                term = term * power_sum(i)
-        total = total + coeff * term
-    return total
+                prod: dict = {}
+                for comp, n in term.items():
+                    for key, mult in _stuffle(comp, (i,)):
+                        add_term(prod, key, n * mult)
+                term = prod
+        for comp, n in term.items():
+            add_term(totals, comp, n)
+    return QSymExpr()._like({comp: Fraction(n, den) for comp, n in totals.items()})
 
 
 def _finite_zeta(comp: Composition, n: int, m: int, z: Fraction) -> Fraction:

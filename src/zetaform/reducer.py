@@ -111,32 +111,33 @@ def _pivot_reduce(s, stops: tuple[str, ...]) -> Combination:
     """Pivot recursion from `s` down to weight-2 keys and keys of a kind in `stops`.
 
     Kinds are those of `classify`.  The pivot is always (first nonzero, last
-    nonzero), which pins the output uniquely; the memo table lives only for
-    the duration of the call.
+    nonzero), which pins the output uniquely.  The memo table lives only
+    for the call; it holds each entry as integer numerators over one denominator.
     """
-    memo: dict[Index, Combination] = {}
+    memo: dict[Index, tuple] = {}
 
-    def rec(t: Index) -> Combination:
+    def rec(t: Index) -> tuple:
         hit = memo.get(t)
         if hit is not None:
             return hit
         if sum(t) == 2 or classify(t)[0] in stops:
-            res: Combination = {t: Fraction(1)}
+            res = (1, {t: 1})
         else:
             nz = [i for i, v in enumerate(t) if v]
             i, j = nz[0], nz[-1]
-            scale = Fraction(1, j - i)
-            res = {}
-            for pos, sign in ((j, 1), (i, -1)):
-                child = list(t)
-                child[pos] -= 1
-                for key, c in rec(_strip(child)).items():
-                    res[key] = res.get(key, Fraction(0)) + sign * scale * c
-            res = {k: v for k, v in res.items() if v}
+            lower = (_strip(t[:p] + (t[p] - 1,) + t[p + 1 :]) for p in (j, i))
+            (d_j, at_j), (d_i, at_i) = map(rec, lower)
+            den, nums = math.lcm(d_j, d_i), {}
+            for part, scale in ((at_j, den // d_j), (at_i, -den // d_i)):
+                for key, c in part.items():
+                    nums[key] = nums.get(key, 0) + scale * c
+            g = math.gcd(den * (j - i), *nums.values())
+            res = (den * (j - i) // g, {key: c // g for key, c in nums.items() if c})
         memo[t] = res
         return res
 
-    return rec(as_index(s))
+    den, nums = rec(as_index(s))
+    return {key: Fraction(c, den) for key, c in nums.items()}
 
 
 def reduce_index(s) -> Combination:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -159,6 +160,70 @@ class TestRender:
             "z": "-1/2",
             "m": 3,
         }
+
+
+def fraction_value(cf, t_mode, latex):
+    """The value line built with Fraction comparison, negation and str, as a reference."""
+    name, times = (r"\zeta", "") if latex else ("zeta", "*")
+    shift = "" if cf.shift == 0 else f"; {cf.shift}"
+    terms = cf.sorted_terms()
+    if cf.constant or not terms:
+        terms.insert(0, ((), cf.constant))
+    chunks = []
+    for mono, coeff in terms:
+        if t_mode:
+            coeff *= 2 ** sum(sum(v) for v in mono)
+        negative = coeff < 0
+        size = -coeff if negative else coeff
+        args = (",".join(map(str, v)) for v in mono)
+        body = times.join(f"t({a})" if t_mode else f"{name}({a}{shift})" for a in args)
+        if size != 1 or not mono:
+            num = str(size)
+            if latex and size.denominator != 1:
+                num = rf"\frac{{{size.numerator}}}{{{size.denominator}}}"
+            body = f"{num}{times}{body}" if mono else num
+        if not chunks:
+            chunks.append(f"-{body}" if negative else body)
+        else:
+            chunks.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(chunks)
+
+
+class TestRenderMatchesFractionReference:
+    """The value line is rendered from numerators and denominators, byte for byte as before."""
+
+    # -1/4, 3/8 and 5/16 become integers or halves under t_values' 2^|v| scaling
+    COEFFS = (1, -1, 3, -7, F(1, 2), F(-2, 3), F(-1, 4), F(3, 8), F(5, 16), F(-9, 32), F(22, 7))
+
+    def random_form(self, rng, shift):
+        vectors = [(2,), (3,), (1, 2), (2, 1, 3), (1, 1, 4), (5,)]
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            mono = [rng.choice(vectors) for _ in range(rng.randint(1, 2))]
+            terms[tuple(mono)] = rng.choice(self.COEFFS)
+        constant = rng.choice((0, 0) + self.COEFFS)
+        return ClosedForm(constant, terms, shift, rng.choice((1, 2)))
+
+    def forms(self):
+        rng = random.Random(20261019)
+        fixed = [
+            ClosedForm(0, {}, F(-1, 2), 1),
+            ClosedForm(5, {}, F(-1, 2), 1),
+            ClosedForm(F(-3, 8), {}, F(-1, 2), 1),
+            ClosedForm(0, {((2,),): F(1, 4), ((3,),): F(-1, 8)}, F(-1, 2), 1),
+        ]
+        return fixed + [self.random_form(rng, rng.choice((F(-1, 2), 0, F(-1, 3)))) for _ in range(300)]
+
+    def test_text_and_latex_match_byte_for_byte(self):
+        seen_t = 0
+        for cf in self.forms():
+            modes = ("raw", "t_values") if cf.shift == F(-1, 2) else ("raw",)
+            for mode in modes:
+                seen_t += mode == "t_values"
+                for fmt, latex in (("text", False), ("latex", True)):
+                    want = f"value = {fraction_value(cf, mode == 't_values', latex)}"
+                    assert render(cf, mode, fmt).text == want, (cf, mode, fmt)
+        assert seen_t > 50
 
 
 class TestRun:

@@ -188,6 +188,42 @@ class TestPolyToQsym:
         assert poly_to_qsym(poly) == QSymExpr({(): F(3, 2), (1,): 1})
 
 
+def algebra_image(poly):
+    """poly_to_qsym through the public algebra: products of power sums, summed."""
+    total = QSymExpr.zero()
+    for exps, coeff in poly.terms.items():
+        term = QSymExpr.one()
+        for i, e in enumerate(exps, start=1):
+            term = term * power_sum(i) ** e
+        total = total + coeff * term
+    return total
+
+
+COEFFS = (1, -1, 2, F(1, 2), F(-3, 4), F(5, 3))
+X = [Polynomial.variable(i) for i in (1, 2, 3)]
+
+
+@st.composite
+def small_polynomial(draw):
+    """A polynomial in x1..x3 of degree <= 4, sometimes with images that cancel."""
+    exps = st.tuples(*[st.integers(0, 4)] * 3).filter(lambda e: sum(e) <= 4)
+    poly = Polynomial(draw(st.lists(st.tuples(exps, st.sampled_from(COEFFS)), max_size=5)))
+    for c in draw(st.lists(st.sampled_from(COEFFS), max_size=2)):
+        # x1^2 - x2 and x1*x2 - x3 drop the single part M(2) and M(3)
+        pair = draw(st.sampled_from([X[0] ** 2 - X[1], X[0] * X[1] - X[2]]))
+        poly = poly + c * pair
+    return poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polynomial())
+def test_poly_to_qsym_matches_the_public_algebra(poly):
+    got = poly_to_qsym(poly)
+    assert got == algebra_image(poly)
+    for c in got.terms.values():
+        assert type(c) is F and c != 0
+
+
 class TestEvaluateFinite:
     def test_harmonic(self):
         assert evaluate_finite(M((1,)), 2, 1, 0) == F(3, 2)

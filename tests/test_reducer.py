@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 import random
 from fractions import Fraction as F
 
@@ -245,3 +247,31 @@ def test_reduction_preserves_the_summand(s, z):
         for n in range(1, degree + 2):
             got = sum(c * summand(k, n, z) for k, c in comb.items())
             assert got == summand(s, n, z), (s, z, n)
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_pivot(s, stops):
+    """The pivot recursion with one Fraction per operation, as a plain reference."""
+    if sum(s) == 2 or classify(s)[0] in stops:
+        return {s: F(1)}
+    nz = [i for i, v in enumerate(s) if v]
+    i, j = nz[0], nz[-1]
+    out = {}
+    for pos, sign in ((j, 1), (i, -1)):
+        child = list(s)
+        child[pos] -= 1
+        for key, c in fraction_pivot(as_index(child), stops).items():
+            out[key] = out.get(key, F(0)) + sign * F(1, j - i) * c
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(lambda s: sum(s) >= 2))
+def test_integer_pivot_recursion_matches_a_fraction_reference(s):
+    # the memo holds integer numerators over one denominator per entry; the
+    # output must still be the reference's reduced, nonzero Fractions
+    for comb, stops in ((reduce_index(s), ("power", "ones")), (canonicalize(s), ("power",))):
+        assert comb == fraction_pivot(as_index(s), stops), (s, stops)
+        for c in comb.values():
+            assert type(c) is F and c != 0
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1

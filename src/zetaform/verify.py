@@ -113,19 +113,19 @@ def _zeta_tail(sigma: int, order: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _level_expansion(svec: ZetaVector, dps: int) -> tuple:
-    """f(n) ~ sum_p nums[p] / (den x^p), x = n + z, p <= top = dps + 20, as (den, nums).
+def _level_expansion(svec: ZetaVector, top: int) -> tuple:
+    """f(n) ~ sum_p nums[p] / (den x^p), x = n + z, p <= top, as (den, nums).
 
     f(n) = sum_{n < t_1 < ... < t_k} prod (t_i + z)^-s_i.  Going inward to
     outward, each term c / x^q of the inner level's expansion contributes c
     times the expansion of zeta(s_1 + q, x + 1), in integers over the lcm of
-    their denominators, reduced once; no z.  U = nums[top + 1] bounds the rest:
+    their denominators, reduced once; no z, no dps.  U = nums[top + 1] bounds the rest:
     |f(n) - the sum| <= U / (den x^(top+1)) for x >= x0 = MHZ_CUTOFF - 1.  It adds
     |c| times each zeta's rest (_zeta_tail) and the inner U times sum_{t>n} (t+z)^-(s_1+top+1)
     <= x^-(s_1+top) / (s_1+top); x^-p <= x0^(top+1-p) x^-(top+1) for p > top + 1.
     """
-    top, s, x0 = dps + 20, svec[0], MHZ_CUTOFF - 1
-    den, inner = _level_expansion(svec[1:], dps) if len(svec) > 1 else (1, (1, 0))
+    s, x0 = svec[0], MHZ_CUTOFF - 1
+    den, inner = _level_expansion(svec[1:], top) if len(svec) > 1 else (1, (1, 0))
     tails = [(c, _zeta_tail(s + q, top)) for q, c in enumerate(inner[:-1]) if c]
     lcm = math.lcm(*(d for _, (d, _, _) in tails))
     out, rest = [0] * (top + 1), -(-inner[-1] * lcm * x0 // (s + top))  # over den lcm x0^s
@@ -139,31 +139,41 @@ def _level_expansion(svec: ZetaVector, dps: int) -> tuple:
     return reduced, nums + (-(-rest * reduced // (den * lcm * x0**s)),)
 
 
+@lru_cache(maxsize=None)
+def _level_order(wp: int, c: int) -> int:
+    """The least top with top! / (2 pi (c - 1))^top <= 2^-wp at cutoff c, 2 pi as 710/113.
+
+    |B_k|/k! ~ 2/(2 pi)^k (DLMF 24.9): past top the zeta-tail terms at c are under 2^-wp; past
+    2 pi (c - 1), where top stops at most, they grow.  The order sets only how tight the bound is.
+    """
+    b = 710 * (c - 1)  # 113 times 2 pi (c - 1), nearly
+    return next(t for t in count(1) if 113 * t >= b or math.factorial(t) * 113**t << wp <= b**t)
+
+
 def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> tuple:
     """(value, bound) at a fixed cutoff >= MHZ_CUTOFF; precision from the ambient context.
 
-    Level j is f_j(n) = sum_{t>n} (t+z)^-s_j f_(j+1)(t), with f_k = 1 and the
-    value f_0(0).  Each level starts at n = cutoff from its expansion, summed
-    exactly at x = cutoff + z and floored, and runs backward to n = 0 in fixed
-    point at wp = mp.prec + GUARD_BITS bits: with z = p/q, the weight is
-    floor(q^s 2^wp / (q n + p)^s) and a product is (w f) >> wp.
+    Level j is f_j(n) = sum_{t>n} (t+z)^-s_j f_(j+1)(t), with f_k = 1 and the value f_0(0).
+    Each level starts at n = cutoff from its expansion through _level_order, summed exactly
+    at x = cutoff + z and floored, and runs backward to n = 0 in fixed point at
+    wp = mp.prec + GUARD_BITS bits: with z = p/q, the weight is floor(q^s 2^wp / (q n + p)^s)
+    and a product is (w f) >> wp.
 
-    Error: level j's own error e_j is its expansion's rest at x, a ceiling in units of
-    u = 2^-wp, plus under 1 + 3c floors of u at cutoff c (the start; per step the
-    weight's floor times the inner level at n >= 1, at most its z = 0 multiple zeta
-    value, below zeta(2) by the sum theorem, and the product's floor).  E_j <= e_j +
-    W_j E_(j+1), with the weight sum W_j under L = 2 + ln c over t >= 2, plus
-    (1+z)^-s_0 at t = 1 for the outermost.  So at depth k, for every z in (-1, 0], the
-    result is off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2); the bound adds the
-    final rounding.  At k = 1 the inner level is exactly 2^wp, so a step adds only the
-    weight's floor: under u (1 + c).
+    Error: level j's own error e_j is its expansion's stated rest at x, however large the
+    order leaves it, a ceiling in units of u = 2^-wp, plus under 1 + 3c floors of u at
+    cutoff c (the start; per step the weight's floor times the inner level at n >= 1, at
+    most its z = 0 multiple zeta value, below zeta(2) by the sum theorem, and the
+    product's floor).  E_j <= e_j + W_j E_(j+1), with the weight sum W_j under
+    L = 2 + ln c over t >= 2, plus (1+z)^-s_0 at t = 1 for the outermost.  So at depth k,
+    for every z in (-1, 0], the result is off by less than max e_j k ((1+z)^-s_0 + L)
+    L^(k-2); the bound adds the final rounding.  At k = 1 the inner level is exactly
+    2^wp, so a step adds only the weight's floor: under u (1 + c).
     """
     p, q, wp = zq.numerator, zq.denominator, mp.prec + GUARD_BITS
-    x = q * cutoff + p  # q (cutoff + z)
+    x, top = q * cutoff + p, _level_order(wp, cutoff)  # x = q (cutoff + z)
     f, rest = [1 << wp] * (cutoff + 1), 0
     for j in range(len(svec) - 1, -1, -1):
-        den, nums = _level_expansion(svec[j:], mp.dps)
-        acc, top = 0, len(nums) - 2
+        (den, nums), acc = _level_expansion(svec[j:], top), 0
         for k, c in enumerate(nums[:-1]):
             acc = acc * x + c * q**k
         acc, scaled = (acc << wp) // (den * x**top), q ** svec[j] << wp
@@ -179,12 +189,12 @@ def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> tuple:
 def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
     """Multiple Hurwitz zeta value with an error bound.
 
-    Desk-scale only (depth <= 5, weight <= 10).  The value depends only on
-    the vector, the shift and the working precision dps that abs_err asks
-    for, never on earlier requests.  Every depth, 1 included, is summed once
-    in fixed point at cutoff max(MHZ_CUTOFF, 6 dps / 5); the bound is
-    _mhz_once's, stated from each level's majorant and the fixed-point error,
-    plus a precision floor 10^(5 - dps).
+    Desk-scale only (depth <= 5, weight <= 10).  The value depends only on the vector, the
+    shift and the working precision dps that abs_err asks for, never on earlier requests.
+    Every depth, 1 included, is summed once in fixed point at cutoff c = max(MHZ_CUTOFF,
+    6 dps / 5), each level from its expansion through the least top with
+    top! / (2 pi (c - 1))^top <= 2^-wp; the bound is _mhz_once's, from each level's majorant
+    and the fixed-point error, plus a floor 10^(5 - dps), and that order sets only how tight.
     """
     vec = check_vector(v)
     if len(vec) > DESK_MAX_DEPTH:

@@ -23,6 +23,7 @@ from zetaform.verify import (
     _digits_for,
     _em_rule,
     _level_expansion,
+    _level_order,
     _mhz_once,
     _mpf,
     _tail_order,
@@ -883,31 +884,67 @@ class TestLevelExpansion:
 
     @pytest.mark.parametrize("z", [F(0), F(-1, 3), F(-999999, 1000000)])
     def test_bound_carries_a_short_expansions_rest(self, z, monkeypatch):
-        # expansions through order 10 (top = dps + 20 at dps = -10) leave a level rest
-        # near 40^-11 at the cutoff, far above the fixed-point error: the bound must carry it
+        # expansions through order 10 leave a level rest near 40^-11 at the cutoff,
+        # far above the fixed-point error: the bound must carry it
         with mp.workdps(30):
             references = {vec: _mhz_once(vec, z, 40) for vec in self.VECTORS}
-            monkeypatch.setattr(
-                verify, "_level_expansion", lambda svec, dps: _level_expansion(svec, -10)
-            )
+            monkeypatch.setattr(verify, "_level_order", lambda wp, c: 10)
             for vec, (reference, reference_bound) in references.items():
                 value, bound = _mhz_once(vec, z, 40)
                 assert abs(value - reference) <= bound + reference_bound, vec
 
     @pytest.mark.parametrize("dps", [30, 44, 72])
     def test_stated_rest_covers_the_truncation(self, dps):
-        # |sum through top - f| <= U / (den x^(top+1)) for x >= MHZ_CUTOFF - 1; the
-        # expansion at dps + 40, twenty orders longer, stands in for f
+        # |sum through top - f| <= U / (den x^(top+1)) for x >= MHZ_CUTOFF - 1, at the
+        # order the rule picks at dps; the expansion 40 orders longer stands in for f
+        with mp.workdps(dps):
+            top = _level_order(mp.prec + GUARD_BITS, max(verify.MHZ_CUTOFF, 6 * dps // 5))
         vectors = [
             v for k in range(1, 6) for v in itertools.product((1, 2, 3), repeat=k)
             if v[-1] > 1 and sum(v) <= 10
         ]
         for vec in vectors:
-            den, nums = _level_expansion(vec, dps)
-            ref_den, ref = _level_expansion(vec, dps + 40)
+            den, nums = _level_expansion(vec, top)
+            ref_den, ref = _level_expansion(vec, top + 40)
             for x in (F(391, 10), F(40), F(80)):
                 err = abs(_truncated(den, nums, x) - _truncated(ref_den, ref, x))
                 assert err <= F(nums[-1], den) / x ** (len(nums) - 1), (vec, x)
+
+    @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-999999, 1000000)])
+    def test_rule_and_dps_plus_20_orders_agree_within_stated_bounds(self, z, monkeypatch):
+        # the order only trades the level rest against work: the value at the rule's
+        # order and at the longer dps + 20 one differ by at most both stated bounds
+        for dps in (30, 44, 72, 112):
+            with mp.workdps(dps):
+                c = max(verify.MHZ_CUTOFF, 6 * dps // 5)
+                ruled = {vec: _mhz_once(vec, z, c) for vec in self.VECTORS}
+                with monkeypatch.context() as m:
+                    m.setattr(verify, "_level_order", lambda *_: mp.dps + 20)
+                    longer = {vec: _mhz_once(vec, z, c) for vec in self.VECTORS}
+                for vec, (a, bound_a) in ruled.items():
+                    b, bound_b = longer[vec]
+                    assert abs(a - b) <= bound_a + bound_b, (vec, dps, a - b)
+
+    @pytest.mark.parametrize("dps", [30, 44, 72, 112])
+    def test_rule_order_leaves_at_most_4_units_of_level_rest(self, dps):
+        # at x = cutoff + z the stated rest past _level_order's top, for every admissible
+        # vector (entries <= 7, depth <= 5, weight <= 10; a suffix of one is one too), is
+        # at most 4 units of 2^-wp
+        admissible = [
+            v for k in range(1, 6) for v in itertools.product(range(1, 8), repeat=k)
+            if v[-1] > 1 and sum(v) <= 10
+        ]
+        assert len(admissible) == 373
+        with mp.workdps(dps):
+            wp, c = mp.prec + GUARD_BITS, max(verify.MHZ_CUTOFF, 6 * dps // 5)
+        top, worst = _level_order(wp, c), 0
+        for vec in admissible:
+            den, nums = _level_expansion(vec, top)
+            for z in (F(0), F(-1, 2), F(-999999, 1000000)):
+                rest = math.ceil(F(nums[-1] << wp, den) / (c + z) ** (top + 1))
+                assert rest <= 4, (vec, z, rest)
+                worst = max(worst, rest)
+        assert worst >= 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -921,10 +958,9 @@ def _reference_tail(sigma, order):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_level_expansion(svec, dps):
+def _reference_level_expansion(svec, top):
     # reference: the level recursion in Fraction arithmetic
-    top = dps + 20
-    inner = _reference_level_expansion(svec[1:], dps) if len(svec) > 1 else (F(1),)
+    inner = _reference_level_expansion(svec[1:], top) if len(svec) > 1 else (F(1),)
     out = [F(0)] * (top + 1)
     for q, c in enumerate(inner):
         if c:
@@ -1061,12 +1097,12 @@ class TestIntegerExpansions:
             reference = _reference_tail(sigma, dps + 22)
             assert [F(c, den) for c in nums] == [reference.get(p, 0) for p in range(dps + 23)]
 
-    @pytest.mark.parametrize("dps", [30, 44])
-    def test_level_expansions_are_exact(self, dps):
+    @pytest.mark.parametrize("top", [50, 64])
+    def test_level_expansions_are_exact(self, top):
         vectors = [v for k in range(1, 5) for v in itertools.product((1, 2, 3), repeat=k)]
         for vec in vectors:
-            den, (*nums, _) = _level_expansion(vec, dps)
-            assert [F(c, den) for c in nums] == list(_reference_level_expansion(vec, dps)), vec
+            den, (*nums, _) = _level_expansion(vec, top)
+            assert [F(c, den) for c in nums] == list(_reference_level_expansion(vec, top)), vec
 
 
 class TestStuffle:

@@ -116,10 +116,10 @@ def _zeta_tail(sigma: int, order: int) -> tuple:
 def _level_expansion(svec: ZetaVector, top: int) -> tuple:
     """f(n) ~ sum_p nums[p] / (den x^p), x = n + z, p <= top, as (den, nums).
 
-    f(n) = sum_{n < t_1 < ... < t_k} prod (t_i + z)^-s_i.  Going inward to
-    outward, each term c / x^q of the inner level's expansion contributes c
-    times the expansion of zeta(s_1 + q, x + 1), in integers over the lcm of
-    their denominators, reduced once; no z, no dps.  U = nums[top + 1] bounds the rest:
+    f(n) = sum_{n < t_1 < ... < t_k} prod (t_i + z)^-s_i.  Going inward to outward, each term
+    c / x^q of the inner level's expansion adds c times the expansion of zeta(s_1 + q, x + 1),
+    in integers over the lcm of their denominators, reduced once; no z, no dps: _mhz_once takes top
+    from _level_order, which sets only how tight its bound is.  U = nums[top + 1] bounds the rest:
     |f(n) - the sum| <= U / (den x^(top+1)) for x >= x0 = MHZ_CUTOFF - 1.  It adds
     |c| times each zeta's rest (_zeta_tail) and the inner U times sum_{t>n} (t+z)^-(s_1+top+1)
     <= x^-(s_1+top) / (s_1+top); x^-p <= x0^(top+1-p) x^-(top+1) for p > top + 1.
@@ -139,35 +139,35 @@ def _level_expansion(svec: ZetaVector, top: int) -> tuple:
     return reduced, nums + (-(-rest * reduced // (den * lcm * x0**s)),)
 
 
-@lru_cache(maxsize=None)
 def _level_order(wp: int, c: int) -> int:
     """The least top with top! / (2 pi (c - 1))^top <= 2^-wp at cutoff c, 2 pi as 710/113.
 
-    |B_k|/k! ~ 2/(2 pi)^k (DLMF 24.9): past top the zeta-tail terms at c are under 2^-wp; past
-    2 pi (c - 1), where top stops at most, they grow.  The order sets only how tight the bound is.
+    |B_k|/k! ~ 2/(2 pi)^k (DLMF 24.9) sizes the zeta-tail terms at c, times (2/top) (2 pi)^(sigma-1)
+    / (sigma-1)! (at most about 5 at 30 digits); past 2 pi (c - 1), where top stops, they grow.
+    It sets only how tight the bound is; tested, the level rest at c is at most 3 units of 2^-wp.
     """
-    b = 710 * (c - 1)  # 113 times 2 pi (c - 1), nearly
-    return next(t for t in count(1) if 113 * t >= b or math.factorial(t) * 113**t << wp <= b**t)
+    t, fac, bt = 1, 113 << wp, (b := 710 * (c - 1))  # 2^wp 113^t t!, b^t; b ~ 113 (2 pi) (c - 1)
+    while 113 * t < b and fac > bt:
+        t, fac, bt = t + 1, fac * 113 * (t + 1), bt * b
+    return t
 
 
 def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> tuple:
     """(value, bound) at a fixed cutoff >= MHZ_CUTOFF; precision from the ambient context.
 
-    Level j is f_j(n) = sum_{t>n} (t+z)^-s_j f_(j+1)(t), with f_k = 1 and the value f_0(0).
-    Each level starts at n = cutoff from its expansion through _level_order, summed exactly
-    at x = cutoff + z and floored, and runs backward to n = 0 in fixed point at
-    wp = mp.prec + GUARD_BITS bits: with z = p/q, the weight is floor(q^s 2^wp / (q n + p)^s)
-    and a product is (w f) >> wp.
+    Level j is f_j(n) = sum_{t>n} (t+z)^-s_j f_(j+1)(t), with f_k = 1 and the value f_0(0).  Each
+    level starts at n = cutoff from its expansion to _level_order's top, summed exactly at
+    x = cutoff + z and floored, then runs back to n = 0 in fixed point at wp = mp.prec + GUARD_BITS
+    bits: for z = p/q the weight is floor(q^s 2^wp / (q n + p)^s) and a product is (w f) >> wp.
 
-    Error: level j's own error e_j is its expansion's stated rest at x, however large the
-    order leaves it, a ceiling in units of u = 2^-wp, plus under 1 + 3c floors of u at
-    cutoff c (the start; per step the weight's floor times the inner level at n >= 1, at
-    most its z = 0 multiple zeta value, below zeta(2) by the sum theorem, and the
-    product's floor).  E_j <= e_j + W_j E_(j+1), with the weight sum W_j under
-    L = 2 + ln c over t >= 2, plus (1+z)^-s_0 at t = 1 for the outermost.  So at depth k,
-    for every z in (-1, 0], the result is off by less than max e_j k ((1+z)^-s_0 + L)
-    L^(k-2); the bound adds the final rounding.  At k = 1 the inner level is exactly
-    2^wp, so a step adds only the weight's floor: under u (1 + c).
+    Error: level j's own error e_j is its expansion's stated rest at x, however large the order
+    leaves it, a ceiling in units of u = 2^-wp, plus under 1 + 3c floors of u at cutoff c (the
+    start; per step the weight's floor times the inner level at n >= 1, at most its z = 0 multiple
+    zeta value, below zeta(2) by the sum theorem, and the product's floor).
+    E_j <= e_j + W_j E_(j+1), with the weight sum W_j under L = 2 + ln c over t >= 2, plus
+    (1+z)^-s_0 at t = 1 for the outermost.  So at depth k, for every z in (-1, 0], the result is
+    off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2); the bound adds the final rounding.  At
+    k = 1 the inner level is exactly 2^wp, so a step adds only the weight's floor: under u (1 + c).
     """
     p, q, wp = zq.numerator, zq.denominator, mp.prec + GUARD_BITS
     x, top = q * cutoff + p, _level_order(wp, cutoff)  # x = q (cutoff + z)

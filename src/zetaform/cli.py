@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from mpmath import nstr
+from mpmath import mp, nstr
 
 from .engine import (
     ClosedForm,
@@ -291,6 +291,10 @@ def closed_form_from_json(data: dict) -> ClosedForm:
         raise CliError(f"malformed closed form JSON ({type(exc).__name__}: {exc})") from None
 
 
+def _digits(value: Fraction) -> str:  # 25 digits of an exact value, rounded to 128 bits first
+    return nstr(mp.fdiv(value.numerator, value.denominator, prec=128), 25)
+
+
 def render(
     cf: ClosedForm,
     mode: str = "raw",
@@ -319,8 +323,8 @@ def render(
                 "passed": report.passed,
                 "discrepancy": report.discrepancy,
                 "n_used": report.n_used,
-                "lhs": nstr(report.lhs_estimate.value, 25),
-                "rhs": nstr(report.rhs_value.value, 25),
+                "lhs": _digits(report.lhs_estimate.value),
+                "rhs": _digits(report.rhs_value.value),
                 "message": report.message,
             }
         text = json.dumps(payload, sort_keys=True)

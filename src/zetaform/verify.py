@@ -41,7 +41,7 @@ class DeskLimitError(ValueError):
 
 @dataclass(frozen=True)
 class NumericResult:
-    value: mpf
+    value: Fraction  # exact: the oracle's fixed-point sum over 2^wp, or the LHS estimate
     abs_err_bound: float
 
     def __float__(self) -> float:
@@ -66,8 +66,9 @@ def _digits_for(abs_err: float) -> int:
     return max(30, int(-math.log10(abs_err)) + 12)
 
 
-def _mpf(q: Fraction) -> mpf:
-    return mpf(q.numerator) / q.denominator
+def _bits_for(dps: int) -> int:
+    """Bits for dps decimal digits, round((dps + 1) log2 10), as mpmath's dps_to_prec."""
+    return round((dps + 1) * math.log2(10))
 
 
 def _check_terms(N: int) -> None:
@@ -152,24 +153,24 @@ def _level_order(wp: int, c: int) -> int:
     return t
 
 
-def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> tuple:
-    """(value, bound) at a fixed cutoff >= MHZ_CUTOFF; precision from the ambient context.
+def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int, wp: int) -> tuple:
+    """(value, bound) at a fixed cutoff >= MHZ_CUTOFF, both integers in units u = 2^-wp.
 
     Level j is f_j(n) = sum_{t>n} (t+z)^-s_j f_(j+1)(t), with f_k = 1 and the value f_0(0).  Each
     level starts at n = cutoff from its expansion to _level_order's top, summed exactly at
-    x = cutoff + z and floored, then runs back to n = 0 in fixed point at wp = mp.prec + GUARD_BITS
-    bits: for z = p/q the weight is floor(q^s 2^wp / (q n + p)^s) and a product is (w f) >> wp.
+    x = cutoff + z and floored, then runs back to n = 0 in fixed point at wp bits: for z = p/q
+    the weight is floor(q^s 2^wp / (q n + p)^s) and a product is (w f) >> wp.
 
     Error: level j's own error e_j is its expansion's stated rest at x, however large the order
-    leaves it, a ceiling in units of u = 2^-wp, plus under 1 + 3c floors of u at cutoff c (the
-    start; per step the weight's floor times the inner level at n >= 1, at most its z = 0 multiple
+    leaves it, a ceiling in units of u, plus under 1 + 3c floors of u at cutoff c (the start;
+    per step the weight's floor times the inner level at n >= 1, at most its z = 0 multiple
     zeta value, below zeta(2) by the sum theorem, and the product's floor).
     E_j <= e_j + W_j E_(j+1), with the weight sum W_j under L = 2 + ln c over t >= 2, plus
     (1+z)^-s_0 at t = 1 for the outermost.  So at depth k, for every z in (-1, 0], the result is
-    off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2); the bound adds the final rounding.  At
-    k = 1 the inner level is exactly 2^wp, so a step adds only the weight's floor: under u (1 + c).
+    off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2), with L rounded up from _logs.  At k = 1
+    the inner level is exactly 2^wp, so a step adds only the weight's floor: under u (1 + c).
     """
-    p, q, wp = zq.numerator, zq.denominator, mp.prec + GUARD_BITS
+    p, q, s = zq.numerator, zq.denominator, svec[0]
     x, top = q * cutoff + p, _level_order(wp, cutoff)  # x = q (cutoff + z)
     f, rest = [1 << wp] * (cutoff + 1), 0
     for j in range(len(svec) - 1, -1, -1):
@@ -180,21 +181,20 @@ def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int) -> tuple:
         rest = max(rest, -(-(nums[-1] * q ** (top + 1) << wp) // (den * x ** (top + 1))))
         for n in range(cutoff, 0, -1):
             f[n], acc = acc, acc + (scaled // (q * n + p) ** svec[j] * f[n] >> wp)
-    value, k, L = mp.ldexp(acc, -wp), len(svec), 2 + mp.log(cutoff)
-    factor = k * (_mpf(1 + zq) ** -svec[0] + L) * L ** (k - 2)
-    bound = mp.ldexp(rest + 1 + 3 * cutoff, -wp) * factor
-    return value, bound + mp.ldexp(abs(value), -mp.prec)  # + the rounding
+    k, L = len(svec), (2 << wp) + _logs(Fraction(cutoff), 1, wp)[1] + 1  # >= (2 + ln c) 2^wp
+    num = k * (rest + 1 + 3 * cutoff) * ((q**s << wp) + L * (q + p) ** s) * L ** (k - 1)
+    return acc, -(-num // ((q + p) ** s * L << wp * (k - 1)))
 
 
 def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
     """Multiple Hurwitz zeta value with an error bound.
 
-    Desk-scale only (depth <= 5, weight <= 10).  The value depends only on the vector, the
-    shift and the working precision dps that abs_err asks for, never on earlier requests.
-    Every depth, 1 included, is summed once in fixed point at cutoff c = max(MHZ_CUTOFF,
-    6 dps / 5), each level from its expansion through the least top with
-    top! / (2 pi (c - 1))^top <= 2^-wp; the bound is _mhz_once's, from each level's majorant
-    and the fixed-point error, plus a floor 10^(5 - dps), and that order sets only how tight.
+    Desk-scale only (depth <= 5, weight <= 10).  The value is exact, over 2^wp with wp =
+    _bits_for(dps) + GUARD_BITS, dps = _digits_for(abs_err), and depends on nothing else.  Every
+    depth, 1 included, is summed once in fixed point at cutoff c = max(MHZ_CUTOFF, 6 dps / 5),
+    each level from its expansion through the least top with top! / (2 pi (c - 1))^top <= 2^-wp;
+    the bound is _mhz_once's, from each level's majorant and the fixed-point error, plus a floor
+    10^(5 - dps), and that order sets only how tight.
     """
     vec = check_vector(v)
     if len(vec) > DESK_MAX_DEPTH:
@@ -206,32 +206,29 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
 
 @lru_cache(maxsize=None)
 def _mhz(vec: ZetaVector, zq: Fraction, dps: int) -> NumericResult:
-    with mp.workdps(dps):
-        value, bound = _mhz_once(vec, zq, max(MHZ_CUTOFF, 6 * dps // 5))
-        return NumericResult(value, float(bound + mpf(10) ** (5 - dps)))
+    wp = _bits_for(dps) + GUARD_BITS
+    value, bound = _mhz_once(vec, zq, max(MHZ_CUTOFF, 6 * dps // 5), wp)
+    floor = Fraction(1, 10 ** (dps - 5))
+    return NumericResult(Fraction(value, 1 << wp), float(Fraction(bound, 1 << wp) + floor))
 
 
 def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult:
-    """Evaluate a closed form numerically, propagating per-term bounds.
+    """Evaluate a closed form exactly from the oracle's values, propagating their bounds.
 
-    Roundings, each below 2^-prec of what it rounds, k + 3 for a monomial of
-    k factors and one per sum, add under 4 nterms 2^-prec (|constant| + sum |c prod|).
+    Nothing is rounded.  A term c prod v, each v off by at most its bound e, is off by at most
+    |c| (prod (|v| + e) - prod |v|), every product of the errors included.
     """
-    nterms = sum(len(mono) for mono in cf.terms) + 1
-    budget = abs_err / max(nterms, 1)
-    with mp.workdps(_digits_for(abs_err)):
-        total = _mpf(cf.constant)
-        bound, size = mpf(0), abs(total)
-        for mono, coeff in cf.sorted_terms():
-            prod, prod_bound = mpf(1), mpf(0)
-            for v in mono:
-                r = mhz_numeric(v, cf.shift, budget)
-                prod_bound = prod_bound * abs(r.value) + abs(prod) * r.abs_err_bound
-                prod *= r.value
-            c = _mpf(coeff)
-            total += c * prod
-            bound, size = bound + abs(c) * prod_bound, size + abs(c * prod)
-        return NumericResult(total, float(bound + mp.ldexp(size * nterms, 2 - mp.prec)))
+    if not 0 < abs_err < math.inf:
+        raise ValueError("abs_err must be positive and finite")
+    budget = abs_err / (sum(len(mono) for mono in cf.terms) + 1)
+    total, bound = cf.constant, Fraction(0)
+    for mono, coeff in cf.terms.items():
+        factors = [mhz_numeric(v, cf.shift, budget) for v in mono]
+        prod = math.prod(r.value for r in factors)
+        total += coeff * prod
+        wide = math.prod(abs(r.value) + Fraction(r.abs_err_bound) for r in factors)
+        bound += abs(coeff) * (wide - abs(prod))
+    return NumericResult(total, float(bound))
 
 
 def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
@@ -498,15 +495,15 @@ def _tail_order(model: tuple, S: int, j: int, a: Fraction, wp: int) -> tuple:
 def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     """(estimate, terms summed, working-precision floor) of the raw series; see verify_identity.
 
-    The precision is read here, once; past the head every quantity is an integer in units
-    of 2^-wp, and the estimate becomes an mpf at the end.  One tail point A = M + 1 + z.
+    The precision follows tol as in mhz_numeric; past the head every quantity is an integer
+    in units of 2^-wp, and the estimate is exact.  One tail point A = M + 1 + z.
     Folded to order 0, the orders past those kept and the majorant sum past M to at most
     their weights times tails[d] >= sum_{x >= A} ln^d(x)/x^S, as does the constants' drift
     (0 < H_n^(r) < |C_r| + 1 + ln x: under e D |F|(|C|+1) (1+ln x)^D).  The bound adds both,
     the kept orders' bounds, a floor M 10^(3-dps) max(1, |LHS|) and the head's bound.
     """
     S, D, target = sum(spec.s), spec.F.degree(), Fraction(tol) / 1000
-    wp, dps = mp.prec + GUARD_BITS, mp.dps
+    wp = _bits_for(dps := _digits_for(tol)) + GUARD_BITS
     n_first, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec, wp)
     for n_head in (n_first << i for i in count()):
         head, a = summer.advance_to(n_head), n_head + 1 + spec.z
@@ -534,7 +531,7 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     est = head + Fraction(sum(t for t, _ in sums), 1 << wp)
     floor = Fraction(n_head * max(1, abs(est)), 10 ** (dps - 3))
     bound = Fraction(majorant + drift + sum(r for _, r in sums), 1 << wp) + floor
-    return NumericResult(_mpf(est), float(bound + summer.error_bound())), n_head, floor
+    return NumericResult(est, float(bound + summer.error_bound())), n_head, floor
 
 
 def verify_identity(
@@ -555,8 +552,8 @@ def verify_identity(
     fewest orders whose stated majorant past them is at most tol/1000 (_series_limit
     states the LHS bound); N is raised to 2 * (LHS_HEAD_FLOOR + len(s)) when smaller
     and doubled while A is too small for either (the terms bottom out near e^(-2 pi A)).
-    ``n_used`` is the head summed, ``floor`` its working-precision floor; precision
-    follows tol as in closed_form_numeric; ``passed``: |LHS - RHS| <= tol + both bounds.
+    ``n_used`` is the head summed, ``floor`` its working-precision floor; both values are
+    exact, the RHS closed_form_numeric's at tol/8; ``passed``: |LHS - RHS| <= tol + both bounds.
     """
     if cf.shift != spec.z or cf.order != spec.m:
         raise ValueError("closed form metadata does not match the series spec")
@@ -564,9 +561,8 @@ def verify_identity(
         raise ValueError("tol must be positive and finite")
     _check_terms(N)
     rhs = closed_form_numeric(cf, abs_err=tol / 8)
-    with mp.workdps(_digits_for(tol)):
-        lhs, n_used, floor = _series_limit(spec, N, tol)
-        discrepancy = float(abs(lhs.value - rhs.value))
+    lhs, n_used, floor = _series_limit(spec, N, tol)
+    discrepancy = float(abs(lhs.value - rhs.value))  # exact, rounded once
     combined = tol + lhs.abs_err_bound + rhs.abs_err_bound
     passed = discrepancy <= combined
     message = "" if passed else f"discrepancy {discrepancy:.3e} exceeds budget {combined:.3e}"

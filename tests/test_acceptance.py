@@ -44,6 +44,11 @@ def report(criterion, ok, detail=""):
     assert ok, line
 
 
+def _mpf(q):
+    """An exact Fraction as an mpf at the ambient precision."""
+    return mpf(q.numerator) / q.denominator
+
+
 def H(n, m=1, z=F(0)):
     return sum(F(1, 1) / (j + z) ** m for j in range(1, n + 1))
 
@@ -253,7 +258,7 @@ def test_criterion_8_euler_fixtures_numeric():
         cf = closed_form(spec)
         rep = verify_identity(spec, cf, tol=1e-8, N=10000)
         value = closed_form_numeric(cf, 1e-10)
-        against_ref = abs(mpf(value.value) - mpf(ref))
+        against_ref = abs(_mpf(value.value) - _mpf(ref))
         if not rep.passed or rep.discrepancy > 1e-8 or against_ref > 1e-8:
             ok = False
             details.append(f"{label}: disc={rep.discrepancy:.2e}")
@@ -264,9 +269,9 @@ def test_criterion_8_euler_fixtures_numeric():
         lhs = closed_form_numeric(cf, 1e-10)
         with mp.workdps(30):
             rhs = sum(
-                (mhz_numeric((j,), 0, 1e-12).value for j in range(2, k + 3)), mpf(0)
+                (_mpf(mhz_numeric((j,), 0, 1e-12).value) for j in range(2, k + 3)), mpf(0)
             ) - (k + 1)
-            gap = abs(mpf(lhs.value) - rhs)
+            gap = abs(_mpf(lhs.value) - rhs)
         if gap > 1e-8:
             ok = False
             details.append(f"staircase k={k}: gap={float(gap):.2e}")

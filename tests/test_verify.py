@@ -20,12 +20,12 @@ from zetaform.verify import (
     HEAD_BLOCK,
     DeskLimitError,
     _SeriesSummer,
+    _bits_for,
     _digits_for,
     _em_rule,
     _level_expansion,
     _level_order,
     _mhz_once,
-    _mpf,
     _tail_order,
     _zeta_tail_coeffs,
     closed_form_numeric,
@@ -38,6 +38,11 @@ X1 = Polynomial.variable(1)
 X2 = Polynomial.variable(2)
 
 
+def _mpf(q):
+    """An exact Fraction as an mpf at the ambient precision."""
+    return mpf(q.numerator) / q.denominator
+
+
 def assert_close(value, reference, bound):
     assert abs(mpf(value) - mpf(reference)) <= bound, (value, reference)
 
@@ -46,17 +51,17 @@ class TestMhzNumeric:
     def test_basel(self):
         r = mhz_numeric((2,), 0, 1e-12)
         with mp.workdps(30):
-            assert_close(r.value, pi**2 / 6, 1e-20)
+            assert_close(_mpf(r.value), pi**2 / 6, 1e-20)
 
     def test_apery(self):
         r = mhz_numeric((3,), 0, 1e-12)
         with mp.workdps(30):
-            assert_close(r.value, zeta(3), 1e-20)
+            assert_close(_mpf(r.value), zeta(3), 1e-20)
 
     def test_shifted_basel(self):
         r = mhz_numeric((2,), F(-1, 2), 1e-12)
         with mp.workdps(30):
-            assert_close(r.value, pi**2 / 2, 1e-20)
+            assert_close(_mpf(r.value), pi**2 / 2, 1e-20)
 
     def test_depth_two_classics(self):
         with mp.workdps(40):
@@ -67,21 +72,21 @@ class TestMhzNumeric:
             ]
         for vec, ref in cases:
             r = mhz_numeric(vec, 0, 1e-12)
-            assert_close(r.value, ref, 1e-12)
-            assert abs(mpf(r.value) - mpf(ref)) <= max(r.abs_err_bound, 1e-12)
+            assert_close(_mpf(r.value), ref, 1e-12)
+            assert abs(_mpf(r.value) - mpf(ref)) <= max(r.abs_err_bound, 1e-12)
 
     def test_depth_three_and_four(self):
         with mp.workdps(40):
             cases = [((1, 1, 2), zeta(4)), ((1, 1, 1, 2), zeta(5))]
         for vec, ref in cases:
             r = mhz_numeric(vec, 0, 1e-11)
-            assert_close(r.value, ref, 1e-11)
+            assert_close(_mpf(r.value), ref, 1e-11)
 
     def test_doubling_sanity(self):
         # a finer request must agree within the coarser reported bound
         coarse = mhz_numeric((1, 2), F(-1, 2), 1e-8)
         fine = mhz_numeric((1, 2), F(-1, 2), 1e-13)
-        assert abs(mpf(coarse.value) - mpf(fine.value)) <= max(
+        assert abs(_mpf(coarse.value) - _mpf(fine.value)) <= max(
             coarse.abs_err_bound, 1e-10
         )
 
@@ -105,7 +110,7 @@ class TestMhzNumeric:
         assert rep.passed, rep.message
         assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-12
         with mp.workdps(50):
-            assert abs(r.value - zeta(3, mpf(2) / 3)) <= r.abs_err_bound <= 1e-20
+            assert abs(_mpf(r.value) - zeta(3, mpf(2) / 3)) <= r.abs_err_bound <= 1e-20
 
     def test_rejects_nonconvergent(self):
         with pytest.raises(ValueError):
@@ -132,21 +137,32 @@ class TestClosedFormNumeric:
         r = closed_form_numeric(cf, 1e-12)
         with mp.workdps(30):
             want = mpf(1) / 4 + zeta(2) / 2 - zeta(2) * zeta(3)
-            assert_close(r.value, want, 1e-15)
+            assert_close(_mpf(r.value), want, 1e-15)
 
     @pytest.mark.parametrize(
         "poly, s",
         [(X1 * X1 - Polynomial.variable(2), (0, 2)), (Polynomial.variable(2), (1, 2))],
     )
     def test_bound_covers_rounding_near_minus_one(self, poly, s):
-        # values near 2e6 and 1e18: the mpf roundings of the constant, the
-        # coefficients, the products and the sum exceed the oracle bounds
+        # values near 2e6 and 1e18, summed exactly: the propagated oracle bounds cover
+        # the error against a reference at 1e-50 and meet the abs_err asked for (rounding
+        # the sum in mpf took x2's bound to 9.3e-15)
         cf = closed_form(SeriesSpec(poly, 1, F(-999999, 1000000), s))
         r = closed_form_numeric(cf, 1.25e-21)
         reference = closed_form_numeric(cf, 1e-50)
         with mp.workdps(80):
             err = abs(r.value - reference.value)
         assert err <= r.abs_err_bound + reference.abs_err_bound, (err, r.abs_err_bound)
+        assert r.abs_err_bound <= 1.25e-21
+
+    def test_product_bound_keeps_the_cross_term(self, monkeypatch):
+        # each factor 2 within 1/2: the product can be 2.5^2, off by 2.25, which a
+        # first-order bound, 2 * 2 * 1/2 = 2, misses
+        monkeypatch.setattr(verify, "mhz_numeric", lambda *args: verify.NumericResult(F(2), 0.5))
+        cf = ClosedForm(F(0), {((2,), (3,)): 1}, F(0), 1)
+        r = closed_form_numeric(cf, 1e-10)
+        assert r.value == 4
+        assert r.abs_err_bound >= 2.5**2 - 2**2
 
 
 class TestSeriesPartialSum:
@@ -393,7 +409,7 @@ class TestReducedFunctionalOnMonomials:
             sums = monomial_checkpoint_sums(comp, s, m, z, checkpoints)
             # every summand is positive: S_N <= S <= S_N + T(N)
             for N, partial in zip(checkpoints, sums):
-                gap = mpf(rhs.value) - partial
+                gap = _mpf(rhs.value) - partial
                 tail = monomial_tail_bound(comp, s, m, z, N)
                 assert -rhs.abs_err_bound <= gap <= tail + rhs.abs_err_bound, (N, gap, tail)
             assert tail < 1e-10
@@ -462,7 +478,7 @@ class TestSeriesLimit:
         rep = verify_identity(spec, cf, tol=tol, N=200)
         lhs = rep.lhs_estimate
         with mp.workdps(50):
-            err = abs(lhs.value - reference())
+            err = abs(_mpf(lhs.value) - reference())
         assert err <= lhs.abs_err_bound, (float(err), lhs.abs_err_bound)
         assert rep.passed and lhs.abs_err_bound + rep.rhs_value.abs_err_bound <= tol
 
@@ -484,7 +500,7 @@ class TestSeriesLimit:
                 assert rep.passed
                 assert rep.lhs_estimate.abs_err_bound + rep.rhs_value.abs_err_bound <= 1e-12
             with mp.workdps(50):
-                err = abs(sum(rep.lhs_estimate.value for rep in reps) - total())
+                err = abs(sum(_mpf(rep.lhs_estimate.value) for rep in reps) - total())
             assert err <= sum(rep.lhs_estimate.abs_err_bound for rep in reps), r
 
     @pytest.mark.parametrize(
@@ -642,7 +658,7 @@ class TestGoldenCorpusBound:
         lhs = rep.lhs_estimate
         reference = closed_form_numeric(cf, tol * 1e-15)
         with mp.workdps(_digits_for(tol * 1e-15)):
-            err = abs(lhs.value - reference.value) + reference.abs_err_bound
+            err = abs(_mpf(lhs.value) - _mpf(reference.value)) + reference.abs_err_bound
         assert err <= lhs.abs_err_bound, (float(err), lhs.abs_err_bound)
         assert lhs.abs_err_bound + rep.rhs_value.abs_err_bound <= tol
 
@@ -710,10 +726,10 @@ class TestShiftNearMinusOne:
             r = mhz_numeric((s,), z, abs_err)
             dps = max(30, -round(math.log10(abs_err)) + 12)
             with mp.workdps(dps):
-                old_bound = mpf(10) ** (5 - dps) + mp.ldexp(abs(r.value), 2 - mp.prec)
+                old_bound = mpf(10) ** (5 - dps) + mp.ldexp(abs(_mpf(r.value)), 2 - mp.prec)
             with mp.workdps(max(80, dps + 20)):
                 reference = zeta(s, mp.mpq(*(1 + z).as_integer_ratio()))
-                assert abs(r.value - reference) <= r.abs_err_bound, (s, abs_err, r)
+                assert abs(_mpf(r.value) - reference) <= r.abs_err_bound, (s, abs_err, r)
             assert r.abs_err_bound <= float(old_bound), (s, abs_err, r)
 
     def test_lhs_constants_at_exact_shift(self):
@@ -796,7 +812,7 @@ class TestLazyVerifier:
 
 class TestMhzMemo:
     def test_digits_do_not_depend_on_the_ambient_precision(self):
-        # closed_form_numeric asks mhz_numeric for values inside its own workdps
+        # a caller's mpmath context must not change the digits a tolerance asks for
         for abs_err, digits in [(1e-5, 30), (1e-22, 34), (1e-25, 37), (1e-30, 42), (1e-60, 72)]:
             assert _digits_for(abs_err) == digits
             with mp.workdps(60):
@@ -828,8 +844,36 @@ class TestMhzMemo:
             r = mhz_numeric(vec, 0, abs_err)
             assert r.abs_err_bound <= abs_err, vec
             with mp.workdps(round(-math.log10(abs_err)) + 30):
-                err = abs(r.value - reference())
+                err = abs(_mpf(r.value) - reference())
             assert err <= r.abs_err_bound, (vec, err, r.abs_err_bound)
+
+
+class TestWorkingWidth:
+    """Each call's width follows its own tolerance, never mpmath's context."""
+
+    def test_bits_for_is_mpmaths_dps_to_prec(self):
+        from mpmath.libmp import dps_to_prec
+
+        assert [_bits_for(dps) for dps in range(1, 2001)] == list(map(dps_to_prec, range(1, 2001)))
+
+    @pytest.mark.parametrize("abs_err", [1e-8, 1e-20, 1e-40])
+    def test_values_are_dyadic_at_the_width(self, abs_err):
+        one = 1 << (_bits_for(_digits_for(abs_err)) + GUARD_BITS)
+        for vec, z in itertools.product(
+            [(2,), (1, 2), (2, 1, 3), (1, 1, 1, 2)], [F(0), F(-1, 2), F(-1, 3), F(-999999, 1000000)]
+        ):
+            den = mhz_numeric(vec, z, abs_err).value.denominator
+            assert den & (den - 1) == 0 and one % den == 0, (vec, z, den)
+
+    def test_results_do_not_depend_on_the_ambient_precision(self):
+        spec = SeriesSpec(X1 * X2, 1, F(-1, 3), (0, 0, 3))
+        reports = []
+        for dps in (15, 90):
+            verify._mhz.cache_clear()
+            with mp.workdps(dps):
+                rep = verify_identity(spec, closed_form(spec), tol=1e-20, N=600)
+            reports.append(rep)
+        assert reports[0] == reports[1]
 
 
 class TestSumTheorem:
@@ -847,7 +891,7 @@ class TestSumTheorem:
         results = [mhz_numeric(v, 0, 1e-20) for v in vecs]
         assert all(r.abs_err_bound <= 1e-20 for r in results)
         with mp.workdps(40):
-            total = mp.fsum(r.value for r in results)
+            total = mp.fsum(_mpf(r.value) for r in results)
             err = abs(total - zeta(w))
         assert err <= sum(r.abs_err_bound for r in results), (w, k, err)
 
@@ -867,20 +911,20 @@ class TestLevelExpansion:
     def test_cutoffs_20_and_40_agree(self, z):
         # with exact level expansions only the omitted orders differ, and at
         # 60 digits those are far below 1e-40; one wrong coefficient is not
+        wp = _bits_for(60) + GUARD_BITS
         with mp.workdps(60):
             for vec in self.VECTORS:
-                delta = abs(_mhz_once(vec, z, 20)[0] - _mhz_once(vec, z, 40)[0])
-                assert delta < mpf(10) ** -40, (vec, delta)
+                delta = abs(_mhz_once(vec, z, 20, wp)[0] - _mhz_once(vec, z, 40, wp)[0])
+                assert mp.ldexp(delta, -wp) < mpf(10) ** -40, (vec, delta)
 
     @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3), F(-999999, 1000000)])
     def test_cutoffs_c_and_2c_agree_within_stated_bounds(self, z):
         # a wrong coefficient at order p moves the value at c by 2^p times more than at 2c
         for dps in (30, 72):
-            with mp.workdps(dps):
-                c = max(verify.MHZ_CUTOFF, 6 * dps // 5)
-                for vec in self.VECTORS:
-                    (a, bound_a), (b, bound_b) = _mhz_once(vec, z, c), _mhz_once(vec, z, 2 * c)
-                    assert abs(a - b) <= bound_a + bound_b, (vec, dps, a - b)
+            c, wp = max(verify.MHZ_CUTOFF, 6 * dps // 5), _bits_for(dps) + GUARD_BITS
+            for vec in self.VECTORS:
+                (a, bound_a), (b, bound_b) = _mhz_once(vec, z, c, wp), _mhz_once(vec, z, 2 * c, wp)
+                assert abs(a - b) <= bound_a + bound_b, (vec, dps, a - b)
 
     @pytest.mark.parametrize("z", [F(0), F(-1, 3), F(-999999, 1000000), F(-1, 2)])
     def test_bound_carries_a_short_expansions_rest(self, z, monkeypatch):
@@ -889,15 +933,14 @@ class TestLevelExpansion:
         # it; through dps + 20, the order before the rule, it is far below.  Either way the
         # value differs from the rule's by at most both stated bounds
         for dps in (30, 44, 72, 112):
-            with mp.workdps(dps):
-                c = max(verify.MHZ_CUTOFF, 6 * dps // 5)
-                references = {vec: _mhz_once(vec, z, c) for vec in self.VECTORS}
-                for order in (10, dps + 20):
-                    with monkeypatch.context() as m:
-                        m.setattr(verify, "_level_order", lambda wp, cutoff, top=order: top)
-                        for vec, (reference, reference_bound) in references.items():
-                            value, bound = _mhz_once(vec, z, c)
-                            assert abs(value - reference) <= bound + reference_bound, (vec, order)
+            c, wp = max(verify.MHZ_CUTOFF, 6 * dps // 5), _bits_for(dps) + GUARD_BITS
+            references = {vec: _mhz_once(vec, z, c, wp) for vec in self.VECTORS}
+            for order in (10, dps + 20):
+                with monkeypatch.context() as m:
+                    m.setattr(verify, "_level_order", lambda wp, cutoff, top=order: top)
+                    for vec, (reference, reference_bound) in references.items():
+                        value, bound = _mhz_once(vec, z, c, wp)
+                        assert abs(value - reference) <= bound + reference_bound, (vec, order)
 
     @pytest.mark.parametrize("dps", [30, 44, 72])
     def test_stated_rest_covers_the_truncation(self, dps):
@@ -1110,7 +1153,8 @@ class TestStuffle:
                 for v in [(a, b, c), (b, a, c), (b, c, a), (a + b, c), (b, a + c)]
             ]
             with mp.workdps(round(-math.log10(abs_err)) + 30):
-                err = abs(za.value * zbc.value - mp.fsum(r.value for r in rhs))
-                bound = za.abs_err_bound * abs(zbc.value) + zbc.abs_err_bound * abs(za.value)
+                err = abs(_mpf(za.value) * _mpf(zbc.value) - mp.fsum(_mpf(r.value) for r in rhs))
+                bound = za.abs_err_bound * abs(_mpf(zbc.value))
+                bound += zbc.abs_err_bound * abs(_mpf(za.value))
                 bound += za.abs_err_bound * zbc.abs_err_bound + sum(r.abs_err_bound for r in rhs)
             assert err <= bound, ((a, b, c), err, bound)

@@ -342,8 +342,9 @@ def render(
     lines.append(f"value = {_value(cf, t_mode, output_format == 'latex')}")
     if report is not None:
         status = "PASS" if report.passed else "FAIL"
-        d, floor = report.discrepancy, report.floor  # below the floor, d is roundoff
-        shown = f"discrepancy < {floor:.1e}" if d < floor else f"discrepancy={d:.3e}"
+        bounds = f"{report.lhs_estimate.abs_err_bound + report.rhs_value.abs_err_bound:.1e}"
+        d = report.discrepancy  # below the printed bounds, its digits are the estimates' truncation
+        shown = f"discrepancy < {bounds}" if d < float(bounds) else f"discrepancy={d:.3e}"
         message = f" {report.message}" if report.message else ""
         lines.append(f"verify: {status} (N={report.n_used}, {shown}){message}")
     return RenderedIdentity("\n".join(lines))

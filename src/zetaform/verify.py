@@ -48,6 +48,11 @@ class NumericResult:
         return float(self.value)
 
 
+def _float_up(x: Fraction) -> float:
+    """The least float >= x, so that a stated bound never sits below the exact one."""
+    return f if (f := float(x)) >= x else math.nextafter(f, math.inf)
+
+
 @dataclass
 class VerificationReport:
     lhs_estimate: NumericResult
@@ -56,7 +61,6 @@ class VerificationReport:
     passed: bool
     n_used: int
     message: str = ""
-    floor: float = 0.0  # the LHS working-precision floor: a discrepancy below it is roundoff
 
 
 def _digits_for(abs_err: float) -> int:
@@ -167,7 +171,7 @@ def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int, wp: int) -> tuple:
     zeta value, below zeta(2) by the sum theorem, and the product's floor).
     E_j <= e_j + W_j E_(j+1), with the weight sum W_j under L = 2 + ln c over t >= 2, plus
     (1+z)^-s_0 at t = 1 for the outermost.  So at depth k, for every z in (-1, 0], the result is
-    off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2), with L rounded up from _logs.  At k = 1
+    off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2), L rounded up by its + 1 on _logs.  At k = 1
     the inner level is exactly 2^wp, so a step adds only the weight's floor: under u (1 + c).
     """
     p, q, s = zq.numerator, zq.denominator, svec[0]
@@ -192,9 +196,8 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
     Desk-scale only (depth <= 5, weight <= 10).  The value is exact, over 2^wp with wp =
     _bits_for(dps) + GUARD_BITS, dps = _digits_for(abs_err), and depends on nothing else.  Every
     depth, 1 included, is summed once in fixed point at cutoff c = max(MHZ_CUTOFF, 6 dps / 5),
-    each level from its expansion through the least top with top! / (2 pi (c - 1))^top <= 2^-wp;
-    the bound is _mhz_once's, from each level's majorant and the fixed-point error, plus a floor
-    10^(5 - dps), and that order sets only how tight.
+    each level from its expansion to _level_order's top; the bound is _mhz_once's (each level's
+    majorant and the fixed-point error), rounded up to a float, and nothing more.
     """
     vec = check_vector(v)
     if len(vec) > DESK_MAX_DEPTH:
@@ -208,15 +211,14 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
 def _mhz(vec: ZetaVector, zq: Fraction, dps: int) -> NumericResult:
     wp = _bits_for(dps) + GUARD_BITS
     value, bound = _mhz_once(vec, zq, max(MHZ_CUTOFF, 6 * dps // 5), wp)
-    floor = Fraction(1, 10 ** (dps - 5))
-    return NumericResult(Fraction(value, 1 << wp), float(Fraction(bound, 1 << wp) + floor))
+    return NumericResult(Fraction(value, 1 << wp), _float_up(Fraction(bound, 1 << wp)))
 
 
 def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult:
     """Evaluate a closed form exactly from the oracle's values, propagating their bounds.
 
-    Nothing is rounded.  A term c prod v, each v off by at most its bound e, is off by at most
-    |c| (prod (|v| + e) - prod |v|), every product of the errors included.
+    Only the bound is rounded, up.  A term c prod v, each v off by at most its bound e, is off by at
+    most |c| (prod (|v| + e) - prod |v|), every product of the errors included.
     """
     if not 0 < abs_err < math.inf:
         raise ValueError("abs_err must be positive and finite")
@@ -228,7 +230,7 @@ def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult
         total += coeff * prod
         wide = math.prod(abs(r.value) + Fraction(r.abs_err_bound) for r in factors)
         bound += abs(coeff) * (wide - abs(prod))
-    return NumericResult(total, float(bound))
+    return NumericResult(total, _float_up(bound))
 
 
 def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
@@ -262,14 +264,12 @@ class _SeriesSummer:
     sum of quotients.  Each floor is the one a term-by-term sum takes, so the
     sums, and the bound below, are the same.
 
-    Fixed-point truncation: after n terms each stored H_i is below the true
-    one by less than n 2^-wp (one floor per increment), which is at most
-    n 2^-wp of its value because H_i >= (1+z)^-r >= 1.  A monomial of degree
-    d is then off by at most d n 2^-wp of its value, and the division adds
-    less than 2^-wp / L.  With |F| the polynomial with coefficients
-    |a_k| / L, which grows with every H_i, and the sum over n of
-    1/prod (n+i+z)^s_i at most (1+z)^-S + (1+z)^(1-S)/(S-1), a partial sum
-    through N differs from the exact one by less than
+    Fixed-point truncation: after n terms each stored H_i is below the true one by less than
+    n 2^-wp (one floor per increment), which is at most n 2^-wp of its value because
+    H_i >= (1+z)^-r >= 1.  A monomial of degree d is then off by at most d n 2^-wp of its value,
+    and the division's floor adds less than 2^-wp / L.  With |F| the polynomial with coefficients
+    |a_k| / L, which grows with every H_i, and the sum over n of 1/prod (n+i+z)^s_i at most
+    (1+z)^-S + (1+z)^(1-S)/(S-1), a partial sum through N differs from the exact one by less than
 
         N 2^-wp (1/L + D |F|(H_N) ((1+z)^-S + (1+z)^(1-S)/(S-1))),
 
@@ -323,7 +323,7 @@ class _SeriesSummer:
         return Fraction(self.total, self.scale)
 
     def error_bound(self) -> Fraction:
-        """Bound on |fixed-point partial sum - exact one| through self.n."""
+        """Bound on |fixed-point partial sum - exact one| through self.n, from the floors above."""
         n, unit = self.n, Fraction(1, 1 << self.wp)
         S, a = sum(self.spec.s), 1 + self.spec.z
         size = self.spec.F.evaluate([(h + n) * unit for h in self.harmonics], abs)
@@ -360,7 +360,7 @@ _MAX_ORDER = 64
 
 
 def _series_mul(a: tuple, b: tuple, order: int, A: Fraction) -> tuple:
-    """Product through 1/x^order; the pairs past it fold in through folds[k], b from order k on."""
+    """Product through 1/x^order; pairs past it fold in via folds[k] (b from k on), as ceilings."""
     (den_a, a), (den_b, b), out = a, b, {}
     folds = [{d: abs(c) for (jj, d), c in b.items() if jj == j} for j in range(order + 2)]
     for k in range(order, -1, -1):
@@ -381,7 +381,7 @@ def _harmonic_expansion(r: int, constant: int, order: int, A: Fraction, wp: int)
 
     H_n^(r)(z) = zeta(r, 1+z) - zeta(r, x+1), or psi(x+1) - psi(1+z) for r = 1 (DLMF
     5.11.2), where psi(x+1) = ln x - (the r = 1 coefficients).  The majorant folds
-    _zeta_tail's rest at A.
+    _zeta_tail's rest at A, rounded up by a ceiling.
     """
     (den, nums, past), one = _zeta_tail(r, order), 1 << wp
     out = {(0, 0): constant * den, (0, 1): den * one} if r == 1 else {(0, 0): constant * den}
@@ -493,17 +493,17 @@ def _tail_order(model: tuple, S: int, j: int, a: Fraction, wp: int) -> tuple:
 
 
 def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
-    """(estimate, terms summed, working-precision floor) of the raw series; see verify_identity.
+    """(estimate, terms summed) of the raw series; see verify_identity.
 
-    The precision follows tol as in mhz_numeric; past the head every quantity is an integer
-    in units of 2^-wp, and the estimate is exact.  One tail point A = M + 1 + z.
-    Folded to order 0, the orders past those kept and the majorant sum past M to at most
-    their weights times tails[d] >= sum_{x >= A} ln^d(x)/x^S, as does the constants' drift
-    (0 < H_n^(r) < |C_r| + 1 + ln x: under e D |F|(|C|+1) (1+ln x)^D).  The bound adds both,
-    the kept orders' bounds, a floor M 10^(3-dps) max(1, |LHS|) and the head's bound.
+    The precision follows tol as in mhz_numeric; past the head every quantity is an integer in
+    units of 2^-wp, and the estimate is exact.  One tail point A = M + 1 + z.  Folded to order 0,
+    the orders past those kept and the majorant sum past M to at most their weights times
+    tails[d] >= sum_{x >= A} ln^d(x)/x^S, as does the constants' drift (0 < H_n^(r) < |C_r| + 1
+    + ln x: under e D |F|(|C|+1) (1+ln x)^D).  The bound is both, plus the kept orders' bounds
+    and the head's, rounded up to a float, and nothing more.
     """
     S, D, target = sum(spec.s), spec.F.degree(), Fraction(tol) / 1000
-    wp = _bits_for(dps := _digits_for(tol)) + GUARD_BITS
+    wp = _bits_for(_digits_for(tol)) + GUARD_BITS
     n_first, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec, wp)
     for n_head in (n_first << i for i in count()):
         head, a = summer.advance_to(n_head), n_head + 1 + spec.z
@@ -529,9 +529,8 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
         if fit and all(r is not None for _, r in sums):
             break
     est = head + Fraction(sum(t for t, _ in sums), 1 << wp)
-    floor = Fraction(n_head * max(1, abs(est)), 10 ** (dps - 3))
-    bound = Fraction(majorant + drift + sum(r for _, r in sums), 1 << wp) + floor
-    return NumericResult(est, float(bound + summer.error_bound())), n_head, floor
+    bound = Fraction(majorant + drift + sum(r for _, r in sums), 1 << wp) + summer.error_bound()
+    return NumericResult(est, _float_up(bound)), n_head
 
 
 def verify_identity(
@@ -542,18 +541,17 @@ def verify_identity(
 ) -> VerificationReport:
     """Numerically certify that a closed form matches its series.
 
-    The LHS is the raw series, never the symbolic machinery or a special
-    function: its first N terms are summed directly, the rest from the summand's
-    large-n expansion, whose constants come from that head, in terms c f,
-    f = ln^d(x)/x^q, x = n + z, each summed from A = N + 1 + z by Euler-Maclaurin,
-    int_A^oo f + f(A)/2 - sum_{k<K} B_2k/(2k)! f^(2k-1)(A), with K such that the
-    remainder bound 2 |B_2K|/(2K)! int_A^oo |f^(2K)| is at most 2^-prec / |c|
-    (DLMF 2.10.1-2.10.2, as |B~_2K - B_2K| <= 2 |B_2K|).  The expansion keeps the
-    fewest orders whose stated majorant past them is at most tol/1000 (_series_limit
-    states the LHS bound); N is raised to 2 * (LHS_HEAD_FLOOR + len(s)) when smaller
-    and doubled while A is too small for either (the terms bottom out near e^(-2 pi A)).
-    ``n_used`` is the head summed, ``floor`` its working-precision floor; both values are
-    exact, the RHS closed_form_numeric's at tol/8; ``passed``: |LHS - RHS| <= tol + both bounds.
+    The LHS is the raw series, never the symbolic machinery or a special function: its first N
+    terms are summed directly, the rest from the summand's large-n expansion, whose constants
+    come from that head, in terms c f, f = ln^d(x)/x^q, x = n + z, each summed from A = N + 1 + z
+    by Euler-Maclaurin, int_A^oo f + f(A)/2 - sum_{k<K} B_2k/(2k)! f^(2k-1)(A), with K such that
+    the remainder bound 2 |B_2K|/(2K)! int_A^oo |f^(2K)| is at most 2^-prec / |c| (DLMF
+    2.10.1-2.10.2, as |B~_2K - B_2K| <= 2 |B_2K|).  The expansion keeps the fewest orders whose
+    stated majorant past them is at most tol/1000; N is raised to 2 * (LHS_HEAD_FLOOR + len(s))
+    when smaller and doubled while A is too small for either (the terms bottom out near
+    e^(-2 pi A)).  ``n_used`` is the head summed.  Both values are exact, the RHS
+    closed_form_numeric's at tol/8, and each bound, _series_limit's and mhz_numeric's, is the
+    sum of its stated parts; ``passed``: |LHS - RHS| <= tol + both bounds.
     """
     if cf.shift != spec.z or cf.order != spec.m:
         raise ValueError("closed form metadata does not match the series spec")
@@ -561,9 +559,9 @@ def verify_identity(
         raise ValueError("tol must be positive and finite")
     _check_terms(N)
     rhs = closed_form_numeric(cf, abs_err=tol / 8)
-    lhs, n_used, floor = _series_limit(spec, N, tol)
+    lhs, n_used = _series_limit(spec, N, tol)
     discrepancy = float(abs(lhs.value - rhs.value))  # exact, rounded once
     combined = tol + lhs.abs_err_bound + rhs.abs_err_bound
     passed = discrepancy <= combined
     message = "" if passed else f"discrepancy {discrepancy:.3e} exceeds budget {combined:.3e}"
-    return VerificationReport(lhs, rhs, discrepancy, passed, n_used, message, float(floor))
+    return VerificationReport(lhs, rhs, discrepancy, passed, n_used, message)

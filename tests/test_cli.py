@@ -291,20 +291,37 @@ class TestRun:
         assert code == 1
         assert "verify: FAIL" in text
 
-    def test_discrepancy_below_the_floor_is_not_printed_as_digits(self):
-        # sum 1/n^2 against zeta(2) agrees far below the LHS working-precision
-        # floor: the text names the floor, not the roundoff; JSON keeps the float
+    def test_discrepancy_below_the_bounds_is_not_printed_as_digits(self, monkeypatch):
+        # sum 1/n^2 against zeta(2) agrees below the stated LHS + RHS bounds, where
+        # its digits are the estimates' truncation: the text names the bounds' sum,
+        # never below the discrepancy; JSON keeps the float
+        reports, verify_identity = [], cli.verify_identity
+
+        def keep_report(*args, **kwargs):
+            reports.append(verify_identity(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "verify_identity", keep_report)
         argv = ["--F", "1", "--m", "2", "--z", "0", "--s", "2", "--verify", "600",
                 "--tolerance", "1e-5"]
         code, text = run(parse_request(argv))
         assert code == 0
-        assert text.splitlines()[-1] == "verify: PASS (N=600, discrepancy < 9.9e-25)"
+        (report,) = reports
+        bounds = report.lhs_estimate.abs_err_bound + report.rhs_value.abs_err_bound
+        assert bounds < 1e-31  # the stated parts only, no working-precision floor
+        assert text.splitlines()[-1] == f"verify: PASS (N=600, discrepancy < {bounds:.1e})"
+        assert report.discrepancy < float(f"{bounds:.1e}")
         _, text = run(parse_request(argv + ["--format", "json"]))
         verification = json.loads(text)["verification"]
         assert sorted(verification) == ["discrepancy", "lhs", "message", "n_used", "passed", "rhs"]
         assert isinstance(verification["discrepancy"], float)
         assert verification["discrepancy"] < 9.9e-25
-        # above the floor, the digits are shown as before
+        # above the bounds, the digits are shown as before: a closed form off by tol/2
+        def off_by_half_tol(spec):
+            cf = closed_form(spec)
+            return ClosedForm(cf.constant + F(1, 2 * 10**6), dict(cf.terms), cf.shift, cf.order)
+
+        monkeypatch.setattr(cli, "closed_form", off_by_half_tol)
         argv = ["--F", "x1", "--m", "2", "--z", "0", "--s", "1,1", "--verify", "500",
                 "--tolerance", "1e-6"]
         _, text = run(parse_request(argv))

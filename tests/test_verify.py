@@ -18,6 +18,7 @@ from zetaform.qsym import Polynomial
 from zetaform.verify import (
     GUARD_BITS,
     HEAD_BLOCK,
+    MHZ_CUTOFF,
     DeskLimitError,
     _SeriesSummer,
     _bits_for,
@@ -503,6 +504,43 @@ class TestSeriesLimit:
                 err = abs(sum(_mpf(rep.lhs_estimate.value) for rep in reps) - total())
             assert err <= sum(rep.lhs_estimate.abs_err_bound for rep in reps), r
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-20])
+    @pytest.mark.parametrize("label", sorted(REFERENCES))
+    def test_bound_is_the_sum_of_its_stated_parts(self, label, tol, monkeypatch):
+        # the majorant past the kept orders, the constants' drift, the kept orders'
+        # Euler-Maclaurin bounds and the head's fixed-point bound, rounded up once
+        calls = []
+
+        def record(name, real):
+            def wrapped(*args):
+                calls.append((name, args, out := real(*args)))
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(verify, "_tail_order", record("tail", verify._tail_order))
+        monkeypatch.setattr(verify, "_summand_expansion", record("model", verify._summand_expansion))
+        monkeypatch.setattr(_SeriesSummer, "constants", record("constants", _SeriesSummer.constants))
+        monkeypatch.setattr(_SeriesSummer, "error_bound", record("head", _SeriesSummer.error_bound))
+        spec, D = self.REFERENCES[label][0], self.REFERENCES[label][0].F.degree()
+        lhs = verify._series_limit(spec, 200, tol)[0]
+        # the last tail point's calls: its constants, D + 1 tails of ln^d(x)/x^S, the
+        # expansions tried, the kept orders' tails, the head's bound
+        at = max(i for i, (name, _, _) in enumerate(calls) if name == "constants")
+        (_, (_, a), (constants, error)), rest = calls[at], calls[at + 1 :]
+        wp = _bits_for(_digits_for(tol)) + GUARD_BITS
+        tails = [t + r for _, _, (t, r) in rest[: D + 1]]
+        model = den, coeffs = [out for name, _, out in rest if name == "model"][-1]
+        kept = [out[1] for name, args, out in rest if name == "tail" and args[0] is model]
+        (head,) = [out for name, _, out in rest if name == "head"]
+        past = sum(abs(c) * tails[d] / (den * a**j) for (j, d), c in coeffs.items() if j >= len(kept))
+        size = spec.F.evaluate([F(abs(c) + 1, 1 << wp) + 1 for c in constants], abs)
+        spread = sum(math.comb(D, d) * t for d, t in enumerate(tails))
+        drift = math.ceil(D * error * size * spread / (1 << wp))
+        exact = F(math.ceil(past) + drift + sum(kept), 1 << wp) + head
+        stated = lhs.abs_err_bound
+        assert F(stated) >= exact > F(math.nextafter(stated, 0)), (stated, float(exact))
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -864,6 +902,19 @@ class TestWorkingWidth:
         ):
             den = mhz_numeric(vec, z, abs_err).value.denominator
             assert den & (den - 1) == 0 and one % den == 0, (vec, z, den)
+
+    @pytest.mark.parametrize("abs_err", [1e-8, 1e-20, 1e-40])
+    def test_bound_is_mhz_once_rounded_up_and_nothing_more(self, abs_err):
+        # the least float at or above _mhz_once's exact bound: no floor on top, and
+        # no half ulp lost to rounding to nearest
+        dps = _digits_for(abs_err)
+        wp = _bits_for(dps) + GUARD_BITS
+        for vec, z in itertools.product(
+            [(2,), (1, 2), (2, 1, 3), (1, 1, 1, 2), (3, 3)], [F(0), F(-1, 2), F(-1, 3)]
+        ):
+            exact = F(_mhz_once(vec, z, max(MHZ_CUTOFF, 6 * dps // 5), wp)[1], 1 << wp)
+            stated = mhz_numeric(vec, z, abs_err).abs_err_bound
+            assert F(stated) >= exact > F(math.nextafter(stated, 0)), (vec, z, stated, exact)
 
     def test_results_do_not_depend_on_the_ambient_precision(self):
         spec = SeriesSpec(X1 * X2, 1, F(-1, 3), (0, 0, 3))

@@ -63,16 +63,16 @@ class VerificationReport:
     message: str = ""
 
 
-def _digits_for(abs_err: float) -> int:
-    """Working precision, in decimal digits, for a target absolute error."""
+def _width(abs_err: float) -> tuple:
+    """(wp, cutoff) for a target absolute error: the verifier's one width rule.
+
+    dps = max(30, floor(-log10 abs_err) + 12) digits in double precision, prec = round((dps + 1)
+    log2 10) as mpmath's dps_to_prec, wp = prec + GUARD_BITS, cutoff = max(MHZ_CUTOFF, 6 dps // 5).
+    """
     if not 0 < abs_err < math.inf:
         raise ValueError("abs_err must be positive and finite")
-    return max(30, int(-math.log10(abs_err)) + 12)
-
-
-def _bits_for(dps: int) -> int:
-    """Bits for dps decimal digits, round((dps + 1) log2 10), as mpmath's dps_to_prec."""
-    return round((dps + 1) * math.log2(10))
+    dps = max(30, int(-math.log10(abs_err)) + 12)
+    return round((dps + 1) * math.log2(10)) + GUARD_BITS, max(MHZ_CUTOFF, 6 * dps // 5)
 
 
 def _check_terms(N: int) -> None:
@@ -193,24 +193,23 @@ def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int, wp: int) -> tuple:
 def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
     """Multiple Hurwitz zeta value with an error bound.
 
-    Desk-scale only (depth <= 5, weight <= 10).  The value is exact, over 2^wp with wp =
-    _bits_for(dps) + GUARD_BITS, dps = _digits_for(abs_err), and depends on nothing else.  Every
-    depth, 1 included, is summed once in fixed point at cutoff c = max(MHZ_CUTOFF, 6 dps / 5),
-    each level from its expansion to _level_order's top; the bound is _mhz_once's (each level's
-    majorant and the fixed-point error), rounded up to a float, and nothing more.
+    Desk-scale only (depth <= 5, weight <= 10).  The value is exact, over 2^wp with (wp, cutoff)
+    = _width(abs_err), and depends on nothing else.  Every depth, 1 included, is summed once in
+    fixed point at that cutoff, each level from its expansion to _level_order's top; the bound
+    is _mhz_once's (each level's majorant and the fixed-point error), rounded up to a float, and
+    nothing more.
     """
     vec = check_vector(v)
     if len(vec) > DESK_MAX_DEPTH:
         raise DeskLimitError(f"vector depth {len(vec)} exceeds {DESK_MAX_DEPTH}")
     if sum(vec) > DESK_MAX_WEIGHT:
         raise DeskLimitError(f"vector weight {sum(vec)} exceeds {DESK_MAX_WEIGHT}")
-    return _mhz(vec, as_shift(z), _digits_for(abs_err))
+    return _mhz(vec, as_shift(z), *_width(abs_err))
 
 
 @lru_cache(maxsize=None)
-def _mhz(vec: ZetaVector, zq: Fraction, dps: int) -> NumericResult:
-    wp = _bits_for(dps) + GUARD_BITS
-    value, bound = _mhz_once(vec, zq, max(MHZ_CUTOFF, 6 * dps // 5), wp)
+def _mhz(vec: ZetaVector, zq: Fraction, wp: int, cutoff: int) -> NumericResult:
+    value, bound = _mhz_once(vec, zq, cutoff, wp)
     return NumericResult(Fraction(value, 1 << wp), _float_up(Fraction(bound, 1 << wp)))
 
 
@@ -495,15 +494,14 @@ def _tail_order(model: tuple, S: int, j: int, a: Fraction, wp: int) -> tuple:
 def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     """(estimate, terms summed) of the raw series; see verify_identity.
 
-    The precision follows tol as in mhz_numeric; past the head every quantity is an integer in
-    units of 2^-wp, and the estimate is exact.  One tail point A = M + 1 + z.  Folded to order 0,
+    The width wp is _width(tol)'s; past the head every quantity is an integer in units of
+    2^-wp, and the estimate is exact.  One tail point A = M + 1 + z.  Folded to order 0,
     the orders past those kept and the majorant sum past M to at most their weights times
     tails[d] >= sum_{x >= A} ln^d(x)/x^S, as does the constants' drift (0 < H_n^(r) < |C_r| + 1
     + ln x: under e D |F|(|C|+1) (1+ln x)^D).  The bound is both, plus the kept orders' bounds
     and the head's, rounded up to a float, and nothing more.
     """
-    S, D, target = sum(spec.s), spec.F.degree(), Fraction(tol) / 1000
-    wp = _bits_for(_digits_for(tol)) + GUARD_BITS
+    S, D, target, (wp, _) = sum(spec.s), spec.F.degree(), Fraction(tol) / 1000, _width(tol)
     n_first, summer = max(N, 2 * (LHS_HEAD_FLOOR + len(spec.s))), _SeriesSummer(spec, wp)
     for n_head in (n_first << i for i in count()):
         head, a = summer.advance_to(n_head), n_head + 1 + spec.z

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 from mpmath import bernfrac, inf, log, mp, mpf, pi, quad, zeta
+from mpmath.libmp import dps_to_prec
 
 from test_golden import cases
 from zetaform import cli, verify
@@ -21,13 +22,13 @@ from zetaform.verify import (
     MHZ_CUTOFF,
     DeskLimitError,
     _SeriesSummer,
-    _bits_for,
-    _digits_for,
     _em_rule,
     _level_expansion,
     _level_order,
     _mhz_once,
     _tail_order,
+    _width,
+    _zeta_tail,
     _zeta_tail_coeffs,
     closed_form_numeric,
     mhz_numeric,
@@ -37,6 +38,7 @@ from zetaform.verify import (
 
 X1 = Polynomial.variable(1)
 X2 = Polynomial.variable(2)
+WP = 227  # a fixed-point width for tests that need some width, not a tolerance's
 
 
 def _mpf(q):
@@ -199,8 +201,8 @@ class TestSeriesPartialSum:
 
     def test_checkpoint_sums_match_exact(self):
         spec = SeriesSpec(X1 * X1 - Polynomial.variable(2), 2, F(-1, 3), (1, 1))
+        summer = _SeriesSummer(spec, WP)
         with mp.workdps(30):
-            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
             for n in [5, 10]:
                 a = _mpf(summer.advance_to(n))
                 exact = series_partial_sum(spec, n)
@@ -225,8 +227,7 @@ class TestFixedPointHead:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: str(spec.s))
     def test_within_stated_bound_of_exact(self, spec):
-        with mp.workdps(30):
-            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
+        summer = _SeriesSummer(spec, WP)
         with mp.workdps(80):  # the head and its bound are exact: compare them far below the bound
             for n in [1, 2, 37, 600]:
                 head = _mpf(summer.advance_to(n))
@@ -237,12 +238,11 @@ class TestFixedPointHead:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: str(spec.s))
     def test_resuming_is_bit_identical(self, spec):
-        with mp.workdps(30):
-            resumed = _SeriesSummer(spec, mp.prec + GUARD_BITS)
-            resumed.advance_to(300)
-            once = _SeriesSummer(spec, mp.prec + GUARD_BITS)
-            assert resumed.advance_to(600) == once.advance_to(600)
-            assert resumed.total == once.total
+        resumed = _SeriesSummer(spec, WP)
+        resumed.advance_to(300)
+        once = _SeriesSummer(spec, WP)
+        assert resumed.advance_to(600) == once.advance_to(600)
+        assert resumed.total == once.total
 
 
 def per_term_head(spec, N, exact):
@@ -253,8 +253,7 @@ def per_term_head(spec, N, exact):
     div(top, den), with div(a, b) = floor(a 2^wp / b) in fixed point or
     Fraction(a, b), at the summer's scales.
     """
-    wp = mp.prec + GUARD_BITS
-    div = F if exact else (lambda a, b: (a << wp) // b)
+    div = F if exact else (lambda a, b: (a << WP) // b)
     one, p, q, D = div(1, 1), spec.z.numerator, spec.z.denominator, spec.F.degree()
     L = math.lcm(*(c.denominator for c in spec.F.terms.values()))
     H, total = [0] * spec.F.max_variable(), 0
@@ -291,14 +290,13 @@ class TestBlockHead:
     @pytest.mark.parametrize("N", COUNTS)
     @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
     def test_fixed_point_equals_per_term(self, spec, N):
-        with mp.workdps(30):
-            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
-            summer.advance_to(N)
-            total, harmonics = per_term_head(spec, N, exact=False)
-            assert (summer.total, summer.harmonics) == (total, harmonics)
-            reference = _SeriesSummer(spec, mp.prec + GUARD_BITS)
-            reference.n, reference.total, reference.harmonics = N, total, harmonics
-            assert summer.error_bound() == reference.error_bound()
+        summer = _SeriesSummer(spec, WP)
+        summer.advance_to(N)
+        total, harmonics = per_term_head(spec, N, exact=False)
+        assert (summer.total, summer.harmonics) == (total, harmonics)
+        reference = _SeriesSummer(spec, WP)
+        reference.n, reference.total, reference.harmonics = N, total, harmonics
+        assert summer.error_bound() == reference.error_bound()
 
     @pytest.mark.parametrize("N", COUNTS)
     @pytest.mark.parametrize("spec", SPECS[:2], ids=_spec_id)
@@ -309,11 +307,10 @@ class TestBlockHead:
     @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
     def test_uneven_resumption(self, spec):
         N = 2 * HEAD_BLOCK + 3
-        with mp.workdps(30):
-            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
-            summer.advance_to(HEAD_BLOCK - 1)
-            summer.advance_to(N)
-            assert (summer.total, summer.harmonics) == per_term_head(spec, N, exact=False)
+        summer = _SeriesSummer(spec, WP)
+        summer.advance_to(HEAD_BLOCK - 1)
+        summer.advance_to(N)
+        assert (summer.total, summer.harmonics) == per_term_head(spec, N, exact=False)
         exact = _SeriesSummer(spec, None)
         exact.advance_to(HEAD_BLOCK - 1)
         assert exact.advance_to(N) == series_partial_sum(spec, N)
@@ -527,8 +524,8 @@ class TestSeriesLimit:
         # the last tail point's calls: its constants, D + 1 tails of ln^d(x)/x^S, the
         # expansions tried, the kept orders' tails, the head's bound
         at = max(i for i, (name, _, _) in enumerate(calls) if name == "constants")
-        (_, (_, a), (constants, error)), rest = calls[at], calls[at + 1 :]
-        wp = _bits_for(_digits_for(tol)) + GUARD_BITS
+        (_, (summer, a), (constants, error)), rest = calls[at], calls[at + 1 :]
+        wp = summer.wp
         tails = [t + r for _, _, (t, r) in rest[: D + 1]]
         model = den, coeffs = [out for name, _, out in rest if name == "model"][-1]
         kept = [out[1] for name, args, out in rest if name == "tail" and args[0] is model]
@@ -632,7 +629,7 @@ class TestTaylorModel:
     @staticmethod
     def model(poly, order, A):
         """poly through order, the terms past it folded at A into its majorant, in integers."""
-        den = math.lcm(*(F(c).denominator for c in poly.values())) << (mp.prec + GUARD_BITS)
+        den = math.lcm(*(F(c).denominator for c in poly.values())) << WP
         out = {key: int(c * den) for key, c in poly.items() if key[0] <= order}
         for (j, d), c in poly.items():
             if j > order:
@@ -672,8 +669,8 @@ class TestTaylorModel:
             orders = [r * m for r in range(1, poly.max_variable() + 1)]
             shift = 1 + _mpf(z)
             constants = [-mp.psi(0, shift) if r == 1 else zeta(r, shift) for r in orders]
-            constants = [int(mp.ldexp(c, mp.prec + GUARD_BITS)) for c in constants]
-            coeffs = verify._summand_expansion(spec, order, constants, A, mp.prec + GUARD_BITS)
+            constants = [int(mp.ldexp(c, WP)) for c in constants]
+            coeffs = verify._summand_expansion(spec, order, constants, A, WP)
             for n in [43, 44, 86, 430]:
                 x = n + _mpf(z)
                 harmonics = [mp.fsum((k + _mpf(z)) ** -r for k in range(1, n + 1)) for r in orders]
@@ -695,8 +692,7 @@ class TestGoldenCorpusBound:
         rep = verify_identity(spec, cf, tol=tol, N=600)
         lhs = rep.lhs_estimate
         reference = closed_form_numeric(cf, tol * 1e-15)
-        with mp.workdps(_digits_for(tol * 1e-15)):
-            err = abs(_mpf(lhs.value) - _mpf(reference.value)) + reference.abs_err_bound
+        err = abs(lhs.value - reference.value) + F(reference.abs_err_bound)  # exact
         assert err <= lhs.abs_err_bound, (float(err), lhs.abs_err_bound)
         assert lhs.abs_err_bound + rep.rhs_value.abs_err_bound <= tol
 
@@ -704,22 +700,21 @@ class TestGoldenCorpusBound:
 class TestEulerMaclaurinTail:
     """Each ln^d(x)/x^q tail against mpmath's Hurwitz zeta derivatives."""
 
-    @pytest.mark.parametrize("dps", [30, 45, 72])
+    @pytest.mark.parametrize("tol", [1e-18, 1e-33, 1e-60], ids=["30", "45", "72"])  # digits
     @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3)])
     @pytest.mark.parametrize("base", [21, 301])
-    def test_within_stated_remainder(self, base, z, dps):
+    def test_within_stated_remainder(self, base, z, tol):
         # tiny and huge coefficients pin each term's fixed-point width to its size;
         # the terms bottom out near e^(-2 pi a) of the sum, so an absolute target
         # ulp / |c| below that is out of reach (at a = 21: c = 1e30, or 72 digits)
-        with mp.workdps(dps):
-            a, wp = base + z, mp.prec + GUARD_BITS
-            ulp = mp.ldexp(1, -mp.prec)
+        (wp, _), a = _width(tol), base + z
+        ulp = mp.ldexp(1, GUARD_BITS - wp)  # above the tail's target, 2^(GUARD_BITS-1) units
+        # references 170 bits (50 digits) finer: mpmath's zeta(q, a) is good to about
+        # 10^-(dps+10) absolute, and c = 1e30 scales values near 1e-31: 20 digits, plus 30 for c
+        with mp.workprec(wp + 170):
             # q = 1: the regularized sum of 1/x from a is -psi(a)
             for q, d in [(1, 0), *itertools.product(range(2, 14), range(5))]:
-                # mpmath's zeta(q, a) is good to about 10^-(dps+10) absolute, and
-                # c = 1e30 scales values near 1e-31: 20 digits, plus 30 for c
-                with mp.workdps(dps + 50):
-                    f_sum = -mp.psi(0, a) if q == 1 else (-1) ** d * zeta(q, a, d)
+                f_sum = -mp.psi(0, a) if q == 1 else (-1) ** d * zeta(q, a, d)
                 for den, num in [(1, 1), (10**30, 1), (1, 10**30)]:
                     c = mpf(num) / den
                     value, remainder = _tail_order((den, {(0, d): num}), q, 0, a, wp)
@@ -729,20 +724,14 @@ class TestEulerMaclaurinTail:
                         assert remainder == inf, (c, q, d)
                         continue
                     assert remainder <= ulp
-                    with mp.workdps(dps + 50):
-                        reference = c * f_sum
-                        err = abs(value - reference)
-                    assert err <= remainder + 8 * ulp * abs(reference), (c, q, d, err, remainder)
+                    err = abs(value - c * f_sum)
+                    assert err <= remainder + 8 * ulp * abs(c * f_sum), (c, q, d, err, remainder)
 
     def test_remainder_is_infinite_when_a_is_too_small(self):
         # the remainder bound bottoms out near e^(-2 pi a) ~ 1e-6 at a = 2
-        with mp.workdps(30):
-            a, wp = F(2), mp.prec + GUARD_BITS
-            value, remainder = _tail_order((1, {(0, 0): 1}), 2, 0, a, wp)
-            value = mp.ldexp(value, -wp)
-            remainder = inf if remainder is None else mp.ldexp(remainder, -wp)
-            assert remainder == mp.inf
-            assert abs(value - zeta(2, a)) < 1e-3
+        value, remainder = _tail_order((1, {(0, 0): 1}), 2, 0, F(2), WP)
+        assert remainder is None
+        assert abs(mp.ldexp(value, -WP) - zeta(2, 2)) < 1e-3
 
 
 class TestShiftNearMinusOne:
@@ -758,28 +747,24 @@ class TestShiftNearMinusOne:
                 reference = mhz_numeric(vec, z, 1e-70).value
                 assert abs(r.value - reference) <= r.abs_err_bound, (vec, r)
         # depth 1 against mpmath at the exact shift and at least 80 digits;
-        # the bound is never wider than that of mpmath's value at the request's
-        # precision (4 ulps plus the precision floor)
+        # the bound is never wider than 4 ulps of the value at the request's
+        # precision, its width less the guard bits
         for s, abs_err in itertools.product(range(2, 11), [1e-12, 1e-30, 1e-60]):
-            r = mhz_numeric((s,), z, abs_err)
-            dps = max(30, -round(math.log10(abs_err)) + 12)
-            with mp.workdps(dps):
-                old_bound = mpf(10) ** (5 - dps) + mp.ldexp(abs(_mpf(r.value)), 2 - mp.prec)
-            with mp.workdps(max(80, dps + 20)):
+            r, (wp, _) = mhz_numeric((s,), z, abs_err), _width(abs_err)
+            with mp.workprec(max(270, wp + 70)):
                 reference = zeta(s, mp.mpq(*(1 + z).as_integer_ratio()))
                 assert abs(_mpf(r.value) - reference) <= r.abs_err_bound, (s, abs_err, r)
-            assert r.abs_err_bound <= float(old_bound), (s, abs_err, r)
+            assert r.abs_err_bound <= abs(r.value) * F(4, 1 << (wp - GUARD_BITS)), (s, abs_err, r)
 
     def test_lhs_constants_at_exact_shift(self):
         # the constants of H^(r) in the LHS expansion, zeta(r, 1+z) and -psi(1+z),
         # from the head at the exact shift: within 4 ulps of mpmath's
         z = F(-999999, 1000000)
         for r in (1, 2, 3):
+            summer = _SeriesSummer(SeriesSpec(X1, r, z, (2,)), WP)
+            summer.advance_to(44)
+            (value,), _ = summer.constants(45 + z)
             with mp.workdps(30):
-                summer = _SeriesSummer(SeriesSpec(X1, r, z, (2,)), mp.prec + GUARD_BITS)
-                summer.advance_to(44)
-                a = 45 + z
-                (value,), _ = summer.constants(a)
                 ulp = mp.ldexp(1, -mp.prec)
             with mp.workdps(60):
                 value = mp.ldexp(value, -summer.wp)  # exact at 60 digits
@@ -798,16 +783,13 @@ class TestLhsConstants:
     )
     def test_within_stated_error(self, z, M, tol):
         # x6 keeps H^(1), ..., H^(6) in the head
-        with mp.workdps(_digits_for(tol)):
-            spec = SeriesSpec(Polynomial.variable(6), 1, z, (2,))
-            summer = _SeriesSummer(spec, mp.prec + GUARD_BITS)
-            summer.advance_to(M)
-            a = M + 1 + z
-            constants, error = summer.constants(a)
+        summer = _SeriesSummer(SeriesSpec(Polynomial.variable(6), 1, z, (2,)), _width(tol)[0])
+        summer.advance_to(M)
+        constants, error = summer.constants(M + 1 + z)
         assert len(constants) == 6 and error < inf
         # the error is absolute, in units of 2^-wp: near z = -1 a constant near 1e24 needs
-        # 60 more digits than the head for a reference as fine as that error
-        with mp.workdps(_digits_for(tol) + 60):
+        # 60 more digits (200 bits) than the head for a reference as fine as that error
+        with mp.workprec(summer.wp + 200):
             error = mp.ldexp(error, -summer.wp)  # exact at this precision
             shift = mp.mpq(*(1 + z).as_integer_ratio())
             for r, value in enumerate((mp.ldexp(c, -summer.wp) for c in constants), 1):
@@ -819,10 +801,9 @@ class TestLhsConstants:
         # H^(r) alone at M = 10000: the tail's bound is a few dozen units of 2^-wp there,
         # while the head's M floors lose about M/2, so the error bound must carry them
         z = F(-1, 3)
-        with mp.workdps(30):
-            summer = _SeriesSummer(SeriesSpec(X1, r, z, (2,)), mp.prec + GUARD_BITS)
-            summer.advance_to(10000)
-            (value,), error = summer.constants(10001 + z)
+        summer = _SeriesSummer(SeriesSpec(X1, r, z, (2,)), WP)
+        summer.advance_to(10000)
+        (value,), error = summer.constants(10001 + z)
         with mp.workdps(90):
             value, error = mp.ldexp(value, -summer.wp), mp.ldexp(error, -summer.wp)
             assert abs(value - zeta(r, mp.mpq(2, 3))) <= error, r
@@ -848,13 +829,18 @@ class TestLazyVerifier:
         assert proc.returncode == 0, proc.stderr
 
 
+def _reference_width(dps):
+    """The width rule's one copy in the tests: (wp, cutoff) at dps decimal digits."""
+    return dps_to_prec(dps) + GUARD_BITS, max(MHZ_CUTOFF, 6 * dps // 5)
+
+
 class TestMhzMemo:
     def test_digits_do_not_depend_on_the_ambient_precision(self):
         # a caller's mpmath context must not change the digits a tolerance asks for
         for abs_err, digits in [(1e-5, 30), (1e-22, 34), (1e-25, 37), (1e-30, 42), (1e-60, 72)]:
-            assert _digits_for(abs_err) == digits
+            assert _width(abs_err) == _reference_width(digits)
             with mp.workdps(60):
-                assert _digits_for(abs_err) == digits
+                assert _width(abs_err) == _reference_width(digits)
 
     def test_value_does_not_depend_on_earlier_requests(self):
         from zetaform import verify
@@ -889,14 +875,16 @@ class TestMhzMemo:
 class TestWorkingWidth:
     """Each call's width follows its own tolerance, never mpmath's context."""
 
-    def test_bits_for_is_mpmaths_dps_to_prec(self):
-        from mpmath.libmp import dps_to_prec
-
-        assert [_bits_for(dps) for dps in range(1, 2001)] == list(map(dps_to_prec, range(1, 2001)))
+    def test_width_is_the_rule_at_every_float_tolerance(self):
+        # dps = max(30, floor(-log10 tol) + 12) with the log in double precision, where
+        # 10.0**-313 and 10.0**-317, subnormal, read a digit short: every float 10^-e
+        for e in range(324):
+            dps = max(30, e - (e in (313, 317)) + 12)
+            assert _width(10.0**-e) == _reference_width(dps), e
 
     @pytest.mark.parametrize("abs_err", [1e-8, 1e-20, 1e-40])
     def test_values_are_dyadic_at_the_width(self, abs_err):
-        one = 1 << (_bits_for(_digits_for(abs_err)) + GUARD_BITS)
+        one = 1 << _width(abs_err)[0]
         for vec, z in itertools.product(
             [(2,), (1, 2), (2, 1, 3), (1, 1, 1, 2)], [F(0), F(-1, 2), F(-1, 3), F(-999999, 1000000)]
         ):
@@ -907,12 +895,11 @@ class TestWorkingWidth:
     def test_bound_is_mhz_once_rounded_up_and_nothing_more(self, abs_err):
         # the least float at or above _mhz_once's exact bound: no floor on top, and
         # no half ulp lost to rounding to nearest
-        dps = _digits_for(abs_err)
-        wp = _bits_for(dps) + GUARD_BITS
+        wp, cutoff = _width(abs_err)
         for vec, z in itertools.product(
             [(2,), (1, 2), (2, 1, 3), (1, 1, 1, 2), (3, 3)], [F(0), F(-1, 2), F(-1, 3)]
         ):
-            exact = F(_mhz_once(vec, z, max(MHZ_CUTOFF, 6 * dps // 5), wp)[1], 1 << wp)
+            exact = F(_mhz_once(vec, z, cutoff, wp)[1], 1 << wp)
             stated = mhz_numeric(vec, z, abs_err).abs_err_bound
             assert F(stated) >= exact > F(math.nextafter(stated, 0)), (vec, z, stated, exact)
 
@@ -962,20 +949,18 @@ class TestLevelExpansion:
     def test_cutoffs_20_and_40_agree(self, z):
         # with exact level expansions only the omitted orders differ, and at
         # 60 digits those are far below 1e-40; one wrong coefficient is not
-        wp = _bits_for(60) + GUARD_BITS
-        with mp.workdps(60):
-            for vec in self.VECTORS:
-                delta = abs(_mhz_once(vec, z, 20, wp)[0] - _mhz_once(vec, z, 40, wp)[0])
-                assert mp.ldexp(delta, -wp) < mpf(10) ** -40, (vec, delta)
+        for vec in self.VECTORS:
+            delta = abs(_mhz_once(vec, z, 20, WP)[0] - _mhz_once(vec, z, 40, WP)[0])
+            assert F(delta, 1 << WP) < F(1, 10**40), (vec, delta)
 
     @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-1, 3), F(-999999, 1000000)])
     def test_cutoffs_c_and_2c_agree_within_stated_bounds(self, z):
         # a wrong coefficient at order p moves the value at c by 2^p times more than at 2c
-        for dps in (30, 72):
-            c, wp = max(verify.MHZ_CUTOFF, 6 * dps // 5), _bits_for(dps) + GUARD_BITS
+        for tol in (1e-18, 1e-60):
+            wp, c = _width(tol)
             for vec in self.VECTORS:
                 (a, bound_a), (b, bound_b) = _mhz_once(vec, z, c, wp), _mhz_once(vec, z, 2 * c, wp)
-                assert abs(a - b) <= bound_a + bound_b, (vec, dps, a - b)
+                assert abs(a - b) <= bound_a + bound_b, (vec, tol, a - b)
 
     @pytest.mark.parametrize("z", [F(0), F(-1, 3), F(-999999, 1000000), F(-1, 2)])
     def test_bound_carries_a_short_expansions_rest(self, z, monkeypatch):
@@ -983,8 +968,8 @@ class TestLevelExpansion:
         # c^-11 at the cutoff c, is far above the fixed-point error and the bound must carry
         # it; through dps + 20, the order before the rule, it is far below.  Either way the
         # value differs from the rule's by at most both stated bounds
-        for dps in (30, 44, 72, 112):
-            c, wp = max(verify.MHZ_CUTOFF, 6 * dps // 5), _bits_for(dps) + GUARD_BITS
+        for tol, dps in ((1e-18, 30), (1e-32, 44), (1e-60, 72), (1e-100, 112)):
+            wp, c = _width(tol)
             references = {vec: _mhz_once(vec, z, c, wp) for vec in self.VECTORS}
             for order in (10, dps + 20):
                 with monkeypatch.context() as m:
@@ -993,12 +978,32 @@ class TestLevelExpansion:
                         value, bound = _mhz_once(vec, z, c, wp)
                         assert abs(value - reference) <= bound + reference_bound, (vec, order)
 
-    @pytest.mark.parametrize("dps", [30, 44, 72])
-    def test_stated_rest_covers_the_truncation(self, dps):
+    @pytest.mark.parametrize("top", [10, 29, 59])
+    def test_rest_is_the_sum_of_its_stated_parts(self, top):
+        # U / den: |c| times each zeta tail's past folded at x0 = MHZ_CUTOFF - 1, plus the inner
+        # level's U times x0^(1-s) / (s + top); above that only two ceilings, of the inner term
+        # over the unreduced denominator and of the sum over den
+        x0 = MHZ_CUTOFF - 1
+        vectors = [
+            v for k in range(1, 6) for v in itertools.product((1, 2, 3), repeat=k)
+            if v[-1] > 1 and sum(v) <= 10
+        ]
+        for vec in vectors:
+            s, (den, nums) = vec[0], _level_expansion(vec, top)
+            inner_den, inner = _level_expansion(vec[1:], top) if len(vec) > 1 else (1, (1, 0))
+            tails = [(F(c, inner_den), _zeta_tail(s + q, top)) for q, c in enumerate(inner[:-1]) if c]
+            exact = F(inner[-1], inner_den) * F(x0) ** (1 - s) / (s + top) + sum(
+                abs(c) * F(u, d) / x0**i for c, (d, _, past) in tails for i, u in enumerate(past)
+            )
+            lcm = math.lcm(*(d for _, (d, _, _) in tails))
+            ceilings = F(1, inner_den * lcm * x0**s) + F(1, den)
+            assert exact <= F(nums[-1], den) < exact + ceilings, vec
+
+    @pytest.mark.parametrize("tol", [1e-18, 1e-32, 1e-60], ids=["30", "44", "72"])  # digits
+    def test_stated_rest_covers_the_truncation(self, tol):
         # |sum through top - f| <= U / (den x^(top+1)) for x >= MHZ_CUTOFF - 1, at the
-        # order the rule picks at dps; the expansion 40 orders longer stands in for f
-        with mp.workdps(dps):
-            top = _level_order(mp.prec + GUARD_BITS, max(verify.MHZ_CUTOFF, 6 * dps // 5))
+        # order the rule picks at tol; the expansion 40 orders longer stands in for f
+        top = _level_order(*_width(tol))
         vectors = [
             v for k in range(1, 6) for v in itertools.product((1, 2, 3), repeat=k)
             if v[-1] > 1 and sum(v) <= 10
@@ -1010,8 +1015,8 @@ class TestLevelExpansion:
                 err = abs(_truncated(den, nums, x) - _truncated(ref_den, ref, x))
                 assert err <= F(nums[-1], den) / x ** (len(nums) - 1), (vec, x)
 
-    @pytest.mark.parametrize("dps", [30, 44, 72, 112])
-    def test_rule_order_leaves_at_most_4_units_of_level_rest(self, dps):
+    @pytest.mark.parametrize("tol", [1e-18, 1e-32, 1e-60, 1e-100], ids=["30", "44", "72", "112"])
+    def test_rule_order_leaves_at_most_4_units_of_level_rest(self, tol):
         # at x = cutoff + z the stated rest past _level_order's top, for every admissible
         # vector (entries <= 7, depth <= 5, weight <= 10; a suffix of one is one too), is
         # at most 4 units of 2^-wp
@@ -1020,8 +1025,7 @@ class TestLevelExpansion:
             if v[-1] > 1 and sum(v) <= 10
         ]
         assert len(admissible) == 373
-        with mp.workdps(dps):
-            wp, c = mp.prec + GUARD_BITS, max(verify.MHZ_CUTOFF, 6 * dps // 5)
+        wp, c = _width(tol)
         top, worst = _level_order(wp, c), 0
         for vec in admissible:
             den, nums = _level_expansion(vec, top)
@@ -1110,8 +1114,7 @@ class TestIntegerExpansions:
         monkeypatch.setattr(verify, "_summand_expansion", recorded)
         spec = SeriesSpec(X1 * X1 * X2, 1, F(-1, 3), (0, 1, 2))
         assert verify_identity(spec, closed_form(spec), tol=1e-30, N=600).passed
-        with mp.workdps(_digits_for(1e-30)):
-            one = 1 << (mp.prec + GUARD_BITS)
+        one = 1 << _width(1e-30)[0]
         assert models
         for order, (den, coeffs) in models:
             assert type(den) is int and den % one == 0  # so a fold's ceiling is at most 2^-wp
@@ -1142,8 +1145,8 @@ class TestIntegerExpansions:
         assert all(type(value) is int and type(bound) is int for value, bound in tails)
         for values, error in constants:
             assert type(error) is int and all(type(c) is int for c in values)
-        with mp.workdps(30):  # at a = 2, R_K stops shrinking above the target
-            value, bound = tail_order((1, {(0, 0): 1}), 2, 0, F(2), mp.prec + GUARD_BITS)
+        # at a = 2, R_K stops shrinking above the target
+        value, bound = tail_order((1, {(0, 0): 1}), 2, 0, F(2), WP)
         assert type(value) is int and bound is None
 
     def test_row_error_covers_logs_a_unit_off(self):
@@ -1181,6 +1184,18 @@ class TestIntegerExpansions:
             den, nums = _zeta_tail_coeffs(sigma, dps + 22)
             reference = _reference_tail(sigma, dps + 22)
             assert [F(c, den) for c in nums] == [reference.get(p, 0) for p in range(dps + 23)]
+
+    @pytest.mark.parametrize("order", [0, 1, 9, 28, 29, 59])
+    def test_zeta_tail_rest_doubles_the_first_even_bernoulli_term(self, order):
+        # past: the |terms| past order through the first B_2K one, K >= 1, that one twice, as
+        # Euler-Maclaurin's remainder after the B_2k, k < K, is at most twice it (DLMF 2.10.2)
+        for sigma in range(1, 41):
+            den, _, past = _zeta_tail(sigma, order)
+            k = max(2, order + 2 - sigma)
+            last = sigma - 1 + k + k % 2  # the first even Bernoulli index whose term is past order
+            reference = _reference_tail(sigma, last)
+            want = [abs(reference.get(p, 0)) for p in range(order + 1, last)]
+            assert [F(u, den) for u in past] == want + [2 * abs(reference[last])], (sigma, order)
 
     @pytest.mark.parametrize("top", [50, 64])
     def test_level_expansions_are_exact(self, top):

@@ -95,7 +95,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):  # PEP 562: the verifier, and mpmath, load on first use
+def __getattr__(name: str):  # PEP 562: the verifier loads on first use
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import verify

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from mpmath import mp, nstr
-
 from .engine import (
     ClosedForm,
     ReductionTable,
@@ -291,8 +289,17 @@ def closed_form_from_json(data: dict) -> ClosedForm:
         raise CliError(f"malformed closed form JSON ({type(exc).__name__}: {exc})") from None
 
 
-def _digits(value: Fraction) -> str:  # 25 digits of an exact value, rounded to 128 bits first
-    return nstr(mp.fdiv(value.numerator, value.denominator, prec=128), 25)
+def _digits(value: Fraction) -> str:
+    """25 significant digits of an exact value, rounded half up, trailing zeros dropped: fixed
+    point while the leading digit's exponent E is in -7..24, else d.ddd...e+E; 0 is 0.0."""
+    x = abs(value)
+    E = len(str(x.numerator)) - len(str(x.denominator))
+    E -= x < Fraction(10) ** E  # 10^E <= x < 10^(E + 1)
+    n = math.floor(x / Fraction(10) ** (E - 24) + Fraction(1, 2))
+    d, E = (str(n), E) if n < 10**25 else (str(n // 10), E + 1)
+    d, split, tail = ("0" * -E + d, max(E, 0) + 1, "") if -8 < E < 25 else (d, 1, f"e{E:+d}")
+    d = (d[:split] + "." + d[split:]).rstrip("0")
+    return "-" * (value < 0) + d + "0" * d.endswith(".") + tail
 
 
 def render(

@@ -21,8 +21,6 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul
 
-from mpmath import mp, mpf, bernfrac
-
 from .engine import ClosedForm, SeriesSpec, ZetaVector, check_vector
 from .qsym import as_shift
 
@@ -32,7 +30,27 @@ DESK_MAX_TERMS = 10**6
 MHZ_CUTOFF = 40
 GUARD_BITS = 24
 HEAD_BLOCK = 256  # raw-series terms summed per pass of list operations
-_bernoulli = lru_cache(maxsize=None)(bernfrac)
+
+
+@lru_cache(maxsize=None)
+def _tangent_numbers(n: int) -> tuple:
+    """T_1..T_n of tan x = sum T_k x^(2k-1)/(2k-1)!: Brent and Harvey's O(n^2) recurrence (2011)."""
+    T = list(accumulate(range(1, n), mul, initial=1))  # T_k = (k-1)! to start
+    for k in range(1, n):
+        for j in range(k, n):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return tuple(T)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli(k: int) -> tuple:
+    """B_k in lowest terms, B_1 = -1/2: B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), from a
+    tangent table grown by doubling."""
+    if k < 2 or k % 2:
+        return ((1, 1), (-1, 2))[k] if k < 2 else (0, 1)
+    m, den = k // 2, 2**k * (2**k - 1)  # 4^m (4^m - 1)
+    num = (-1) ** (m - 1) * k * _tangent_numbers(1 << (m - 1).bit_length())[m - 1]
+    return num // (g := math.gcd(num, den)), den // g
 
 
 class DeskLimitError(ValueError):
@@ -67,7 +85,7 @@ def _width(abs_err: float) -> tuple:
     """(wp, cutoff) for a target absolute error: the verifier's one width rule.
 
     dps = max(30, floor(-log10 abs_err) + 12) digits in double precision, prec = round((dps + 1)
-    log2 10) as mpmath's dps_to_prec, wp = prec + GUARD_BITS, cutoff = max(MHZ_CUTOFF, 6 dps // 5).
+    log2 10) bits for them, wp = prec + GUARD_BITS, cutoff = max(MHZ_CUTOFF, 6 dps // 5).
     """
     if not 0 < abs_err < math.inf:
         raise ValueError("abs_err must be positive and finite")
@@ -436,11 +454,36 @@ def _em_rule(q: int, d: int, k: int) -> tuple:
     return (den, tuple(b * c for c in prev)), _reduced(den * p1 ** (d + 1), Q[:-1]), P
 
 
+def _atanh(n: int, d: int, P: int) -> int:
+    """atanh(t) 2^P, t = n/d in [0, 1/3], as floors of sum t^(2k+1)/(2k+1): under 3 (K + 1) low
+    for K terms kept, as each power t^(2k+1) 2^P, a floor of the last times t^2, is under 9/8 low
+    (9/8 t^2 + 1), each term so under 3, and the rest, past the first zero power, under 2."""
+    total, p, k, n2, d2 = 0, (n << P) // d, 1, n * n, d * d
+    while p:
+        total, p, k = total + p // k, p * n2 // d2, k + 2
+    return total
+
+
+_ln2 = lru_cache(maxsize=None)(lambda P: 2 * _atanh(1, 3, P))  # one per width
+
+
 def _logs(a: Fraction, powers: int, W: int) -> tuple:
-    """round(ln^i(a) 2^W), i <= powers, each within a unit while ln^i(a) < 2^56."""
-    with mp.workprec(max(W, 0) + 64):  # off by under 2^-56 of a unit before the rounding
-        log = mp.log(mpf(a.numerator) / a.denominator)
-        return tuple(int(mp.nint(mp.ldexp(log**i, W))) for i in range(powers + 1))
+    """round(ln^i(a) 2^W), i <= powers, half to even, for a rational a > 0: each within a unit.
+
+    ln a = e ln 2 + 2 atanh(t), t = (r - 1)/(r + 1), r = a/2^e in [2^-1/2, 2^1/2), |t| < 0.18, and
+    ln 2 = 2 atanh(1/3), both by _atanh at P = max(W, 0) + 64 + powers bitlen(B) bits, B = |e| + 2
+    > |ln a| + 1, in K <= P/3 + 1 terms: their sum y is under 2 B (P + 6) off ln(a) 2^P, so
+    y^i 2^(W - P i) is under 2 i (P + 6) B^i 2^(W - P) <= powers (P + 6) 2^-63 of a unit off.
+    """
+    e = (X := a.numerator).bit_length() - (Y := a.denominator).bit_length()
+    X, Y = (X, Y << e) if e >= 0 else (X << -e, Y)  # r = X/Y in (1/2, 2)
+    if X * X >= 2 * Y * Y or 2 * X * X < Y * Y:
+        e, X, Y = (e + 1, X, 2 * Y) if X > Y else (e - 1, 2 * X, Y)
+    P = max(W, 0) + 64 + powers * (abs(e) + 2).bit_length()
+    t = 2 * _atanh(abs(X - Y), X + Y, P)
+    ys = accumulate(repeat(e * _ln2(P) + (t if X >= Y else -t), powers), mul, initial=1)
+    qrs = [(divmod(y << P, 1 << s), s) for y, s in zip(ys, count(P - W, P))]  # y / 2^(s - P)
+    return tuple(q + (2 * r + (q & 1) > 1 << s) for (q, r), s in qrs)  # half to even
 
 
 def _row(row: tuple, L: tuple, power: int, x_power: int) -> tuple:

@@ -6,6 +6,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mp, nstr
 
 from zetaform import cli
 from zetaform.cli import (
@@ -650,3 +651,27 @@ class TestClosedFormFromJsonShape:
     def test_zero_denominator_shift_is_an_input_error(self, capsys):
         assert main(["--F", "x1", "--z", "1/0", "--s", "0,2"]) == 2
         assert capsys.readouterr().err.startswith("error: cannot parse z='1/0'")
+
+
+class TestDigits:
+    """The JSON digit strings against mpmath's nstr of the value rounded to 128 bits."""
+
+    @staticmethod
+    def reference(value):
+        return nstr(mp.fdiv(value.numerator, value.denominator, prec=128), 25)
+
+    def test_random_values(self):
+        rng = random.Random(28)
+        for _ in range(10000):
+            value = F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**30))
+            value *= F(10) ** rng.randint(-12, 30)
+            assert cli._digits(value) == self.reference(value), value
+
+    def test_zero_signs_carries_and_the_layout_switch(self):
+        # the leading digit's exponent E: fixed point for -7 <= E <= 24, e notation outside
+        values = [F(0), F(1), F(-1, 3), F(10**26 - 1, 10**25), F(-(10**26 - 1), 10**26)]
+        for E in (-9, -8, -7, -6, 23, 24, 25, 26):
+            values += [F(10) ** E, F(20, 3) * F(10) ** E, -F(1, 7) * F(10) ** (E + 1)]
+            values += [F(10**26 - 1, 10**25) * F(10) ** E]  # 9.99...: carries into E + 1
+        for value in values:
+            assert cli._digits(value) == self.reference(value), value

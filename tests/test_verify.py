@@ -1,7 +1,9 @@
 import functools
 import itertools
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -810,23 +812,32 @@ class TestLhsConstants:
 
 
 class TestLazyVerifier:
-    def test_exact_path_leaves_mpmath_unloaded(self):
-        # mpmath does arithmetic for the verifier only: the exact pipeline, in a
-        # fresh interpreter, never loads it, and a verification name does
+    def test_verifier_runs_with_mpmath_unimportable(self):
+        # the package needs no mpmath: with its import blocked, the exact pipeline, in a fresh
+        # interpreter, leaves the verifier unloaded, and the verifier certifies from the API
+        # and from the command line
         import zetaform
 
         code = (
-            "import sys, zetaform\n"
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "import zetaform\n"
             "x1 = zetaform.Polynomial.variable(1)\n"
-            "zetaform.closed_form(zetaform.SeriesSpec(x1, 1, 0, (4, 1, 1, 1, 1, 1)))\n"
+            "spec = zetaform.SeriesSpec(x1, 1, 0, (4, 1, 1, 1, 1, 1))\n"
+            "cf = zetaform.closed_form(spec)\n"
             "zetaform.default_reduction_table()\n"
-            "assert 'mpmath' not in sys.modules, 'the exact path loaded mpmath'\n"
-            "assert callable(zetaform.verify_identity) and 'mpmath' in sys.modules\n"
+            "assert 'zetaform.verify' not in sys.modules, 'the exact path loaded the verifier'\n"
+            "report = zetaform.verify_identity(spec, cf, tol=1e-10, N=600)\n"
+            "assert report.passed, report.message\n"
             "assert not hasattr(zetaform, 'no_such_name')\n"
+            "from zetaform import cli\n"
+            "flags = '--F x1 --z 0 --binomial 4,5 --verify 600 --format json'\n"
+            "sys.exit(cli.main(flags.split()))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(zetaform.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verification"]["passed"]
 
 
 def _reference_width(dps):
@@ -1178,6 +1189,19 @@ class TestIntegerExpansions:
                 for i, L in enumerate(logs):
                     assert abs(L - mp.ldexp(log**i, W)) <= 1, (W, i)
 
+    def test_logs_match_the_mpmath_reference(self):
+        # the integer _logs against mpmath's log at W + 64 bits, rounded half to even, on a
+        # seeded grid that takes in W < 0, where 2^W, i = 0, is a tie at W = -1
+        rng = random.Random(28)
+        randoms = [F(rng.randint(1, 10**9), rng.randint(1, 10**4)) for _ in range(7)]
+        for a in [F(43), F(2**20) - F(1, 3), F(10**6) + F(2, 3)] + randoms:
+            for W in range(-20, 601):
+                powers = rng.randint(0, 6)
+                assert verify._logs(a, powers, W) == _mpmath_logs(a, powers, W), (a, powers, W)
+
+    def test_bernoulli_numbers_match_bernfrac(self):
+        assert all(verify._bernoulli(k) == tuple(bernfrac(k)) for k in range(401))
+
     @pytest.mark.parametrize("dps", [30, 44])
     def test_zeta_tail_coeffs_are_exact(self, dps):
         for sigma in range(1, 41):
@@ -1203,6 +1227,13 @@ class TestIntegerExpansions:
         for vec in vectors:
             den, (*nums, _) = _level_expansion(vec, top)
             assert [F(c, den) for c in nums] == list(_reference_level_expansion(vec, top)), vec
+
+
+def _mpmath_logs(a, powers, W):
+    """The verifier's _logs as it was with mpmath: ln a at W + 64 bits, then nint."""
+    with mp.workprec(max(W, 0) + 64):
+        log = mp.log(mpf(a.numerator) / a.denominator)
+        return tuple(int(mp.nint(mp.ldexp(log**i, W))) for i in range(powers + 1))
 
 
 class TestStuffle:

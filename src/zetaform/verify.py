@@ -183,29 +183,28 @@ def _mhz_once(svec: ZetaVector, zq: Fraction, cutoff: int, wp: int) -> tuple:
     x = cutoff + z and floored, then runs back to n = 0 in fixed point at wp bits: for z = p/q
     the weight is floor(q^s 2^wp / (q n + p)^s) and a product is (w f) >> wp.
 
-    Error: level j's own error e_j is its expansion's stated rest at x, however large the order
-    leaves it, a ceiling in units of u, plus under 1 + 3c floors of u at cutoff c (the start;
-    per step the weight's floor times the inner level at n >= 1, at most its z = 0 multiple
-    zeta value, below zeta(2) by the sum theorem, and the product's floor).
-    E_j <= e_j + W_j E_(j+1), with the weight sum W_j under L = 2 + ln c over t >= 2, plus
-    (1+z)^-s_0 at t = 1 for the outermost.  So at depth k, for every z in (-1, 0], the result is
-    off by less than max e_j k ((1+z)^-s_0 + L) L^(k-2), L rounded up by its + 1 on _logs.  At k = 1
-    the inner level is exactly 2^wp, so a step adds only the weight's floor: under u (1 + c).
+    Error, in units of u, bounded beside the sum: level j's own error e_j is its expansion's
+    stated rest at x, a ceiling, plus under 1 + 3c floors at cutoff c (the start; per step the
+    weight's floor times the inner level at n >= 1, at most its z = 0 multiple zeta value, below
+    zeta(2) by the sum theorem, and the product's floor).  E_j <= e_j + ceil(W_j E_(j+1) / 2^wp),
+    E_k = 0, W_j the level's floored weights each rounded up by a unit, over t >= 2 for an inner
+    level, whose f(0) is never read, and t >= 1 for the outermost.  The bound is E_0.
     """
-    p, q, s = zq.numerator, zq.denominator, svec[0]
+    p, q = zq.numerator, zq.denominator
     x, top = q * cutoff + p, _level_order(wp, cutoff)  # x = q (cutoff + z)
-    f, rest = [1 << wp] * (cutoff + 1), 0
+    f, bound = [1 << wp] * (cutoff + 1), 0
     for j in range(len(svec) - 1, -1, -1):
-        (den, nums), acc = _level_expansion(svec[j:], top), 0
+        (den, nums), acc, W = _level_expansion(svec[j:], top), 0, 0
         for k, c in enumerate(nums[:-1]):
             acc = acc * x + c * q**k
         acc, scaled = (acc << wp) // (den * x**top), q ** svec[j] << wp
-        rest = max(rest, -(-(nums[-1] * q ** (top + 1) << wp) // (den * x ** (top + 1))))
         for n in range(cutoff, 0, -1):
-            f[n], acc = acc, acc + (scaled // (q * n + p) ** svec[j] * f[n] >> wp)
-    k, L = len(svec), (2 << wp) + _logs(Fraction(cutoff), 1, wp)[1] + 1  # >= (2 + ln c) 2^wp
-    num = k * (rest + 1 + 3 * cutoff) * ((q**s << wp) + L * (q + p) ** s) * L ** (k - 1)
-    return acc, -(-num // ((q + p) ** s * L << wp * (k - 1)))
+            w = scaled // (q * n + p) ** svec[j]
+            f[n], acc, W = acc, acc + (w * f[n] >> wp), W + w + 1
+        W -= w + 1 if j else 0  # an inner level is read at n >= 1: its weights at t >= 2
+        rest = -(-(nums[-1] * q ** (top + 1) << wp) // (den * x ** (top + 1)))
+        bound = rest + 1 + 3 * cutoff - (-W * bound >> wp)
+    return acc, bound
 
 
 def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
@@ -214,8 +213,8 @@ def mhz_numeric(v, z, abs_err: float = 1e-12) -> NumericResult:
     Desk-scale only (depth <= 5, weight <= 10).  The value is exact, over 2^wp with (wp, cutoff)
     = _width(abs_err), and depends on nothing else.  Every depth, 1 included, is summed once in
     fixed point at that cutoff, each level from its expansion to _level_order's top; the bound
-    is _mhz_once's (each level's majorant and the fixed-point error), rounded up to a float, and
-    nothing more.
+    is _mhz_once's (each level's majorant and floors, an inner level's carried through the outer
+    level's weights), rounded up to a float, and nothing more.
     """
     vec = check_vector(v)
     if len(vec) > DESK_MAX_DEPTH:
@@ -286,9 +285,10 @@ class _SeriesSummer:
     H_i >= (1+z)^-r >= 1.  A monomial of degree d is then off by at most d n 2^-wp of its value,
     and the division's floor adds less than 2^-wp / L.  With |F| the polynomial with coefficients
     |a_k| / L, which grows with every H_i, and the sum over n of 1/prod (n+i+z)^s_i at most
-    (1+z)^-S + (1+z)^(1-S)/(S-1), a partial sum through N differs from the exact one by less than
+    a^-S + a^(1-S)/(S-1), a = 1 + i0 + z (the product is at least (n+i0+z)^S, i0 the first i
+    with s_i > 0), a partial sum through N differs from the exact one by less than
 
-        N 2^-wp (1/L + D |F|(H_N) ((1+z)^-S + (1+z)^(1-S)/(S-1))),
+        N 2^-wp (1/L + D |F|(H_N) (a^-S + a^(1-S)/(S-1))),
 
     which `error_bound` returns exactly.
     """
@@ -342,7 +342,7 @@ class _SeriesSummer:
     def error_bound(self) -> Fraction:
         """Bound on |fixed-point partial sum - exact one| through self.n, from the floors above."""
         n, unit = self.n, Fraction(1, 1 << self.wp)
-        S, a = sum(self.spec.s), 1 + self.spec.z
+        S, a = sum(self.spec.s), 1 + next(i for i, e in enumerate(self.spec.s) if e) + self.spec.z
         size = self.spec.F.evaluate([(h + n) * unit for h in self.harmonics], abs)
         tail = a**-S + a ** (1 - S) / (S - 1)  # >= sum of 1/prod (n+i+z)^s_i
         return n * unit * (Fraction(1, self.L) + self.D * size * tail)

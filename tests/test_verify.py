@@ -238,6 +238,15 @@ class TestFixedPointHead:
                 assert abs(head - mpf(exact.numerator) / exact.denominator) <= bound, n
                 assert bound < 1e-26
 
+    def test_bound_sizes_the_summands_from_the_first_shift_present(self):
+        # every summand is H_n H_n^(2) / (n+2+z)^3: sized from 1 + 2 + z, not from 1 + z = 1e-6
+        # (which puts the bound near 5.5e-2), the bound is near 1e-20 at z near -1
+        spec = SeriesSpec(X1 * X2, 1, F(-999999, 1000000), (0, 0, 3))
+        summer = _SeriesSummer(spec, _width(1e-20)[0])
+        head = summer.advance_to(600)
+        bound = summer.error_bound()
+        assert abs(head - series_partial_sum(spec, 600)) <= bound <= F(1, 10**18)
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: str(spec.s))
     def test_resuming_is_bit_identical(self, spec):
         resumed = _SeriesSummer(spec, WP)
@@ -1009,6 +1018,36 @@ class TestLevelExpansion:
             lcm = math.lcm(*(d for _, (d, _, _) in tails))
             ceilings = F(1, inner_den * lcm * x0**s) + F(1, den)
             assert exact <= F(nums[-1], den) < exact + ceilings, vec
+
+    @pytest.mark.parametrize("tol", [1e-18, 1e-60], ids=["30", "72"])  # digits
+    @pytest.mark.parametrize("z", [F(0), F(-1, 2), F(-999999, 1000000)])
+    def test_bound_is_the_recurrence_of_its_stated_parts(self, tol, z):
+        # E_j = e_j + ceil(W_j E_(j+1) / 2^wp), E_k = 0, in units of 2^-wp: e_j the level's
+        # stated rest at x = c + z, a ceiling, plus 1 + 3c floors; W_j its floored weights, each
+        # one unit up, over t >= 2 for an inner level (read at n >= 1) and t >= 1 for the outermost
+        wp, c = _width(tol)
+        top = _level_order(wp, c)
+        vectors = [
+            v for k in range(1, 6) for v in itertools.product((1, 2, 3), repeat=k)
+            if v[-1] > 1 and sum(v) <= 10
+        ]
+        for vec in vectors:
+            bound = 0
+            for j in range(len(vec) - 1, -1, -1):
+                den, nums = _level_expansion(vec[j:], top)
+                rest = math.ceil(F(nums[-1] << wp, den) / (c + z) ** (top + 1))
+                ts = range(2 if j else 1, c + 1)
+                W = sum(math.floor((1 << wp) / (t + z) ** vec[j]) + 1 for t in ts)
+                bound = rest + 1 + 3 * c + math.ceil(F(W * bound, 1 << wp))
+            assert _mhz_once(vec, z, c, wp)[1] == bound, vec
+
+    def test_deep_vector_within_budget(self):
+        # depth 32, past the desk caps, which stay: the recurrence itself, summed level by level
+        # (a closed-form majorant of it, k ((1+z)^-s_1 + L) L^(k-2), L = 2 + ln c, is 7.5e-12),
+        # states at most the 1e-12 its width is for
+        wp, c = _width(1e-12)
+        bound = _mhz_once((1,) * 31 + (2,), F(-1, 3), c, wp)[1]
+        assert F(bound, 1 << wp) <= F(1, 10**12)
 
     @pytest.mark.parametrize("tol", [1e-18, 1e-32, 1e-60], ids=["30", "44", "72"])  # digits
     def test_stated_rest_covers_the_truncation(self, tol):

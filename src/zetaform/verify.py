@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from operator import add, floordiv, mul
+from operator import add, floordiv, mul, rshift
 
 from .engine import ClosedForm, SeriesSpec, ZetaVector, check_vector
 from .qsym import as_shift
@@ -257,7 +257,7 @@ def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
 
 def _powers(values, e: int):
     """Each of values raised to e, lazily."""
-    return values if e == 1 else map(pow, values, repeat(e))
+    return values if e == 1 else map(mul, values, values) if e == 2 else map(pow, values, repeat(e))
 
 
 class _SeriesSummer:
@@ -272,13 +272,17 @@ class _SeriesSummer:
     each n.  Every quotient is div(one a, b): with wp None, div is Fraction
     and one = 1, exact; otherwise div is floor division and one = 2^wp.
     `advance_to` returns the sum as an exact Fraction either way.  A monomial
-    of degree d has its coefficient premultiplied by q^S one^(D + 1 - d),
-    D = deg F, so each summand takes one division, by one^D prod (x + i q)^s_i.
+    of degree d has its coefficient premultiplied by q^S one^(T - d), T =
+    max(D, 1), D = deg F; each numerator t is shifted right by (T - 1) wp bits
+    (none when exact) and divided by prod (x + i q)^s_i = P alone.  As
+    floor(floor(t / 2^k) / P) = floor(t / (2^k P)) for integers t, k >= 0,
+    P >= 1 (Concrete Mathematics 3.2), each summand is the one floor of
+    t / (one^(T - 1) P), at scale one.
     Terms are summed HEAD_BLOCK at a time in list operations: per H_i one
-    list of increments and one running sum, each monomial an element-wise
-    product of those columns, the denominators a product of lists, and one
-    sum of quotients.  Each floor is the one a term-by-term sum takes, so the
-    sums, and the bound below, are the same.
+    column of running sums, each monomial an element-wise product of those
+    columns, the denominators a product of columns, and one sum of quotients.
+    Each floor is the one a term-by-term sum takes, so the sums, and the
+    bound below, are the same.
 
     Fixed-point truncation: after n terms each stored H_i is below the true one by less than
     n 2^-wp (one floor per increment), which is at most n 2^-wp of its value because
@@ -299,18 +303,19 @@ class _SeriesSummer:
         self.p, self.q = spec.z.numerator, spec.z.denominator
         self.L = math.lcm(*(c.denominator for c in spec.F.terms.values()))
         self.D = spec.F.degree()
+        top = max(self.D, 1)
         q_S = self.q ** sum(spec.s)
         self.monomials = [
             (
-                c.numerator * (self.L // c.denominator) * q_S * one ** (self.D + 1 - sum(exps)),
+                c.numerator * (self.L // c.denominator) * q_S * one ** (top - sum(exps)),
                 [(i, e) for i, e in enumerate(exps) if e],
             )
             for exps, c in spec.F.terms.items()
-        ]
+        ] or [(0, [])]  # F = 0: one zero monomial, so every block has a first numerator
         ell = spec.F.max_variable()
         self.q_powers = [self.q ** (i * spec.m) * one for i in range(1, ell + 1)]
         self.den_factors = [(i * self.q, e) for i, e in enumerate(spec.s) if e]
-        self.den_scale = one**self.D
+        self.shift = 0 if wp is None else (top - 1) * wp
         self.scale = one * self.L
         self.harmonics = [0] * ell
         self.total = 0
@@ -325,18 +330,20 @@ class _SeriesSummer:
             columns = []
             for i, q_r in enumerate(self.q_powers):
                 power = list(map(mul, power, steps)) if i else power
-                columns.append(list(accumulate(map(div, repeat(q_r), power), initial=H[i]))[1:])
+                increments = map(div, repeat(q_r), power)
+                columns.append(list(accumulate(increments, initial=H[i] + next(increments))))
                 H[i] = columns[-1][-1]
-            tops = [0] * len(xs)
+            terms = []
             for a, exps in self.monomials:
-                term = repeat(a)
-                for i, e in exps:
-                    term = map(mul, term, _powers(columns[i], e))
-                tops = list(map(add, tops, term))
-            dens = [self.den_scale] * len(xs)
-            for iq, e in self.den_factors:
-                dens = list(map(mul, dens, _powers(range(xs.start + iq, xs.stop + iq, q), e)))
-            self.total += sum(map(div, tops, dens))
+                factors = [_powers(columns[i], e) for i, e in exps]
+                if a != 1 or not factors:
+                    factors.append(repeat(a, len(xs)))
+                terms.append(reduce(partial(map, mul), factors))
+            tops = reduce(partial(map, add), terms)
+            if self.shift:
+                tops = map(rshift, tops, repeat(self.shift))
+            dens = (_powers(range(xs.start + iq, xs.stop + iq, q), e) for iq, e in self.den_factors)
+            self.total += sum(map(div, tops, reduce(partial(map, mul), dens)))
         return Fraction(self.total, self.scale)
 
     def error_bound(self) -> Fraction:

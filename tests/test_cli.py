@@ -336,6 +336,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert "zeta(1,2)" in out
 
+    @pytest.mark.parametrize("text", ["0", "x1 - x1"])
+    def test_zero_numerator_verifies(self, capsys, text):
+        # F = 0 has no monomials: the raw-series head sums zeros and the identity is 0 = 0
+        assert main(["--F", text, "--s", "0,2", "--verify", "600"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "value = 0"
+        assert re.fullmatch(r"verify: PASS \(N=600, discrepancy < \S+\)", lines[-1])
+
     def test_exit_two_on_parse_error(self, capsys):
         assert main(["--F", "x1 +", "--m", "1", "--z", "0", "--s", "0,2"]) == 2
         assert "error" in capsys.readouterr().err

@@ -194,6 +194,12 @@ class TestSeriesPartialSum:
         with pytest.raises(ValueError, match="N"):
             series_partial_sum(spec, N)
 
+    @pytest.mark.parametrize("N", [1, HEAD_BLOCK + 1])
+    def test_zero_numerator(self, N):
+        spec = SeriesSpec(Polynomial.constant(0), 1, F(-1, 3), (0, 2))
+        assert series_partial_sum(spec, N) == 0
+        assert _SeriesSummer(spec, WP).advance_to(N) == 0
+
     def test_monotone_increments(self):
         spec = SeriesSpec(X1 * X1, 1, 0, (0, 1, 1))
         values = [series_partial_sum(spec, n) for n in range(1, 9)]
@@ -295,6 +301,11 @@ class TestBlockHead:
         ),
         SeriesSpec(X1 * F(-1, 4) + X2 * X2, 1, F(-2, 3), (1, 0, 3)),
         SeriesSpec((X1 * X1 - X2) * F(1, 2), 1, 0, (0, 0, 2)),
+        SeriesSpec(Polynomial.constant(F(-7, 3)), 2, F(-1, 2), (0, 2, 1)),  # D = 0: no shift
+        SeriesSpec(X1, 1, 0, (4, 1, 1, 1, 1, 1)),  # coefficient 1: no multiply
+        # D = 3 with a negative top coefficient: every numerator negative, shifted 2 wp bits
+        SeriesSpec(X1**3 * F(-3, 2) + X1 * X2 * F(1, 3) + X2 * F(1, 4), 1, 0, (1, 0, 2)),
+        SeriesSpec(X1 * X2 * F(2, 7) - X1 + Polynomial.constant(3), 3, F(-5, 7), (0, 1, 2)),
     ]
     COUNTS = [1, HEAD_BLOCK - 1, HEAD_BLOCK, HEAD_BLOCK + 1, 2 * HEAD_BLOCK + 3]
 
@@ -337,6 +348,12 @@ class TestVerifyIdentity:
         spec = SeriesSpec(X1, 1, F(-1, 2), (0, 1, 1))
         rep = verify_identity(spec, closed_form(spec), tol=1e-10, N=2000)
         assert rep.passed and rep.discrepancy < 1e-10
+
+    @pytest.mark.parametrize("z", [0, F(-1, 2)])
+    def test_zero_numerator(self, z):
+        spec = SeriesSpec(X1 - X1, 1, z, (0, 2))
+        rep = verify_identity(spec, closed_form(spec), tol=1e-10, N=600)
+        assert rep.passed and rep.lhs_estimate.value == 0 and rep.rhs_value.value == 0
 
     def test_negative_control(self):
         spec = SeriesSpec(X1, 2, 0, (1, 1))

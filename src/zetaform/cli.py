@@ -182,15 +182,12 @@ def _request_from_record(record: dict) -> CliRequest:
 def _join_dash_values(argv):
     # argparse misreads values that start with '-' (e.g. --z -1/2); fold the
     # affected flag/value pairs into --flag=value form
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--z", "--F", "--tolerance") and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        if tok in ("--z", "--F", "--s", "--binomial", "--tolerance"):
+            value = next(tokens, None)
+            tok = tok if value is None else f"{tok}={value}"
+        out.append(tok)
     return out
 
 

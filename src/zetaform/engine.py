@@ -186,15 +186,12 @@ class _Evaluator:
         rule = self.rules.get(node)
         if rule is None:
             den, constant, leaves, children = getattr(self, "_" + node[0])(*node[1:])
-            top = max(
-                [sum(vec) for vec, _ in leaves] + [self.build(child) for child, _ in children],
-                default=0,
-            )
-            rule = self.rules[node] = (den, constant, leaves, children, top)
+            tops = [sum(vec) for vec, _ in leaves] + [self.build(child) for child, _ in children]
+            rule = self.rules[node] = (den, constant, leaves, children, max(tops, default=0))
         return rule[4]
 
-    def push(self, roots) -> ClosedForm:
-        """The closed form of the sum of c * node over the (node, c) `roots`.
+    def push(self, roots, den: int = 1) -> ClosedForm:
+        """The closed form of the sum of (c / den) * node over the (node, c) `roots`.
 
         Parents come first in the walk, so each node has its total coefficient
         before it pushes it into its constant, leaves and children.  Totals are
@@ -204,16 +201,16 @@ class _Evaluator:
         total: dict = {}
         for node, c in roots:
             self.build(node)
-            _accumulate(total, node, c.numerator, c.denominator)
+            _accumulate(total, node, c.numerator, c.denominator * den)
         constant, leaf = Fraction(0), {}
-        for node, (den, const, leaves, children, _) in reversed(self.rules.items()):
+        for node, (rule_den, const, leaves, children, _) in reversed(self.rules.items()):
             num, d = total.pop(node, (0, 1))
             if not num:
                 continue
             if const:
                 constant += Fraction(num, d) * const
             g = gcd(num, d)
-            num, d = num // g, d // g * den
+            num, d = num // g, d // g * rule_den
             for vec, c in leaves:
                 _accumulate(leaf, vec, num * c, d)
             for child, c in children:
@@ -288,7 +285,7 @@ def closed_form(spec: SeriesSpec) -> ClosedForm:
     den_s = lcm(*(c.denominator for c in shapes.values()))
     den_u = lcm(*(c.denominator for c in u.terms.values()))
     nums_s = [(shape, c.numerator * (den_s // c.denominator)) for shape, c in shapes.items()]
-    children, top = [], 0  # each root node with its integer numerator over den_s * den_u
+    roots = []  # each root node with its integer numerator over den_s * den_u
     for comp, cu in u.terms.items():
         bound = spec.m * sum(comp) + sum(spec.s)
         nu = cu.numerator * (den_u // cu.denominator)
@@ -296,10 +293,8 @@ def closed_form(spec: SeriesSpec) -> ClosedForm:
             weight = ev.build(shape + (comp,))
             if weight > bound:
                 raise AssertionError(f"emitted weight {weight} exceeds bound {bound}")
-            children.append((shape + (comp,), ns * nu))
-            top = max(top, weight)
-    ev.rules[("root",)] = (den_s * den_u, 0, (), children, top)  # added last, so pushed first
-    return ev.push([(("root",), 1)])
+            roots.append((shape + (comp,), ns * nu))
+    return ev.push(roots, den_s * den_u)
 
 
 def index_value(index, comp, m: int, z) -> ClosedForm:

@@ -234,11 +234,12 @@ def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult
     """Evaluate a closed form exactly from the oracle's values, propagating their bounds.
 
     Only the bound is rounded, up.  A term c prod v, each v off by at most its bound e, is off by at
-    most |c| (prod (|v| + e) - prod |v|), every product of the errors included.
+    most |c| (prod (|v| + e) - prod |v|), every product of the errors included.  Each v is asked
+    for abs_err over the factor count plus one, or the least positive float if that underflows.
     """
     if not 0 < abs_err < math.inf:
         raise ValueError("abs_err must be positive and finite")
-    budget = abs_err / (sum(len(mono) for mono in cf.terms) + 1)
+    budget = max(abs_err / (sum(len(mono) for mono in cf.terms) + 1), math.ulp(0))
     total, bound = cf.constant, Fraction(0)
     for mono, coeff in cf.terms.items():
         factors = [mhz_numeric(v, cf.shift, budget) for v in mono]
@@ -363,7 +364,7 @@ class _SeriesSummer:
         """
         constants, errors = [], [0]
         for i, h in enumerate(self.harmonics):
-            tail, bound = _tail_order((1, {(0, 0): 1}), (i + 1) * self.spec.m, 0, a, self.wp)
+            tail, bound = _tail_order((1, {((i + 1) * self.spec.m, 0): 1}), a, self.wp)
             constants.append(h + tail)
             errors.append(None if bound is None else bound + self.n)
         return constants, None if None in errors else max(errors)
@@ -486,9 +487,11 @@ def _logs(a: Fraction, powers: int, W: int) -> tuple:
     X, Y = (X, Y << e) if e >= 0 else (X << -e, Y)  # r = X/Y in (1/2, 2)
     if X * X >= 2 * Y * Y or 2 * X * X < Y * Y:
         e, X, Y = (e + 1, X, 2 * Y) if X > Y else (e - 1, 2 * X, Y)
-    P = max(W, 0) + 64 + powers * (abs(e) + 2).bit_length()
-    t = 2 * _atanh(abs(X - Y), X + Y, P)
-    ys = accumulate(repeat(e * _ln2(P) + (t if X >= Y else -t), powers), mul, initial=1)
+    P, ln = max(W, 0) + 64 + powers * (abs(e) + 2).bit_length(), 0
+    if powers:  # ln^0 a = 1 needs neither series
+        t = 2 * _atanh(abs(X - Y), X + Y, P)
+        ln = e * _ln2(P) + (t if X >= Y else -t)
+    ys = accumulate(repeat(ln, powers), mul, initial=1)
     qrs = [(divmod(y << P, 1 << s), s) for y, s in zip(ys, count(P - W, P))]  # y / 2^(s - P)
     return tuple(q + (2 * r + (q & 1) > 1 << s) for (q, r), s in qrs)  # half to even
 
@@ -504,25 +507,27 @@ def _row(row: tuple, L: tuple, power: int, x_power: int) -> tuple:
     return sum(map(mul, nums, L)) * power // div, 1 - (-sum(map(abs, nums)) * power // div)
 
 
-def _tail_order(model: tuple, S: int, j: int, a: Fraction, wp: int) -> tuple:
-    """(sum over n > M of a (den, coeffs) model's order-j terms, a = M + 1 + z exact; bound).
+def _tail_order(model: tuple, a: Fraction, wp: int) -> tuple:
+    """(sum over n > M of a (den, {(q, d): c}) model's terms c ln^d(x)/(den x^q); bound).
 
-    Both in units of 2^-wp.  Euler-Maclaurin as in verify_identity.  A term c ln^d(x)/x^q is
-    c a^(1-q) times a sum of _em_rule rows at ln a over a^2k, each taken by _row in fixed
-    point at W = wp + mag bits, 2^(mag-1) < |c a^(1-q)| < 2^(mag+1), with the _logs at W: a
-    unit at W is under two of 2^-wp, and 2^(GUARD_BITS-1) of them, the target, under
-    2^-prec.  a^-2k = qa^2k / X^2k is exact (a = X/qa).  K is the first with R_K plus the
-    error of the rows used, f(a)/2's included, at most the target.  The value is each
-    term's sum floored; the bound is the ceiling of its stated error, plus a unit per
-    floor, or None if R_K stops shrinking first.
+    Both in units of 2^-wp, a = M + 1 + z exact; a zero term is skipped.  Euler-Maclaurin as in
+    verify_identity.  A term c ln^d(x)/x^q is c a^(1-q) times a sum of _em_rule rows at ln a
+    over a^2k, each taken by _row in fixed point at W = wp + mag bits, 2^(mag-1) < |c a^(1-q)|
+    < 2^(mag+1), with the _logs at W: a unit at W is under two of 2^-wp, and 2^(GUARD_BITS-1)
+    of them, the target, under 2^-prec.  The rows read ln^i(a), i <= d (d + 1 for q = 1), so a
+    d = 0, q >= 2 term asks for no power.  a^-2k = qa^2k / X^2k is exact (a = X/qa).  K is the
+    first with R_K plus the error of the rows used, f(a)/2's included, at most the target.  The
+    value is each term's sum floored; the bound is the ceiling of its stated error, plus a unit
+    per floor, or None if R_K stops shrinking first.
     """
-    (den, coeffs), q, X, qa = model, S + j, a.numerator, a.denominator
-    scale, target = Fraction(qa ** (q - 1), X ** (q - 1) * den), 1 << (GUARD_BITS - 1)
-    value, bound, stalled = 0, 0, False
-    for d, c in ((d, c) for (jj, d), c in coeffs.items() if jj == j and c):
+    (den, coeffs), X, qa = model, a.numerator, a.denominator
+    target, value, bound, stalled = 1 << (GUARD_BITS - 1), 0, 0, False
+    for (q, d), c in ((key, c) for key, c in coeffs.items() if c):
+        scale = Fraction(qa ** (q - 1), X ** (q - 1) * den)
         size = abs(c) * scale
         mag = size.numerator.bit_length() - size.denominator.bit_length()
-        L, unit = _logs(a, d + 1, wp + mag), scale / Fraction(2) ** mag  # W units to 2^-wp
+        L = _logs(a, d + 1 if d or q == 1 else 0, wp + mag)
+        unit = scale / Fraction(2) ** mag  # W units to 2^-wp
         total, error = _row(_em_rule(q, d, 0)[1], L, 1, 1)
         # f(a)/2 = ln^d(a) qa / (2 X): a floor, and L[d]'s error times 1/(2a) < 1
         total, error = total + L[d] * qa // (2 * X), error + 2
@@ -556,7 +561,7 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
     for n_head in (n_first << i for i in count()):
         head, a = summer.advance_to(n_head), n_head + 1 + spec.z
         constants, error = summer.constants(a)
-        tails = [_tail_order((1, {(0, d): 1}), S, 0, a, wp) for d in range(D + 1)]
+        tails = [_tail_order((1, {(S, d): 1}), a, wp) for d in range(D + 1)]
         if error is None or any(r is None for _, r in tails):
             continue
         tails = [t + r for t, r in tails]  # rounded up
@@ -566,18 +571,19 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
         order, fit, X, qa = 2, 0, a.numerator, a.denominator  # order 4 first
         while fit < 1 and order < _MAX_ORDER:
             order *= 2
-            model = den, coeffs = _summand_expansion(spec, order, constants, a, wp)
+            den, coeffs = _summand_expansion(spec, order, constants, a, wp)
             weights, scale = [0] * (order + 2), den * X ** (order + 1) << wp
             for (j, d), c in coeffs.items():
                 weights[j] += abs(c) * qa**j * X ** (order + 1 - j) * tails[d]
             pasts = list(accumulate(reversed(weights), initial=0))
             fit = sum(p <= target * scale for p in pasts) - 1
         kept, majorant = (order + 2 - fit, -(-(pasts[fit] << wp) // scale)) if fit else (0, 0)
-        sums = [_tail_order(model, S, j, a, wp) for j in range(kept)]
-        if fit and all(r is not None for _, r in sums):
+        kept_terms = {(S + j, d): c for (j, d), c in coeffs.items() if j < kept}
+        tail, tail_bound = _tail_order((den, kept_terms), a, wp)
+        if fit and tail_bound is not None:
             break
-    est = head + Fraction(sum(t for t, _ in sums), 1 << wp)
-    bound = Fraction(majorant + drift + sum(r for _, r in sums), 1 << wp) + summer.error_bound()
+    est = head + Fraction(tail, 1 << wp)
+    bound = Fraction(majorant + drift + tail_bound, 1 << wp) + summer.error_bound()
     return NumericResult(est, _float_up(bound)), n_head
 
 
@@ -597,16 +603,17 @@ def verify_identity(
     2.10.1-2.10.2, as |B~_2K - B_2K| <= 2 |B_2K|).  The expansion keeps the fewest orders whose
     stated majorant past them is at most tol/1000; N is raised to 2 * (LHS_HEAD_FLOOR + len(s))
     when smaller and doubled while A is too small for either (the terms bottom out near
-    e^(-2 pi A)).  ``n_used`` is the head summed.  Both values are exact, the RHS
-    closed_form_numeric's at tol/8, and each bound, _series_limit's and mhz_numeric's, is the
-    sum of its stated parts; ``passed``: |LHS - RHS| <= tol + both bounds.
+    e^(-2 pi A)).  ``n_used`` is the head summed.  Both values are exact, the RHS that of
+    closed_form_numeric at tol/8 (at least the least positive float), and each bound, that of
+    _series_limit or mhz_numeric, is the sum of its stated parts; ``passed``: |LHS - RHS| <= tol
+    + both bounds.
     """
     if cf.shift != spec.z or cf.order != spec.m:
         raise ValueError("closed form metadata does not match the series spec")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     _check_terms(N)
-    rhs = closed_form_numeric(cf, abs_err=tol / 8)
+    rhs = closed_form_numeric(cf, abs_err=max(tol / 8, math.ulp(0)))
     lhs, n_used = _series_limit(spec, N, tol)
     discrepancy = float(abs(lhs.value - rhs.value))  # exact, rounded once
     combined = tol + lhs.abs_err_bound + rhs.abs_err_bound

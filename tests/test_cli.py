@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import random
@@ -344,6 +345,12 @@ class TestMain:
         assert lines[1] == "value = 0"
         assert re.fullmatch(r"verify: PASS \(N=600, discrepancy < \S+\)", lines[-1])
 
+    def test_least_positive_tolerance_verifies(self, capsys):
+        # tol / 8 underflows to 0.0, and the oracle never sees an abs_err of 0
+        assert main(["--F", "x1", "--s", "0,2", "--verify", "600", "--tolerance", "5e-324"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].startswith("verify: PASS") and not captured.err
+
     def test_exit_two_on_parse_error(self, capsys):
         assert main(["--F", "x1 +", "--m", "1", "--z", "0", "--s", "0,2"]) == 2
         assert "error" in capsys.readouterr().err
@@ -377,7 +384,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        assert captured.out == ""
+        assert captured.out == "" and "Traceback" not in captured.err
         return lines[0]
 
     def test_missing_input_file(self, capsys, tmp_path):
@@ -470,6 +477,57 @@ class TestExitCodes:
                 "--verify", "100000", "--tolerance", "1e-12"]
         line = self.assert_input_error(capsys, argv)
         assert line == "error: t_values display requires shift z = -1/2"
+
+    @pytest.mark.parametrize("flag", ["--s", "--binomial"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    def test_dash_leading_list_value(self, capsys, flag, joined):
+        # a value that starts with '-' reaches zetaform's own check, as --flag=value does
+        value = ["--F", "x1", f"{flag}=-1,2"] if joined else ["--F", "x1", flag, "-1,2"]
+        line = self.assert_input_error(capsys, value)
+        assert "usage" not in line and "expected one argument" not in line
+
+    @pytest.mark.parametrize(
+        "argv,record,message",
+        [
+            (None, {"s": [0, 2]}, "record 0: record is missing the numerator expression 'F'"),
+            (["--F", "x1", "--binomial", "4,0"], None, "binomial shorthand needs p >= 0, k >= 1"),
+            (None, {"F": "x1", "s": [0, 2], "format": "pdf"}, "record 0: unknown format 'pdf'"),
+            (None, {"F": "x1", "s": [0, 2], "display": "tex"},
+             "record 0: unknown display mode 'tex'"),
+            (None, {"F": "x1", "s": [0, 2], "tolerance": "abc"},
+             "record 0: cannot parse tolerance='abc' as a number"),
+            (["--F", "x1"], {"F": "x1", "s": [0, 2]},
+             "--input cannot be combined with --F/--s/--binomial"),
+            (["--s", "0,2"], None, "--F is required (or use --input)"),
+            (["--F", "x1", "--s", "0,x"], None, "cannot parse --s '0,x'"),
+        ],
+        ids=["no-F", "binomial-k0", "format-pdf", "display-tex", "tolerance-abc",
+             "input-and-F", "no-F-flag", "s-not-int"],
+    )
+    def test_each_input_error(self, capsys, tmp_path, argv, record, message):
+        argv = list(argv or [])
+        if record is not None:
+            path = tmp_path / "req.json"
+            path.write_text(json.dumps(record))
+            argv += ["--input", str(path)]
+        assert self.assert_input_error(capsys, argv) == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "argument,field,value,message",
+        [("mode", "display_mode", "tex", "unknown display mode 'tex'"),
+         ("output_format", "output_format", "pdf", "unknown output format 'pdf'")],
+    )
+    def test_render_rejects_unknown_mode_or_format(
+        self, capsys, monkeypatch, argument, field, value, message
+    ):
+        with pytest.raises(CliError, match=message):
+            render(closed_form(SeriesSpec(X1, 1, 0, (0, 2))), **{argument: value})
+        # through main: a request that reaches render with either is one error line
+        real = cli._request_from_record
+        monkeypatch.setattr(
+            cli, "_request_from_record", lambda r: dataclasses.replace(real(r), **{field: value})
+        )
+        assert self.assert_input_error(capsys, self.ARGS) == f"error: {message}"
 
     def test_bad_record_values_in_input_file(self, capsys, tmp_path):
         path = tmp_path / "req.json"

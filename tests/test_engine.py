@@ -443,10 +443,10 @@ class TestIntegerPush:
 
     def test_push_matches_a_fraction_reference(self, monkeypatch):
         # the same rules pushed one Fraction per edge, as a plain reference
-        def fraction_push(ev, roots):
+        def fraction_push(ev, roots, den=1):
             coeff, constant, terms = {}, F(0), {}
             for node, c in roots:
-                coeff[node] = coeff.get(node, 0) + F(c)
+                coeff[node] = coeff.get(node, 0) + F(c, den)
             for node, (den, const, leaves, children, _) in reversed(ev.rules.items()):
                 w = coeff.pop(node, 0)
                 constant += w * const
@@ -458,9 +458,9 @@ class TestIntegerPush:
 
         real, seen = engine._Evaluator.push, []
 
-        def recording(ev, roots):
-            seen.append((ev, roots))
-            return real(ev, roots)
+        def recording(ev, roots, den=1):
+            seen.append((ev, roots, den))
+            return real(ev, roots, den)
 
         monkeypatch.setattr(engine._Evaluator, "push", recording)
         for specs in self._spec_pairs(100, seed=11):

@@ -129,6 +129,15 @@ class TestMhzNumeric:
         with pytest.raises(ValueError, match="abs_err"):
             closed_form_numeric(cf, abs_err)
 
+    def test_least_positive_abs_err_splits(self):
+        # 5e-324 split over three factors is 0.0 in floats: each factor is asked for the
+        # least positive float instead, and the stated bound still covers the value
+        cf = closed_form(SeriesSpec(X1 * X1 - X2, 1, 0, (0, 0, 2)))
+        assert math.ulp(0) / (sum(map(len, cf.terms)) + 1) == 0
+        got, reference = closed_form_numeric(cf, math.ulp(0)), closed_form_numeric(cf, 1e-40)
+        assert abs(got.value - reference.value) <= F(got.abs_err_bound) + F(reference.abs_err_bound)
+        assert 0 < got.abs_err_bound < 1e-320
+
     def test_desk_limits(self):
         with pytest.raises(DeskLimitError):
             mhz_numeric((1, 1, 1, 1, 1, 2), 0)
@@ -306,8 +315,11 @@ class TestBlockHead:
         # D = 3 with a negative top coefficient: every numerator negative, shifted 2 wp bits
         SeriesSpec(X1**3 * F(-3, 2) + X1 * X2 * F(1, 3) + X2 * F(1, 4), 1, 0, (1, 0, 2)),
         SeriesSpec(X1 * X2 * F(2, 7) - X1 + Polynomial.constant(3), 3, F(-5, 7), (0, 1, 2)),
+        # at n = 2 the numerator t < 0 is no multiple of 2^wp and P = 25 divides
+        # floor(t / 2^wp) + 1: a shift that rounds t toward zero takes a different floor
+        SeriesSpec(-X1 * X1 - X2, 1, F(-1, 2), (0, 2)),
     ]
-    COUNTS = [1, HEAD_BLOCK - 1, HEAD_BLOCK, HEAD_BLOCK + 1, 2 * HEAD_BLOCK + 3]
+    COUNTS = [1, 2, HEAD_BLOCK - 1, HEAD_BLOCK, HEAD_BLOCK + 1, 2 * HEAD_BLOCK + 3]
 
     @pytest.mark.parametrize("N", COUNTS)
     @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
@@ -550,19 +562,27 @@ class TestSeriesLimit:
         spec, D = self.REFERENCES[label][0], self.REFERENCES[label][0].F.degree()
         lhs = verify._series_limit(spec, 200, tol)[0]
         # the last tail point's calls: its constants, D + 1 tails of ln^d(x)/x^S, the
-        # expansions tried, the kept orders' tails, the head's bound
+        # expansions tried, the one tail of the kept orders' terms, the head's bound
         at = max(i for i, (name, _, _) in enumerate(calls) if name == "constants")
         (_, (summer, a), (constants, error)), rest = calls[at], calls[at + 1 :]
-        wp = summer.wp
+        wp, S = summer.wp, sum(spec.s)
         tails = [t + r for _, _, (t, r) in rest[: D + 1]]
-        model = den, coeffs = [out for name, _, out in rest if name == "model"][-1]
-        kept = [out[1] for name, args, out in rest if name == "tail" and args[0] is model]
+        den, coeffs = [out for name, _, out in rest if name == "model"][-1]
+        ((kept_model, (_, kept)),) = [
+            (args[0], out) for name, args, out in rest[D + 1 :] if name == "tail"
+        ]
         (head,) = [out for name, _, out in rest if name == "head"]
-        past = sum(abs(c) * tails[d] / (den * a**j) for (j, d), c in coeffs.items() if j >= len(kept))
+        assert kept_model[0] == den  # the kept terms are the model's, keyed by (S + j, d)
+        assert all(coeffs[q - S, d] == c for (q, d), c in kept_model[1].items())
+        past = sum(
+            abs(c) * tails[d] / (den * a**j)
+            for (j, d), c in coeffs.items()
+            if (S + j, d) not in kept_model[1]
+        )
         size = spec.F.evaluate([F(abs(c) + 1, 1 << wp) + 1 for c in constants], abs)
         spread = sum(math.comb(D, d) * t for d, t in enumerate(tails))
         drift = math.ceil(D * error * size * spread / (1 << wp))
-        exact = F(math.ceil(past) + drift + sum(kept), 1 << wp) + head
+        exact = F(math.ceil(past) + drift + kept, 1 << wp) + head
         stated = lhs.abs_err_bound
         assert F(stated) >= exact > F(math.nextafter(stated, 0)), (stated, float(exact))
 
@@ -641,6 +661,12 @@ class TestSeriesLimit:
         spec = SeriesSpec(X1, 2, 0, (1, 1))
         with pytest.raises(ValueError):
             verify_identity(spec, closed_form(spec), tol=tol, N=100)
+
+    def test_least_positive_tolerance_verifies(self):
+        # tol / 8 underflows to 0.0: the RHS is asked for the least positive float instead
+        spec = SeriesSpec(X1, 1, 0, (0, 2))
+        rep = verify_identity(spec, closed_form(spec), tol=math.ulp(0), N=600)
+        assert rep.passed, rep.message
 
 
 class TestTaylorModel:
@@ -745,7 +771,7 @@ class TestEulerMaclaurinTail:
                 f_sum = -mp.psi(0, a) if q == 1 else (-1) ** d * zeta(q, a, d)
                 for den, num in [(1, 1), (10**30, 1), (1, 10**30)]:
                     c = mpf(num) / den
-                    value, remainder = _tail_order((den, {(0, d): num}), q, 0, a, wp)
+                    value, remainder = _tail_order((den, {(q, d): num}), a, wp)
                     value = mp.ldexp(value, -wp)
                     remainder = inf if remainder is None else mp.ldexp(remainder, -wp)
                     if abs(c) / ulp > mp.exp(2 * mp.pi * a):
@@ -757,7 +783,7 @@ class TestEulerMaclaurinTail:
 
     def test_remainder_is_infinite_when_a_is_too_small(self):
         # the remainder bound bottoms out near e^(-2 pi a) ~ 1e-6 at a = 2
-        value, remainder = _tail_order((1, {(0, 0): 1}), 2, 0, F(2), WP)
+        value, remainder = _tail_order((1, {(2, 0): 1}), F(2), WP)
         assert remainder is None
         assert abs(mp.ldexp(value, -WP) - zeta(2, 2)) < 1e-3
 
@@ -1213,7 +1239,7 @@ class TestIntegerExpansions:
         for values, error in constants:
             assert type(error) is int and all(type(c) is int for c in values)
         # at a = 2, R_K stops shrinking above the target
-        value, bound = tail_order((1, {(0, 0): 1}), 2, 0, F(2), WP)
+        value, bound = tail_order((1, {(2, 0): 1}), F(2), WP)
         assert type(value) is int and bound is None
 
     def test_row_error_covers_logs_a_unit_off(self):
@@ -1244,6 +1270,22 @@ class TestIntegerExpansions:
                 log = mp.log(mp.mpq(a.numerator, a.denominator))
                 for i, L in enumerate(logs):
                     assert abs(L - mp.ldexp(log**i, W)) <= 1, (W, i)
+
+    def test_no_power_of_ln_a_runs_no_series(self, monkeypatch):
+        # a d = 0, q >= 2 term reads only L[0] = round(2^W): its tail, same as before, runs
+        # neither atanh series, and a q = 1 term still needs ln a
+        a, model = F(1801, 3), (7, {(q, 0): 5 - q for q in range(2, 9)})
+        expected = _tail_order(model, a, WP)
+
+        def refuse(*args):
+            raise AssertionError("an atanh series ran")
+
+        monkeypatch.setattr(verify, "_atanh", refuse)
+        monkeypatch.setattr(verify, "_ln2", refuse)
+        assert _tail_order(model, a, WP) == expected
+        assert [verify._logs(a, 0, W) for W in (-2, -1, 0, 3)] == [(0,), (0,), (1,), (8,)]
+        with pytest.raises(AssertionError, match="atanh"):
+            _tail_order((1, {(1, 0): 1}), a, WP)
 
     def test_logs_match_the_mpmath_reference(self):
         # the integer _logs against mpmath's log at W + 64 bits, rounded half to even, on a

@@ -243,8 +243,8 @@ def _value(cf: ClosedForm, t_mode: bool, latex: bool) -> str:
             coeff *= 2 ** sum(sum(v) for v in mono)
         num, den = coeff.numerator, coeff.denominator
         size = abs(num)
-        args = (",".join(map(str, v)) for v in mono)
-        body = times.join(f"t({a})" if t_mode else f"{name}({a}{shift})" for a in args)
+        args = [",".join(map(str, v)) for v in mono]
+        body = times.join([f"t({a})" if t_mode else f"{name}({a}{shift})" for a in args])
         if size != 1 or den != 1 or not mono:
             text = str(size) if den == 1 else f"{size}/{den}"
             if latex and den != 1:

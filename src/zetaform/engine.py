@@ -76,16 +76,16 @@ class ClosedForm(_LinComb):
     The shared rational linear combination (`qsym._LinComb`) over zeta
     monomials, sorted tuples of zeta vectors, plus the constant and the
     (shift, order) the zeta values belong to.  The constructor validates and
-    sorts every monomial; sums and multiples reuse the canonical keys.
+    sorts every monomial; sums and multiples reuse the canonical keys.  Every
+    way of making one keeps the terms in `sort_key` order, which `sorted_terms` reads.
     """
 
     __slots__ = ("constant", "shift", "order")
 
     def __init__(self, constant, terms, shift, order):
         super().__init__(terms)
-        self.constant = Fraction(constant)
-        self.shift = Fraction(shift)
-        self.order = order
+        self._sort()
+        self.constant, self.shift, self.order = Fraction(constant), Fraction(shift), order
 
     _validate_key = staticmethod(monomial_key)
     __mul__ = _LinComb.__rmul__  # scalars only: closed forms have no product
@@ -101,8 +101,17 @@ class ClosedForm(_LinComb):
                 "cannot combine closed forms with different (shift, order): "
                 f"({self.shift}, {self.order}) vs ({other.shift}, {other.order})"
             )
+        merge = self.terms and other.terms  # an empty target takes other's order whole
         super()._add_scaled(other, c)
+        if merge:
+            self._sort()
         self.constant += c * other.constant
+
+    def _sort(self) -> None:
+        self.terms = {key: self.terms[key] for key in sorted(self.terms, key=sort_key)}
+
+    def sorted_terms(self) -> list:
+        return list(self.terms.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClosedForm):
@@ -185,7 +194,8 @@ class _Evaluator:
         """Store the rules from `node` down; return its max leaf weight before cancellation."""
         rule = self.rules.get(node)
         if rule is None:
-            den, constant, leaves, children = getattr(self, "_" + node[0])(*node[1:])
+            kind, a, p, comp = node
+            den, constant, leaves, children = _RULES[kind](self, a, p, comp)
             tops = [sum(vec) for vec, _ in leaves] + [self.build(child) for child, _ in children]
             rule = self.rules[node] = (den, constant, leaves, children, max(tops, default=0))
         return rule[4]
@@ -196,7 +206,7 @@ class _Evaluator:
         Parents come first in the walk, so each node has its total coefficient
         before it pushes it into its constant, leaves and children.  Totals are
         integer numerators over a running denominator; a node's is reduced
-        once, and each surviving leaf becomes one Fraction.
+        once, and each surviving leaf becomes one Fraction, in `sort_key` order.
         """
         total: dict = {}
         for node, c in roots:
@@ -216,7 +226,7 @@ class _Evaluator:
             for child, c in children:
                 _accumulate(total, child, num * c, d)
         out = ClosedForm(constant, {}, self.z, self.m)
-        out.terms = {(vec,): Fraction(n, d) for vec, (n, d) in leaf.items() if n}
+        out.terms = {(v,): Fraction(*leaf[v]) for v in sorted(leaf, key=sort_key) if leaf[v][0]}
         return out
 
     def _step(self, a: int, p: int, comp: Composition):
@@ -272,6 +282,10 @@ class _Evaluator:
         while len(values) <= a:
             values.append(values[-1] + 1 / (len(values) + self.z) ** l)
         return values[a]
+
+
+# node kind -> rule; unbound, since bound methods kept on the evaluator would form a cycle
+_RULES = {"step": _Evaluator._step, "sum": _Evaluator._sum, "power": _Evaluator._power}
 
 
 def closed_form(spec: SeriesSpec) -> ClosedForm:
@@ -448,4 +462,5 @@ def apply_reductions(cf: ClosedForm, table: Optional[ReductionTable]) -> ClosedF
                 out.constant += coeff * rule.constant
         for tmono, tc in rule.terms:
             work.append((tuple(sorted(rest + tmono, key=sort_key)), coeff * tc))
+    out._sort()
     return out

@@ -107,36 +107,36 @@ def classify(key: Index) -> tuple:
     return ("general", None, None)
 
 
+def _pivot_step(t: Index, stops: tuple[str, ...], memo: dict) -> tuple:
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    if sum(t) == 2 or classify(t)[0] in stops:
+        res = (1, {t: 1})
+    else:
+        nz = [i for i, v in enumerate(t) if v]
+        i, j = nz[0], nz[-1]
+        lower = [_strip(t[:p] + (t[p] - 1,) + t[p + 1 :]) for p in (j, i)]
+        (d_j, at_j), (d_i, at_i) = map(_pivot_step, lower, (stops, stops), (memo, memo))
+        den, nums = math.lcm(d_j, d_i), {}
+        for part, scale in ((at_j, den // d_j), (at_i, -den // d_i)):
+            for key, c in part.items():
+                nums[key] = nums.get(key, 0) + scale * c
+        g = math.gcd(den * (j - i), *nums.values())
+        res = (den * (j - i) // g, {key: c // g for key, c in nums.items() if c})
+    memo[t] = res
+    return res
+
+
 def _pivot_reduce(s, stops: tuple[str, ...]) -> Combination:
     """Pivot recursion from `s` down to weight-2 keys and keys of a kind in `stops`.
 
     Kinds are those of `classify`.  The pivot is always (first nonzero, last
-    nonzero), which pins the output uniquely.  The memo table lives only
-    for the call; it holds each entry as integer numerators over one denominator.
+    nonzero), which pins the output uniquely.  `_pivot_step` recurses with the memo,
+    which lives only for the call and holds each entry as integer numerators
+    over one denominator: handed down, not closed over, so no cycle outlives the call.
     """
-    memo: dict[Index, tuple] = {}
-
-    def rec(t: Index) -> tuple:
-        hit = memo.get(t)
-        if hit is not None:
-            return hit
-        if sum(t) == 2 or classify(t)[0] in stops:
-            res = (1, {t: 1})
-        else:
-            nz = [i for i, v in enumerate(t) if v]
-            i, j = nz[0], nz[-1]
-            lower = (_strip(t[:p] + (t[p] - 1,) + t[p + 1 :]) for p in (j, i))
-            (d_j, at_j), (d_i, at_i) = map(rec, lower)
-            den, nums = math.lcm(d_j, d_i), {}
-            for part, scale in ((at_j, den // d_j), (at_i, -den // d_i)):
-                for key, c in part.items():
-                    nums[key] = nums.get(key, 0) + scale * c
-            g = math.gcd(den * (j - i), *nums.values())
-            res = (den * (j - i) // g, {key: c // g for key, c in nums.items() if c})
-        memo[t] = res
-        return res
-
-    den, nums = rec(as_index(s))
+    den, nums = _pivot_step(as_index(s), stops, {})
     return {key: Fraction(c, den) for key, c in nums.items()}
 
 

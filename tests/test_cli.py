@@ -20,7 +20,7 @@ from zetaform.cli import (
     run,
 )
 from zetaform.engine import ClosedForm, SeriesSpec, closed_form
-from zetaform.qsym import Polynomial
+from zetaform.qsym import Polynomial, sort_key
 
 X1 = Polynomial.variable(1)
 
@@ -165,10 +165,13 @@ class TestRender:
 
 
 def fraction_value(cf, t_mode, latex):
-    """The value line built with Fraction comparison, negation and str, as a reference."""
+    """The value line built with Fraction comparison, negation and str, as a reference.
+
+    It sorts the terms itself, so that it does not take their order from the closed form.
+    """
     name, times = (r"\zeta", "") if latex else ("zeta", "*")
     shift = "" if cf.shift == 0 else f"; {cf.shift}"
-    terms = cf.sorted_terms()
+    terms = [(mono, cf.terms[mono]) for mono in sorted(cf.terms, key=sort_key)]
     if cf.constant or not terms:
         terms.insert(0, ((), cf.constant))
     chunks = []

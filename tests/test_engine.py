@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import hashlib
 import inspect
 import itertools
@@ -5,12 +7,14 @@ import json
 import math
 import random
 import sys
+import weakref
 from fractions import Fraction as F
 
 import pytest
+from test_golden import cases
 
-from zetaform import engine
-from zetaform.cli import closed_form_to_json
+from zetaform import cli, engine
+from zetaform.cli import closed_form_from_json, closed_form_to_json
 from zetaform.engine import (
     ClosedForm,
     ReductionRule,
@@ -26,7 +30,7 @@ from zetaform.engine import (
     power_family_value,
     telescope_value,
 )
-from zetaform.qsym import Polynomial, bell_polynomial
+from zetaform.qsym import Polynomial, bell_polynomial, sort_key
 from zetaform.reducer import DivergentSeriesError, PartialFractionExpansion
 
 X1 = Polynomial.variable(1)
@@ -513,3 +517,99 @@ class TestClosedFormAlgebra:
     def test_rejects_bad_vector(self):
         with pytest.raises(ValueError):
             cf(0, {((2, 1),): 1})
+
+
+def in_order(form) -> bool:
+    return list(form.terms) == sorted(form.terms, key=sort_key)
+
+
+# the engine-ladder rungs: x1^k over (3, 1^k) and three more up to weight 15
+LADDER = [SeriesSpec(X1**k, 1, F(-1, 2), (3,) + (1,) * k) for k in range(4, 9)] + [
+    SeriesSpec(X1**6, 2, F(-1, 3), (3,) + (1,) * 6),
+    SeriesSpec(X1**3 * Polynomial.variable(2) ** 2, 1, F(-1, 3), (3, 1, 1, 1)),
+    SeriesSpec(X1**4, 1, F(0), (4,) + (1,) * 5),
+]
+
+
+def golden_forms():
+    for _, argv in cases():
+        req = cli.parse_request(list(argv))
+        yield closed_form(req.spec).scaled(req.prefactor)
+
+
+class TestTermOrder:
+    """Every way of making a closed form keeps its terms in sort_key order."""
+
+    def test_constructor_sorts_shuffled_input(self):
+        rng = random.Random(5)
+        keys = [((2,),), ((3,),), ((1, 2),), ((2,), (3,)), ((1, 1, 3),), ((2,), (2,)), ((5,),)]
+        for _ in range(20):
+            rng.shuffle(keys)
+            form = cf(1, {k: rng.choice([1, -2, F(1, 3)]) for k in keys})
+            assert in_order(form) and len(form.terms) == len(keys)
+
+    def test_closed_form_on_the_ladder(self):
+        for spec in LADDER:
+            assert in_order(closed_form(spec))
+
+    def test_closed_form_on_the_golden_specs(self):
+        assert all(in_order(form) for form in golden_forms())
+
+    def test_scaled_sum_and_difference(self):
+        by_fields: dict = {}
+        for form in golden_forms():
+            by_fields.setdefault((form.shift, form.order), []).append(form)
+        unsorted_merges = 0  # pairs whose keys, merged in dict order, are out of order
+        for forms in by_fields.values():
+            for a, b in zip(forms, forms[1:]):
+                for got in (a.scaled(F(-2, 3)), a + b, a - b, b - a):
+                    assert in_order(got)
+                keys = list({**a.terms, **b.terms})
+                unsorted_merges += keys != sorted(keys, key=sort_key)
+        assert unsorted_merges > 5
+
+    def test_apply_reductions_with_the_shipped_table(self):
+        table, rewritten = default_reduction_table(), 0
+        # the table rewrites few golden forms, so the binomial rung joins them
+        for form in [closed_form(LADDER[-1]), *golden_forms()]:
+            reduced = apply_reductions(form, table)
+            assert in_order(reduced)
+            rewritten += reduced != form
+        assert rewritten >= 3
+
+    def test_closed_form_from_json(self):
+        for form in [closed_form(LADDER[0]), *itertools.islice(golden_forms(), 40)]:
+            payload = closed_form_to_json(form)
+            payload["terms"].reverse()
+            back = closed_form_from_json(payload)
+            assert back == form and in_order(back)
+
+
+@contextlib.contextmanager
+def gc_disabled():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestNoReferenceCycles:
+    """The exact path frees its memory by reference counting alone."""
+
+    def test_exact_path_leaves_no_garbage(self):
+        readme = ["--F", "x1", "--z", "0", "--binomial", "4,5", "--display", "reduced"]
+        with gc_disabled():
+            closed_form(LADDER[2])
+            assert gc.collect() == 0
+            assert cli.run(cli.parse_request(readme))[0] == 0
+            assert gc.collect() == 0
+
+    def test_an_evaluator_dies_with_its_last_reference(self):
+        ev = engine._Evaluator(1, F(-1, 2))
+        ev.push([(("step", 2, 3, (2, 1)), 1), (("power", 3, 2, (1, 1)), 1), (("sum", 4, 2, (3,)), 1)])
+        ref = weakref.ref(ev)
+        with gc_disabled():
+            del ev
+            assert ref() is None

@@ -88,7 +88,6 @@ class ClosedForm(_LinComb):
         self.constant, self.shift, self.order = Fraction(constant), Fraction(shift), order
 
     _validate_key = staticmethod(monomial_key)
-    __mul__ = _LinComb.__rmul__  # scalars only: closed forms have no product
 
     def _like(self, terms: dict) -> "ClosedForm":
         out = super()._like(terms)

@@ -95,10 +95,6 @@ class _LinComb:
     def _validate_key(cls, key):  # pragma: no cover - overridden
         raise NotImplementedError
 
-    @classmethod
-    def _mul_keys(cls, a, b):  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def _like(self, terms: dict):
         """A new element with self's type and fixed fields holding `terms`.
 
@@ -124,14 +120,6 @@ class _LinComb:
         for x, c in parts:
             out._add_scaled(x, c)
         return out
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -159,23 +147,46 @@ class _LinComb:
     def scaled(self, scalar):
         return self._combine((self, Fraction(scalar)))
 
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            out = self._like({})
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    c = ca * cb
-                    for key, mult in self._mul_keys(ka, kb):
-                        add_term(out.terms, key, c * mult)
-            return out
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         return NotImplemented
+
+    __mul__ = __rmul__  # scalars only; _Algebra adds the product
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}: {v}" for k, v in self.sorted_terms())
+        return f"{type(self).__name__}({{{body}}})"
+
+
+class _Algebra(_LinComb):
+    """A _LinComb with a product: keys multiply through `_mul_keys`, and the key () is one."""
+
+    @classmethod
+    def _mul_keys(cls, a, b):  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({(): 1})
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self.__rmul__(other)
+        out = self._like({})
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                c = ca * cb
+                for key, mult in self._mul_keys(ka, kb):
+                    add_term(out.terms, key, c * mult)
+        return out
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -184,13 +195,6 @@ class _LinComb:
         for _ in range(exponent):
             result = result * self
         return result
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {v}" for k, v in self.sorted_terms())
-        return f"{type(self).__name__}({{{body}}})"
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +219,7 @@ def _stuffle(a: Composition, b: Composition) -> tuple:
     return tuple(sorted(out.items()))
 
 
-class QSymExpr(_LinComb):
+class QSymExpr(_Algebra):
     """A quasi-symmetric function written in the monomial basis."""
 
     @classmethod
@@ -234,7 +238,7 @@ class QSymExpr(_LinComb):
         return cls({tuple(comp): 1})
 
 
-class Polynomial(_LinComb):
+class Polynomial(_Algebra):
     """Polynomial over Q in variables x1, x2, ... (exponent-vector keys)."""
 
     @classmethod

@@ -100,39 +100,33 @@ def _check_terms(N: int) -> None:
         raise DeskLimitError(f"N={N} exceeds desk cap {DESK_MAX_TERMS}")
 
 
-@lru_cache(maxsize=None)
-def _zeta_tail_coeffs(sigma: int, order: int) -> tuple:
-    """zeta(sigma, x+1) ~ sum_p nums[p] / (den x^p), p <= order, as (den, nums).
-
-    zeta(sigma, x+1) ~ sum_k B_k (sigma)_(k-1)/k! x^(1-sigma-k) with B_1 = -1/2
-    and (sigma)_(-1) = 1/(sigma-1) (DLMF 25.11.43): B_k C(sigma+k-2, k)/(sigma-1).
-    For sigma = 1 the k = 0 term is left out (-psi(x+1) has -ln x there) and
-    the others are B_k / k.  Exact, over the least common denominator; no z.
-    """
-    nums, dens = [0] * (order + 1), [1] * (order + 1)
-    for k in range(0 if sigma > 1 else 1, order + 2 - sigma):
-        p, (b, d) = sigma - 1 + k, _bernoulli(k)
-        nums[p], dens[p] = (b * math.comb(p - 1, k), d * (sigma - 1)) if sigma > 1 else (b, d * k)
-    den = math.lcm(*dens)
-    return _reduced(den, [n * (den // d) for n, d in zip(nums, dens)])
-
-
 def _reduced(den: int, nums) -> tuple:
     """(den, nums) with their common factor divided out."""
     g = math.gcd(den, *nums)
     return den // g, tuple(n // g for n in nums)
 
 
+@lru_cache(maxsize=None)
 def _zeta_tail(sigma: int, order: int) -> tuple:
-    """(den, nums, past): _zeta_tail_coeffs and a majorant of the rest past order, x > 0.
+    """(den, nums, past): zeta(sigma, x+1) ~ sum_p nums[p] / (den x^p), and its rest past order.
 
-    past[i] is on 1/x^(order+1+i): the terms past order through the first B_2K one, that
-    one twice, as Euler-Maclaurin's remainder after the B_2k, k < K, is at most
-    2 |B_2K|/(2K)! |f^(2K-1)(x)| (DLMF 2.10.2; f^(2K) has one sign).  nums reaches it.
+    zeta(sigma, x+1) ~ sum_k B_k (sigma)_(k-1)/k! x^(1-sigma-k) with B_1 = -1/2
+    and (sigma)_(-1) = 1/(sigma-1) (DLMF 25.11.43): B_k C(sigma+k-2, k)/(sigma-1).
+    For sigma = 1 the k = 0 term is left out (-psi(x+1) has -ln x there) and
+    the others are B_k / k.  Exact, over the least common denominator; no z.
+    nums runs through p = max(order + 2, sigma + 1), past the first B_2K term past order.
+    past[i], on 1/x^(order+1+i), majorizes the rest for x > 0: the terms past order through
+    that one, it twice, as Euler-Maclaurin's remainder after the B_2k, k < K, is at most
+    2 |B_2K|/(2K)! |f^(2K-1)(x)| (DLMF 2.10.2; f^(2K) has one sign).
     """
-    den, nums = _zeta_tail_coeffs(sigma, max(order + 2, sigma + 1))
+    top = max(order + 2, sigma + 1)
+    nums, dens = [0] * (top + 1), [1] * (top + 1)
+    for k in range(0 if sigma > 1 else 1, top + 2 - sigma):
+        p, (b, d) = sigma - 1 + k, _bernoulli(k)
+        nums[p], dens[p] = (b * math.comb(p - 1, k), d * (sigma - 1)) if sigma > 1 else (b, d * k)
+    den, nums = _reduced(lcm := math.lcm(*dens), [n * (lcm // d) for n, d in zip(nums, dens)])
     last = sigma - 1 + 2 * max(1, (order + 3 - sigma) // 2)  # the B_2K term
-    return den, nums, [abs(c) for c in nums[order + 1 : last]] + [2 * abs(nums[last])]
+    return den, nums, (*map(abs, nums[order + 1 : last]), 2 * abs(nums[last]))
 
 
 @lru_cache(maxsize=None)
@@ -251,9 +245,13 @@ def closed_form_numeric(cf: ClosedForm, abs_err: float = 1e-10) -> NumericResult
 
 
 def series_partial_sum(spec: SeriesSpec, N: int) -> Fraction:
-    """Exact rational partial sum of the series through n = N."""
+    """Exact partial sum of the series through n = N, term by term: the head's reference."""
     _check_terms(N)
-    return _SeriesSummer(spec, None).advance_to(N)
+    H, total = [Fraction(0)] * spec.F.max_variable(), Fraction(0)
+    for x in (n + spec.z for n in range(1, N + 1)):
+        H = [h + x ** -(i * spec.m) for i, h in enumerate(H, 1)]
+        total += spec.F.evaluate(H) / math.prod((x + i) ** e for i, e in enumerate(spec.s))
+    return total
 
 
 def _powers(values, e: int):
@@ -262,7 +260,7 @@ def _powers(values, e: int):
 
 
 class _SeriesSummer:
-    """Incremental partial sums of one series, in fixed point at wp bits or exactly (wp None).
+    """Incremental partial sums of one series, in fixed point at wp bits.
 
     With z = p/q, x = q n + p, and F's coefficients written a_k / L over
     their least common denominator L, L times the n-th summand is
@@ -270,12 +268,11 @@ class _SeriesSummer:
         q^S sum_k a_k prod_i H_i^e_ik / prod_i (x + i q)^s_i,
 
     where H_i, the harmonic number of order r = i m, grows by q^r / x^r at
-    each n.  Every quotient is div(one a, b): with wp None, div is Fraction
-    and one = 1, exact; otherwise div is floor division and one = 2^wp.
-    `advance_to` returns the sum as an exact Fraction either way.  A monomial
-    of degree d has its coefficient premultiplied by q^S one^(T - d), T =
-    max(D, 1), D = deg F; each numerator t is shifted right by (T - 1) wp bits
-    (none when exact) and divided by prod (x + i q)^s_i = P alone.  As
+    each n.  Every quotient is the floor of one a / b, one = 2^wp, and
+    `advance_to` returns the sum as an exact Fraction.  A monomial of degree
+    d has its coefficient premultiplied by q^S one^(T - d), T = max(D, 1),
+    D = deg F; each numerator t is shifted right by (T - 1) wp bits and
+    divided by prod (x + i q)^s_i = P alone.  As
     floor(floor(t / 2^k) / P) = floor(t / (2^k P)) for integers t, k >= 0,
     P >= 1 (Concrete Mathematics 3.2), each summand is the one floor of
     t / (one^(T - 1) P), at scale one.
@@ -298,9 +295,8 @@ class _SeriesSummer:
     which `error_bound` returns exactly.
     """
 
-    def __init__(self, spec: SeriesSpec, wp):
-        self.spec, self.wp = spec, wp
-        self.div, one = (Fraction, 1) if wp is None else (floordiv, 1 << wp)
+    def __init__(self, spec: SeriesSpec, wp: int):
+        self.spec, self.wp, one = spec, wp, 1 << wp
         self.p, self.q = spec.z.numerator, spec.z.denominator
         self.L = math.lcm(*(c.denominator for c in spec.F.terms.values()))
         self.D = spec.F.degree()
@@ -316,14 +312,14 @@ class _SeriesSummer:
         ell = spec.F.max_variable()
         self.q_powers = [self.q ** (i * spec.m) * one for i in range(1, ell + 1)]
         self.den_factors = [(i * self.q, e) for i, e in enumerate(spec.s) if e]
-        self.shift = 0 if wp is None else (top - 1) * wp
+        self.shift = (top - 1) * wp
         self.scale = one * self.L
         self.harmonics = [0] * ell
         self.total = 0
         self.n = 0
 
     def advance_to(self, M: int) -> Fraction:
-        div, H, q = self.div, self.harmonics, self.q
+        H, q = self.harmonics, self.q
         while self.n < M:
             start, self.n = self.n, min(M, self.n + HEAD_BLOCK)
             xs = range(q * start + q + self.p, q * self.n + self.p + 1, q)
@@ -331,7 +327,7 @@ class _SeriesSummer:
             columns = []
             for i, q_r in enumerate(self.q_powers):
                 power = list(map(mul, power, steps)) if i else power
-                increments = map(div, repeat(q_r), power)
+                increments = map(floordiv, repeat(q_r), power)
                 columns.append(list(accumulate(increments, initial=H[i] + next(increments))))
                 H[i] = columns[-1][-1]
             terms = []
@@ -344,7 +340,7 @@ class _SeriesSummer:
             if self.shift:
                 tops = map(rshift, tops, repeat(self.shift))
             dens = (_powers(range(xs.start + iq, xs.stop + iq, q), e) for iq, e in self.den_factors)
-            self.total += sum(map(div, tops, reduce(partial(map, mul), dens)))
+            self.total += sum(map(floordiv, tops, reduce(partial(map, mul), dens)))
         return Fraction(self.total, self.scale)
 
     def error_bound(self) -> Fraction:
@@ -577,10 +573,12 @@ def _series_limit(spec: SeriesSpec, N: int, tol: float) -> tuple:
                 weights[j] += abs(c) * qa**j * X ** (order + 1 - j) * tails[d]
             pasts = list(accumulate(reversed(weights), initial=0))
             fit = sum(p <= target * scale for p in pasts) - 1
-        kept, majorant = (order + 2 - fit, -(-(pasts[fit] << wp) // scale)) if fit else (0, 0)
+        if not fit:
+            continue
+        kept, majorant = order + 2 - fit, -(-(pasts[fit] << wp) // scale)
         kept_terms = {(S + j, d): c for (j, d), c in coeffs.items() if j < kept}
         tail, tail_bound = _tail_order((den, kept_terms), a, wp)
-        if fit and tail_bound is not None:
+        if tail_bound is not None:
             break
     est = head + Fraction(tail, 1 << wp)
     bound = Fraction(majorant + drift + tail_bound, 1 << wp) + summer.error_bound()

@@ -518,6 +518,16 @@ class TestClosedFormAlgebra:
         with pytest.raises(ValueError):
             cf(0, {((2, 1),): 1})
 
+    def test_scalar_multiples_only(self):
+        # closed forms are a vector space: no zero/one constructors and no product
+        a = cf(F(1, 2), {((2,),): 3})
+        assert not hasattr(ClosedForm, "zero") and not hasattr(ClosedForm, "one")
+        assert a * 2 == 2 * a == a * F(2) == cf(1, {((2,),): 6})
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a * a
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a**2
+
 
 def in_order(form) -> bool:
     return list(form.terms) == sorted(form.terms, key=sort_key)

@@ -31,7 +31,6 @@ from zetaform.verify import (
     _tail_order,
     _width,
     _zeta_tail,
-    _zeta_tail_coeffs,
     closed_form_numeric,
     mhz_numeric,
     series_partial_sum,
@@ -333,7 +332,7 @@ class TestBlockHead:
         assert summer.error_bound() == reference.error_bound()
 
     @pytest.mark.parametrize("N", COUNTS)
-    @pytest.mark.parametrize("spec", SPECS[:2], ids=_spec_id)
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
     def test_exact_equals_per_term(self, spec, N):
         L = math.lcm(*(c.denominator for c in spec.F.terms.values()))
         assert series_partial_sum(spec, N) == per_term_head(spec, N, exact=True)[0] / L
@@ -345,9 +344,6 @@ class TestBlockHead:
         summer.advance_to(HEAD_BLOCK - 1)
         summer.advance_to(N)
         assert (summer.total, summer.harmonics) == per_term_head(spec, N, exact=False)
-        exact = _SeriesSummer(spec, None)
-        exact.advance_to(HEAD_BLOCK - 1)
-        assert exact.advance_to(N) == series_partial_sum(spec, N)
 
 
 class TestVerifyIdentity:
@@ -1303,7 +1299,7 @@ class TestIntegerExpansions:
     @pytest.mark.parametrize("dps", [30, 44])
     def test_zeta_tail_coeffs_are_exact(self, dps):
         for sigma in range(1, 41):
-            den, nums = _zeta_tail_coeffs(sigma, dps + 22)
+            den, nums, _ = _zeta_tail(sigma, dps + 20)
             reference = _reference_tail(sigma, dps + 22)
             assert [F(c, den) for c in nums] == [reference.get(p, 0) for p in range(dps + 23)]
 

@@ -45,7 +45,6 @@ from .engine import (
     power_family_value,
     telescope_value,
 )
-from .expr import ParseError, parse_polynomial
 
 __version__ = "0.1.0"
 
@@ -95,8 +94,9 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):  # PEP 562: the verifier loads on first use
+def __getattr__(name: str):  # PEP 562: the parser and the verifier load on first use
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verify
-    return getattr(verify, name)
+    from importlib import import_module
+    module = ".expr" if name in ("ParseError", "parse_polynomial") else ".verify"
+    return getattr(import_module(module, __name__), name)

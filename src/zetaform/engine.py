@@ -17,17 +17,17 @@ values.  One pass over those rules pushes the coefficients down to the atoms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import gcd, lcm
-from typing import Mapping, Optional
+from typing import Optional
 
 from .qsym import (
     Composition,
     Polynomial,
     _LinComb,
+    _Record,
     add_term,
     as_shift,
     poly_to_qsym,
@@ -133,14 +133,10 @@ class ClosedForm(_LinComb):
         return max((sum(sum(v) for v in mono) for mono in self.terms), default=0)
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """One series instance: numerator polynomial, order, shift, exponents."""
+class SeriesSpec(_Record):
+    """One series instance: numerator polynomial F, order m, shift z, exponents s."""
 
-    F: Polynomial
-    m: int
-    z: Fraction
-    s: Index
+    __slots__ = _fields = ("F", "m", "z", "s")
 
     def __post_init__(self):
         if not isinstance(self.F, Polynomial):
@@ -346,23 +342,18 @@ def power_family_value(a: int, p: int, comp, m: int, z) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionRule:
-    source: ZetaVector
-    constant: Fraction
-    terms: tuple  # ((ZetaMonomial, Fraction), ...)
+class ReductionRule(_Record):
+    __slots__ = _fields = ("source", "constant", "terms")  # terms: ((ZetaMonomial, Fraction), ...)
 
 
-@dataclass(frozen=True)
-class ReductionTable:
-    """Reduction rules by source vector; no rule may reach its own source.
+class ReductionTable(_Record):
+    """Reduction rules by source vector at one shift; no rule may reach its own source.
 
     That lets apply_reductions follow each monomial to the end.  The check
     peels off rules whose terms hold no remaining source until none is left.
     """
 
-    shift: Fraction
-    rules: Mapping[ZetaVector, ReductionRule]
+    __slots__ = _fields = ("shift", "rules")
 
     def __post_init__(self):
         reach = {v: {u for mono, _ in r.terms for u in mono} for v, r in self.rules.items()}

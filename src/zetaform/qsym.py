@@ -197,6 +197,51 @@ class _Algebra(_LinComb):
         return result
 
 
+class _Record:
+    """An immutable record of the fields a subclass names in `_fields`, held in `__slots__`.
+
+    Built by position or keyword, then handed to `__post_init__`, which may check it
+    and normalize a field or fill a further slot through `object.__setattr__`.  Equal
+    only within its type, hashed and shown by field values; copies and pickles are
+    rebuilt through the constructor, so they are checked too.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(values) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError  # the library path never loads dataclasses
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+
 @lru_cache(maxsize=None)
 def _stuffle(a: Composition, b: Composition) -> tuple:
     """Quasi-shuffle of two single compositions, as ((composition, count), ...)."""

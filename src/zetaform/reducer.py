@@ -18,9 +18,10 @@ whose expansion ``expand_ones_run`` gives in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+
+from .qsym import _Record
 
 Index = tuple[int, ...]
 Combination = dict[Index, Fraction]
@@ -51,19 +52,21 @@ def as_index(s) -> Index:
     return vec
 
 
-@dataclass(frozen=True)
-class PartialFractionExpansion:
-    """Coefficients of 1/(x^k (x+a)^m) against 1/x^l and 1/(x+a)^l."""
+class PartialFractionExpansion(_Record):
+    """Coefficients of 1/(x^k (x+a)^m) against 1/x^l and 1/(x+a)^l, as (l, Fraction) pairs.
 
-    pole_at_zero: tuple[tuple[int, Fraction], ...]
-    pole_at_a: tuple[tuple[int, Fraction], ...]
+    `over_common_denominator`, set at construction, is (den, pole_at_zero,
+    pole_at_a) with integer numerators over one den > 0.
+    """
 
-    @cached_property
-    def over_common_denominator(self) -> tuple:
-        """(den, pole_at_zero, pole_at_a) with integer numerators over one den > 0."""
+    _fields = ("pole_at_zero", "pole_at_a")
+    __slots__ = _fields + ("over_common_denominator",)
+
+    def __post_init__(self):
         poles = (self.pole_at_zero, self.pole_at_a)
         den = math.lcm(*(c.denominator for pole in poles for _, c in pole))
-        return (den,) + tuple(tuple((l, int(c * den)) for l, c in pole) for pole in poles)
+        over = (den,) + tuple(tuple((l, int(c * den)) for l, c in pole) for pole in poles)
+        object.__setattr__(self, "over_common_denominator", over)
 
 
 @lru_cache(maxsize=None)

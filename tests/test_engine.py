@@ -1,10 +1,13 @@
 import contextlib
+import copy
+import dataclasses
 import gc
 import hashlib
 import inspect
 import itertools
 import json
 import math
+import pickle
 import random
 import sys
 import weakref
@@ -623,3 +626,68 @@ class TestNoReferenceCycles:
         with gc_disabled():
             del ev
             assert ref() is None
+
+
+_RULE_1_2 = ReductionRule((1, 2), F(0), ((((3,),), F(1)),))
+_RULE_1_2_REPR = "ReductionRule(source=(1, 2), constant=Fraction(0, 1), terms=((((3,),), Fraction(1, 1)),))"
+
+# (class, positional fields, the same fields by keyword in field order, repr, hashable)
+RECORDS = {
+    "expansion": (
+        PartialFractionExpansion,
+        (((1, F(-1, 9)), (2, F(1, 3))), ((1, F(1, 9)),)),
+        {"pole_at_zero": ((1, F(-1, 9)), (2, F(1, 3))), "pole_at_a": ((1, F(1, 9)),)},
+        "PartialFractionExpansion(pole_at_zero=((1, Fraction(-1, 9)), (2, Fraction(1, 3))),"
+        " pole_at_a=((1, Fraction(1, 9)),))",
+        True,
+    ),
+    "spec": (
+        SeriesSpec,
+        (F(1, 2) * X1 * X1 - Polynomial.variable(2), 1, "-1/2", (2, 1, 0)),
+        {"F": F(1, 2) * X1 * X1 - Polynomial.variable(2), "m": 1, "z": F(-1, 2), "s": [2, 1]},
+        "SeriesSpec(F=Polynomial({(0, 1): -1, (2,): 1/2}), m=1, z=Fraction(-1, 2), s=(2, 1))",
+        False,  # a Polynomial is unhashable, so the spec is too
+    ),
+    "rule": (
+        ReductionRule,
+        ((1, 2), F(0), ((((3,),), F(1)),)),
+        {"source": (1, 2), "constant": F(0), "terms": ((((3,),), F(1)),)},
+        _RULE_1_2_REPR,
+        True,
+    ),
+    "table": (
+        ReductionTable,
+        (F(0), {(1, 2): _RULE_1_2}),
+        {"shift": F(0), "rules": {(1, 2): _RULE_1_2}},
+        f"ReductionTable(shift=Fraction(0, 1), rules={{(1, 2): {_RULE_1_2_REPR}}})",
+        False,  # its rules are a dict
+    ),
+}
+
+
+class TestRecords:
+    """The four immutable records: fields, value semantics, repr, copies and pickles."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_record_behaviour(self, name):
+        cls, args, kwargs, text, hashable = RECORDS[name]
+        record, by_keyword = cls(*args), cls(**dict(reversed(list(kwargs.items()))))
+        assert record == by_keyword and not record != by_keyword
+        assert record != tuple(getattr(record, field) for field in kwargs)
+        assert record != type("Twin", (cls,), {"__slots__": ()})(*args)
+        assert repr(record) == repr(by_keyword) == text
+        if hashable:
+            assert hash(record) == hash(by_keyword) and len({record, by_keyword}) == 1
+        else:
+            with pytest.raises(TypeError):
+                hash(record)
+        for field in kwargs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, getattr(record, field))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field)
+        for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(again) is cls and again == record and repr(again) == text
+        if cls is SeriesSpec:
+            again = pickle.loads(pickle.dumps(record))
+            assert type(again.z) is F and again.z == F(-1, 2) and again.s == (2, 1)

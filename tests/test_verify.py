@@ -862,19 +862,25 @@ class TestLhsConstants:
 class TestLazyVerifier:
     def test_verifier_runs_with_mpmath_unimportable(self):
         # the package needs no mpmath: with its import blocked, the exact pipeline, in a fresh
-        # interpreter, leaves the verifier unloaded, and the verifier certifies from the API
+        # interpreter, loads neither the verifier, the parser nor dataclasses (with the inspect
+        # it imports), the parser loads on first use, and the verifier certifies from the API
         # and from the command line
         import zetaform
 
         code = (
             "import sys\n"
             "sys.modules['mpmath'] = None\n"
+            "before = set(sys.modules)\n"
             "import zetaform\n"
             "x1 = zetaform.Polynomial.variable(1)\n"
             "spec = zetaform.SeriesSpec(x1, 1, 0, (4, 1, 1, 1, 1, 1))\n"
             "cf = zetaform.closed_form(spec)\n"
             "zetaform.default_reduction_table()\n"
             "assert 'zetaform.verify' not in sys.modules, 'the exact path loaded the verifier'\n"
+            "loaded = set(sys.modules) - before\n"
+            "unwanted = {'dataclasses', 'inspect', 'zetaform.expr', 'zetaform.verify'}\n"
+            "assert not loaded & unwanted, f'the exact path loaded {sorted(loaded & unwanted)}'\n"
+            "assert zetaform.parse_polynomial('x1') == x1\n"
             "report = zetaform.verify_identity(spec, cf, tol=1e-10, N=600)\n"
             "assert report.passed, report.message\n"
             "assert not hasattr(zetaform, 'no_such_name')\n"

@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,7 +30,7 @@ from .engine import (
     load_reduction_table,
 )
 from .expr import ParseError, parse_polynomial
-from .qsym import as_shift
+from .qsym import _Record, as_shift
 from .verify import VerificationReport, verify_identity
 
 DISPLAY_MODES = ("raw", "t_values", "reduced")
@@ -42,21 +41,18 @@ class CliError(ValueError):
     pass
 
 
-@dataclass
-class CliRequest:
-    spec: SeriesSpec
-    output_format: str
-    display_mode: str
-    verify_n: Optional[int]
-    tolerance: float
-    reduction_table_path: Optional[str]
-    prefactor: Fraction
-    echo: dict
+class CliRequest(_Record):
+    """spec is a SeriesSpec, verify_n an int or None, tolerance a float, prefactor a Fraction, echo
+    a dict, and output_format, display_mode and reduction_table_path strs (the last, or None)."""
+
+    __slots__ = _fields = ("spec", "output_format", "display_mode", "verify_n", "tolerance",
+                           "reduction_table_path", "prefactor", "echo")
 
 
-@dataclass
-class RenderedIdentity:
-    text: str
+class RenderedIdentity(_Record):
+    """text is the rendered str."""
+
+    __slots__ = _fields = ("text",)
 
 
 _PARSER = argparse.ArgumentParser(  # once per process: building costs 3 parses

@@ -139,7 +139,11 @@ def _pivot_reduce(s, stops: tuple[str, ...]) -> Combination:
     which lives only for the call and holds each entry as integer numerators
     over one denominator: handed down, not closed over, so no cycle outlives the call.
     """
-    den, nums = _pivot_step(as_index(s), stops, {})
+    t = as_index(s)
+    try:
+        den, nums = _pivot_step(t, stops, {})
+    except RecursionError:  # one frame per unit of weight, past the interpreter's recursion limit
+        raise ValueError(f"exponent vector of weight {sum(t)} is too long to reduce") from None
     return {key: Fraction(c, den) for key, c in nums.items()}
 
 

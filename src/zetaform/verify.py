@@ -15,14 +15,13 @@ verification never reuses the symbolic machinery it is checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, floordiv, mul, rshift
 
 from .engine import ClosedForm, SeriesSpec, ZetaVector, check_vector
-from .qsym import as_shift
+from .qsym import _Record, as_shift
 
 DESK_MAX_DEPTH = 5
 DESK_MAX_WEIGHT = 10
@@ -57,10 +56,11 @@ class DeskLimitError(ValueError):
     """Raised when a request exceeds the documented desk-scale caps."""
 
 
-@dataclass(frozen=True)
-class NumericResult:
-    value: Fraction  # exact: the oracle's fixed-point sum over 2^wp, or the LHS estimate
-    abs_err_bound: float
+class NumericResult(_Record):
+    """An exact value and its error bound: value is a Fraction (the oracle's fixed-point sum over
+    2^wp, or the LHS estimate), abs_err_bound a float rounded up."""
+
+    __slots__ = _fields = ("value", "abs_err_bound")
 
     def __float__(self) -> float:
         return float(self.value)
@@ -71,14 +71,12 @@ def _float_up(x: Fraction) -> float:
     return f if (f := float(x)) >= x else math.nextafter(f, math.inf)
 
 
-@dataclass
-class VerificationReport:
-    lhs_estimate: NumericResult
-    rhs_value: NumericResult
-    discrepancy: float
-    passed: bool
-    n_used: int
-    message: str = ""
+class VerificationReport(_Record):
+    """lhs_estimate and rhs_value are NumericResults, discrepancy a float, passed a bool, n_used
+    (the head summed) an int, and message a str, empty when the identity passed."""
+
+    __slots__ = _fields = ("lhs_estimate", "rhs_value", "discrepancy", "passed", "n_used",
+                           "message")
 
 
 def _width(abs_err: float) -> tuple:

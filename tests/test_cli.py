@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import math
 import random
@@ -12,6 +11,7 @@ from mpmath import mp, nstr
 from zetaform import cli
 from zetaform.cli import (
     CliError,
+    CliRequest,
     closed_form_from_json,
     closed_form_to_json,
     main,
@@ -527,10 +527,24 @@ class TestExitCodes:
             render(closed_form(SeriesSpec(X1, 1, 0, (0, 2))), **{argument: value})
         # through main: a request that reaches render with either is one error line
         real = cli._request_from_record
-        monkeypatch.setattr(
-            cli, "_request_from_record", lambda r: dataclasses.replace(real(r), **{field: value})
-        )
+
+        def patched(record):
+            req = real(record)
+            return CliRequest(**{**{f: getattr(req, f) for f in req._fields}, field: value})
+
+        monkeypatch.setattr(cli, "_request_from_record", patched)
         assert self.assert_input_error(capsys, self.ARGS) == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "argv,weight",
+        [(["--F", "1", "--s", ",".join(["1"] * 1200)], 1200),
+         (["--F", "x1", "--binomial", "0,1500"], 1500)],
+        ids=["ones", "binomial"],
+    )
+    def test_too_long_vector(self, capsys, argv, weight):
+        # deeper than the reducer's recursion can go: one error line, no RecursionError
+        line = self.assert_input_error(capsys, argv)
+        assert line == f"error: exponent vector of weight {weight} is too long to reduce"
 
     def test_bad_record_values_in_input_file(self, capsys, tmp_path):
         path = tmp_path / "req.json"

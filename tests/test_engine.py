@@ -17,7 +17,7 @@ import pytest
 from test_golden import cases
 
 from zetaform import cli, engine
-from zetaform.cli import closed_form_from_json, closed_form_to_json
+from zetaform.cli import CliRequest, RenderedIdentity, closed_form_from_json, closed_form_to_json
 from zetaform.engine import (
     ClosedForm,
     ReductionRule,
@@ -35,6 +35,7 @@ from zetaform.engine import (
 )
 from zetaform.qsym import Polynomial, bell_polynomial, sort_key
 from zetaform.reducer import DivergentSeriesError, PartialFractionExpansion
+from zetaform.verify import NumericResult, VerificationReport
 
 X1 = Polynomial.variable(1)
 
@@ -630,6 +631,12 @@ class TestNoReferenceCycles:
 
 _RULE_1_2 = ReductionRule((1, 2), F(0), ((((3,),), F(1)),))
 _RULE_1_2_REPR = "ReductionRule(source=(1, 2), constant=Fraction(0, 1), terms=((((3,),), Fraction(1, 1)),))"
+_LHS, _RHS = NumericResult(F(1, 3), 0.5), NumericResult(F(-2, 7), 1e-20)
+_LHS_REPR = "NumericResult(value=Fraction(1, 3), abs_err_bound=0.5)"
+_RHS_REPR = "NumericResult(value=Fraction(-2, 7), abs_err_bound=1e-20)"
+_MESSAGE = "discrepancy 2.500e-01 exceeds budget 1.000e-08"
+_SPEC = SeriesSpec(X1, 1, "-1/2", (0, 2))
+_ECHO = {"F": "x1", "s": [0, 2]}
 
 # (class, positional fields, the same fields by keyword in field order, repr, hashable)
 RECORDS = {
@@ -662,11 +669,44 @@ RECORDS = {
         f"ReductionTable(shift=Fraction(0, 1), rules={{(1, 2): {_RULE_1_2_REPR}}})",
         False,  # its rules are a dict
     ),
+    "numeric": (
+        NumericResult,
+        (F(1, 3), 0.5),
+        {"value": F(1, 3), "abs_err_bound": 0.5},
+        _LHS_REPR,
+        True,
+    ),
+    "report": (
+        VerificationReport,
+        (_LHS, _RHS, 0.25, False, 600, _MESSAGE),
+        {"lhs_estimate": _LHS, "rhs_value": _RHS, "discrepancy": 0.25, "passed": False,
+         "n_used": 600, "message": _MESSAGE},
+        f"VerificationReport(lhs_estimate={_LHS_REPR}, rhs_value={_RHS_REPR}, discrepancy=0.25,"
+        f" passed=False, n_used=600, message={_MESSAGE!r})",
+        True,
+    ),
+    "request": (
+        CliRequest,
+        (_SPEC, "json", "reduced", 600, 1e-8, None, F(2), _ECHO),
+        {"spec": _SPEC, "output_format": "json", "display_mode": "reduced", "verify_n": 600,
+         "tolerance": 1e-8, "reduction_table_path": None, "prefactor": F(2), "echo": _ECHO},
+        "CliRequest(spec=SeriesSpec(F=Polynomial({(1,): 1}), m=1, z=Fraction(-1, 2), s=(0, 2)),"
+        " output_format='json', display_mode='reduced', verify_n=600, tolerance=1e-08,"
+        " reduction_table_path=None, prefactor=Fraction(2, 1), echo={'F': 'x1', 's': [0, 2]})",
+        False,  # its spec holds a Polynomial, and its echo is a dict
+    ),
+    "rendered": (
+        RenderedIdentity,
+        ("value = 1",),
+        {"text": "value = 1"},
+        "RenderedIdentity(text='value = 1')",
+        True,
+    ),
 }
 
 
 class TestRecords:
-    """The four immutable records: fields, value semantics, repr, copies and pickles."""
+    """The package's immutable records: fields, value semantics, repr, copies and pickles."""
 
     @pytest.mark.parametrize("name", sorted(RECORDS))
     def test_record_behaviour(self, name):

@@ -188,6 +188,13 @@ class TestCanonicalize:
                 assert kind in ("power", "pair"), (s, key)
                 assert sum(key) >= 2
 
+    @pytest.mark.parametrize("s", [(1,) * 1200, (0,) + (1,) * 1500], ids=["ones", "binomial"])
+    def test_too_long_vector_is_a_value_error(self, s):
+        # the pivot recursion takes one frame per unit of weight; past the interpreter's
+        # recursion limit that is a ValueError naming the weight
+        with pytest.raises(ValueError, match=f"^exponent vector of weight {sum(s)} is too long"):
+            canonicalize(s)
+
     def test_weight_bookkeeping(self):
         # every reduction unit keeps weight >= 2 and at most the input weight
         for s in [(2, 3, 2), (1, 2, 3), (4, 1, 1, 1, 1, 1), (2, 0, 2)]:

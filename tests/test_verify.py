@@ -864,7 +864,7 @@ class TestLazyVerifier:
         # the package needs no mpmath: with its import blocked, the exact pipeline, in a fresh
         # interpreter, loads neither the verifier, the parser nor dataclasses (with the inspect
         # it imports), the parser loads on first use, and the verifier certifies from the API
-        # and from the command line
+        # and from the command line, after which dataclasses and inspect are still not loaded
         import zetaform
 
         code = (
@@ -886,7 +886,10 @@ class TestLazyVerifier:
             "assert not hasattr(zetaform, 'no_such_name')\n"
             "from zetaform import cli\n"
             "flags = '--F x1 --z 0 --binomial 4,5 --verify 600 --format json'\n"
-            "sys.exit(cli.main(flags.split()))\n"
+            "code = cli.main(flags.split())\n"
+            "left = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+            "assert not left, f'the package loaded {sorted(left)}'\n"
+            "sys.exit(code)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(zetaform.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

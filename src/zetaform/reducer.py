@@ -7,12 +7,10 @@ rational combination of two canonical families: a lone power after leading
 zeros, ``(0^a, p)`` with p >= 2, and a pair of ones possibly separated by
 zeros, ``(0^a, 1, 0^b, 1)``.
 
-Both ``reduce_index`` and ``canonicalize`` run one fixed, deterministic
-pivot rule: split the first and last nonzero exponents via the
-partial-fraction identity of ``partial_fraction``, strip trailing zeros, and
-recurse.  ``canonicalize`` recurses until only the two canonical families
-remain.  ``reduce_index`` also stops at trailing runs of three or more ones,
-whose expansion ``expand_ones_run`` gives in closed form.
+``reduce_index`` runs one fixed pivot rule: split the first and last nonzero
+exponents via the identity of ``partial_fraction``, strip trailing zeros, and
+recurse until a key has weight 2, is a lone power or is a run of ones.
+``canonicalize`` then rewrites each run by its closed form.
 """
 
 from __future__ import annotations
@@ -110,17 +108,17 @@ def classify(key: Index) -> tuple:
     return ("general", None, None)
 
 
-def _pivot_step(t: Index, stops: tuple[str, ...], memo: dict) -> tuple:
+def _pivot_step(t: Index, memo: dict) -> tuple:
     hit = memo.get(t)
     if hit is not None:
         return hit
-    if sum(t) == 2 or classify(t)[0] in stops:
+    if sum(t) == 2 or classify(t)[0] in ("power", "ones"):
         res = (1, {t: 1})
     else:
         nz = [i for i, v in enumerate(t) if v]
         i, j = nz[0], nz[-1]
         lower = [_strip(t[:p] + (t[p] - 1,) + t[p + 1 :]) for p in (j, i)]
-        (d_j, at_j), (d_i, at_i) = map(_pivot_step, lower, (stops, stops), (memo, memo))
+        (d_j, at_j), (d_i, at_i) = (_pivot_step(low, memo) for low in lower)
         den, nums = math.lcm(d_j, d_i), {}
         for part, scale in ((at_j, den // d_j), (at_i, -den // d_i)):
             for key, c in part.items():
@@ -131,29 +129,21 @@ def _pivot_step(t: Index, stops: tuple[str, ...], memo: dict) -> tuple:
     return res
 
 
-def _pivot_reduce(s, stops: tuple[str, ...]) -> Combination:
-    """Pivot recursion from `s` down to weight-2 keys and keys of a kind in `stops`.
-
-    Kinds are those of `classify`.  The pivot is always (first nonzero, last
-    nonzero), which pins the output uniquely.  `_pivot_step` recurses with the memo,
-    which lives only for the call and holds each entry as integer numerators
-    over one denominator: handed down, not closed over, so no cycle outlives the call.
-    """
-    t = as_index(s)
-    try:
-        den, nums = _pivot_step(t, stops, {})
-    except RecursionError:  # one frame per unit of weight, past the interpreter's recursion limit
-        raise ValueError(f"exponent vector of weight {sum(t)} is too long to reduce") from None
-    return {key: Fraction(c, den) for key, c in nums.items()}
-
-
 def reduce_index(s) -> Combination:
     """Rewrite an exponent vector as a combination of reduction units.
 
-    Output keys are lone powers (0^a, p), weight-2 pairs (0^a, 1, 0^b, 1) and
-    runs of ones (0^a, 1^c), whose closed form is `expand_ones_run`.
+    One stop rule ends the pivot recursion: weight-2 keys (such as the pairs
+    (0^a, 1, 0^b, 1)), lone powers (0^a, p) and runs of ones (0^a, 1^n), n >= 3.
+    The pivot is (first nonzero, last nonzero), which pins the output.  The
+    memo lives only for the call, holds integer numerators over one denominator
+    per entry, and is handed down, not closed over, so no cycle outlives it.
     """
-    return _pivot_reduce(s, ("power", "ones"))
+    t = as_index(s)
+    try:
+        den, nums = _pivot_step(t, {})
+    except RecursionError:  # one frame per unit of weight, past the interpreter's recursion limit
+        raise ValueError(f"exponent vector of weight {sum(t)} is too long to reduce") from None
+    return {key: Fraction(c, den) for key, c in nums.items()}
 
 
 def expand_double_one(a: int, b: int) -> Combination:
@@ -165,19 +155,29 @@ def expand_double_one(a: int, b: int) -> Combination:
 
 
 def expand_ones_run(a: int, c: int) -> Combination:
-    """Expansion of the run (0^a, 1^(c+2)) into shifted adjacent pairs."""
+    """Expansion of the run (0^a, 1^(c+2)) into shifted adjacent pairs: `canonicalize` of it."""
     if a < 0 or c < 0:
         raise ValueError("expand_ones_run requires a, c >= 0")
-    scale = Fraction(1, math.factorial(c + 1))
-    return {
-        (0,) * (r + a) + (1, 1): scale * (-1) ** r * math.comb(c, r)
-        for r in range(c + 1)
-    }
+    return canonicalize((0,) * a + (1,) * (c + 2))
 
 
 def canonicalize(s) -> Combination:
     """Fully canonical combination: only (0^a, p) and (0^a, 1, 0^b, 1) keys.
 
-    The pivot recursion of `reduce_index`, carried through the runs of ones.
+    `reduce_index`, with each run rewritten by the paper's closed form
+    (0^a, 1^n) = sum_r (-1)^r C(n-2, r) / (n-1)! (0^(a+r), 1, 1), r = 0..n-2.
     """
-    return _pivot_reduce(s, ("power",))
+    comb, out = reduce_index(s), {}
+    # one integer denominator: a run key (0^a, 1^n) has n <= len(key), so (n-1)! divides it
+    den = math.lcm(*(c.denominator for c in comb.values())) * math.factorial(max(map(len, comb)))
+    for key, coeff in comb.items():
+        kind, a, n = classify(key)
+        num = coeff.numerator * (den // coeff.denominator)
+        if kind != "ones":
+            out[key] = out.get(key, 0) + num
+            continue
+        scale = num // math.factorial(n - 1)
+        for r in range(n - 1):
+            pair = (0,) * (a + r) + (1, 1)
+            out[pair] = out.get(pair, 0) + scale * (-1) ** r * math.comb(n - 2, r)
+    return {key: Fraction(c, den) for key, c in out.items() if c}

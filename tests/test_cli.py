@@ -354,6 +354,13 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1].startswith("verify: PASS") and not captured.err
 
+    def test_long_run_of_ones_exits_zero(self, capsys):
+        # a run takes its closed form, not the pivot recursion: 1/(1199 * 1199!), no error
+        assert main(["--F", "1", "--s", ",".join(["1"] * 1200)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == f"value = 1/{1199 * math.factorial(1199)}"
+        assert not captured.err
+
     def test_exit_two_on_parse_error(self, capsys):
         assert main(["--F", "x1 +", "--m", "1", "--z", "0", "--s", "0,2"]) == 2
         assert "error" in capsys.readouterr().err
@@ -537,8 +544,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv,weight",
-        [(["--F", "1", "--s", ",".join(["1"] * 1200)], 1200),
-         (["--F", "x1", "--binomial", "0,1500"], 1500)],
+        [(["--F", "1", "--s", ",".join(["2"] + ["1"] * 1200)], 1202),
+         (["--F", "x1", "--binomial", "2,1500"], 1502)],
         ids=["ones", "binomial"],
     )
     def test_too_long_vector(self, capsys, argv, weight):

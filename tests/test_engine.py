@@ -268,6 +268,12 @@ class TestPipeline:
             sys.setrecursionlimit(limit)
         assert got == want
 
+    @pytest.mark.parametrize("k", [3, 10, 300, 1200])
+    def test_run_of_ones_telescopes(self, k):
+        # sum_n 1/(n (n+1) ... (n+k-1)) = 1/((k-1) (k-1)!): a run of ones has no zeta terms
+        got = closed_form(SeriesSpec(Polynomial.constant(1), 1, 0, (1,) * k))
+        assert got == cf(F(1, (k - 1) * math.factorial(k - 1)), {})
+
     def test_divergent_rejected(self):
         with pytest.raises(DivergentSeriesError):
             SeriesSpec(X1, 1, 0, (1,))

@@ -170,9 +170,9 @@ class TestExpansions:
     @pytest.mark.parametrize("a", range(0, 4))
     @pytest.mark.parametrize("c", range(0, 5))
     def test_ones_run_agrees_with_reduction(self, a, c):
-        # reducing the run key directly must give the same expansion
+        # the closed form must match the plain pivot recursion carried through the run
         run = (0,) * a + (1,) * (c + 2)
-        assert canonicalize(run) == expand_ones_run(a, c)
+        assert expand_ones_run(a, c) == fraction_pivot(run, ("power",))
 
 
 class TestCanonicalize:
@@ -188,10 +188,15 @@ class TestCanonicalize:
                 assert kind in ("power", "pair"), (s, key)
                 assert sum(key) >= 2
 
-    @pytest.mark.parametrize("s", [(1,) * 1200, (0,) + (1,) * 1500], ids=["ones", "binomial"])
+    def test_long_run_has_one_key_per_adjacent_pair(self):
+        # a run reaches no recursion: its closed form gives (0^r, 1, 1) for r < 1199
+        got = canonicalize((1,) * 1200)
+        assert len(got) == 1199 and set(got) == {(0,) * r + (1, 1) for r in range(1199)}
+
+    @pytest.mark.parametrize("s", [(2,) + (1,) * 1200, (2,) + (1,) * 1500], ids=["ones", "binomial"])
     def test_too_long_vector_is_a_value_error(self, s):
-        # the pivot recursion takes one frame per unit of weight; past the interpreter's
-        # recursion limit that is a ValueError naming the weight
+        # a vector that is not a run takes one pivot frame per unit of weight; past the
+        # interpreter's recursion limit that is a ValueError naming the weight
         with pytest.raises(ValueError, match=f"^exponent vector of weight {sum(s)} is too long"):
             canonicalize(s)
 

@@ -8,8 +8,9 @@ zeros, ``(0^a, p)`` with p >= 2, and a pair of ones possibly separated by
 zeros, ``(0^a, 1, 0^b, 1)``.
 
 ``reduce_index`` runs one fixed pivot rule: split the first and last nonzero
-exponents via the identity of ``partial_fraction``, strip trailing zeros, and
-recurse until a key has weight 2, is a lone power or is a run of ones.
+exponents via the identity of ``partial_fraction`` and strip trailing zeros.
+Each split lowers the weight by one, so it pushes one weight level down to the
+next until every key has weight 2, is a lone power or is a run of ones.
 ``canonicalize`` then rewrites each run by its closed form.
 """
 
@@ -108,42 +109,31 @@ def classify(key: Index) -> tuple:
     return ("general", None, None)
 
 
-def _pivot_step(t: Index, memo: dict) -> tuple:
-    hit = memo.get(t)
-    if hit is not None:
-        return hit
-    if sum(t) == 2 or classify(t)[0] in ("power", "ones"):
-        res = (1, {t: 1})
-    else:
-        nz = [i for i, v in enumerate(t) if v]
-        i, j = nz[0], nz[-1]
-        lower = [_strip(t[:p] + (t[p] - 1,) + t[p + 1 :]) for p in (j, i)]
-        (d_j, at_j), (d_i, at_i) = (_pivot_step(low, memo) for low in lower)
-        den, nums = math.lcm(d_j, d_i), {}
-        for part, scale in ((at_j, den // d_j), (at_i, -den // d_i)):
-            for key, c in part.items():
-                nums[key] = nums.get(key, 0) + scale * c
-        g = math.gcd(den * (j - i), *nums.values())
-        res = (den * (j - i) // g, {key: c // g for key, c in nums.items() if c})
-    memo[t] = res
-    return res
-
-
 def reduce_index(s) -> Combination:
     """Rewrite an exponent vector as a combination of reduction units.
 
-    One stop rule ends the pivot recursion: weight-2 keys (such as the pairs
+    One stop rule ends the pivot: weight-2 keys (such as the pairs
     (0^a, 1, 0^b, 1)), lone powers (0^a, p) and runs of ones (0^a, 1^n), n >= 3.
-    The pivot is (first nonzero, last nonzero), which pins the output.  The
-    memo lives only for the call, holds integer numerators over one denominator
-    per entry, and is handed down, not closed over, so no cycle outlives it.
+    The pivot is (first nonzero, last nonzero), which pins the output.  Each
+    pivot lowers the weight by one, so the vectors of one weight are pushed
+    down together, one weight at a time, and a stop key is reached at its own
+    weight only.
     """
-    t = as_index(s)
-    try:
-        den, nums = _pivot_step(t, {})
-    except RecursionError:  # one frame per unit of weight, past the interpreter's recursion limit
-        raise ValueError(f"exponent vector of weight {sum(t)} is too long to reduce") from None
-    return {key: Fraction(c, den) for key, c in nums.items()}
+    level, out = {as_index(s): Fraction(1)}, {}
+    while level:
+        lower = {}
+        for t, c in level.items():
+            if sum(t) == 2 or classify(t)[0] in ("power", "ones"):
+                out[t] = c
+                continue
+            nz = [i for i, v in enumerate(t) if v]
+            i, j = nz[0], nz[-1]
+            c /= j - i
+            for p, share in ((j, c), (i, -c)):
+                low = _strip(t[:p] + (t[p] - 1,) + t[p + 1 :])
+                lower[low] = share + lower.get(low, 0)
+        level = {t: c for t, c in lower.items() if c}
+    return out
 
 
 def expand_double_one(a: int, b: int) -> Combination:

@@ -66,6 +66,7 @@ GUARDS = {
     ),
     "log-powers": ('--F "x1^3" --z -1/3 --s 0,2 --verify 600 --tolerance 1e-25', "verify: PASS"),
     "head-floor": ("--F x1^2 --z -1/3 --s 0,2 --verify 1 --tolerance 1e-60", "verify: PASS (N=44,"),
+    "weight-1001": ("--F 1 --s 1000,1", "value = -1 + zeta(2) - zeta(3)"),
 }
 NEAR_MINUS_ONE = '--F "x1*x2" --z -999999/1000000 --s 0,0,3 --verify 600 --tolerance 1e-20'
 

@@ -361,6 +361,14 @@ class TestMain:
         assert captured.out.splitlines()[1] == f"value = 1/{1199 * math.factorial(1199)}"
         assert not captured.err
 
+    def test_heavy_two_entry_vector_exits_zero(self, capsys):
+        # weight 1001 is pushed down one level at a time: -1 + zeta(2) - ... + zeta(1000)
+        assert main(["--F", "1", "--s", "1000,1"]) == 0
+        captured = capsys.readouterr()
+        value = captured.out.splitlines()[1]
+        assert value.startswith("value = -1 + zeta(2) - zeta(3)") and value.endswith(" + zeta(1000)")
+        assert not captured.err
+
     def test_exit_two_on_parse_error(self, capsys):
         assert main(["--F", "x1 +", "--m", "1", "--z", "0", "--s", "0,2"]) == 2
         assert "error" in capsys.readouterr().err
@@ -541,17 +549,6 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "_request_from_record", patched)
         assert self.assert_input_error(capsys, self.ARGS) == f"error: {message}"
-
-    @pytest.mark.parametrize(
-        "argv,weight",
-        [(["--F", "1", "--s", ",".join(["2"] + ["1"] * 1200)], 1202),
-         (["--F", "x1", "--binomial", "2,1500"], 1502)],
-        ids=["ones", "binomial"],
-    )
-    def test_too_long_vector(self, capsys, argv, weight):
-        # deeper than the reducer's recursion can go: one error line, no RecursionError
-        line = self.assert_input_error(capsys, argv)
-        assert line == f"error: exponent vector of weight {weight} is too long to reduce"
 
     def test_bad_record_values_in_input_file(self, capsys, tmp_path):
         path = tmp_path / "req.json"

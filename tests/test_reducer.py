@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -132,6 +134,13 @@ class TestReduceIndex:
         }
         assert got == want
 
+    @pytest.mark.parametrize("p", [1000, 5000])
+    def test_heavy_power_then_one(self, p):
+        # 1/(n^p (n+1)) = sum_l (-1)^(p-l) / n^l + (-1)^(p-1) / (n (n+1)), one pivot per weight
+        want = {(l,): F((-1) ** (p - l)) for l in range(2, p + 1)}
+        want[(1, 1)] = F((-1) ** (p - 1))
+        assert reduce_index((p, 1)) == want
+
     def test_unit_shapes_only(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -193,12 +202,17 @@ class TestCanonicalize:
         got = canonicalize((1,) * 1200)
         assert len(got) == 1199 and set(got) == {(0,) * r + (1, 1) for r in range(1199)}
 
-    @pytest.mark.parametrize("s", [(2,) + (1,) * 1200, (2,) + (1,) * 1500], ids=["ones", "binomial"])
-    def test_too_long_vector_is_a_value_error(self, s):
-        # a vector that is not a run takes one pivot frame per unit of weight; past the
-        # interpreter's recursion limit that is a ValueError naming the weight
-        with pytest.raises(ValueError, match=f"^exponent vector of weight {sum(s)} is too long"):
-            canonicalize(s)
+    def test_long_vector_reduces_at_a_shallow_stack(self):
+        # the pivot is a loop over weight levels, so the stack depth does not grow with the weight
+        s = (3, 2, 1, 0, 2) + (1,) * 20
+        want = fraction_pivot(s, ("power",))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            got = canonicalize(s)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
     def test_weight_bookkeeping(self):
         # every reduction unit keeps weight >= 2 and at most the input weight
@@ -280,8 +294,8 @@ def fraction_pivot(s, stops):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(lambda s: sum(s) >= 2))
 def test_integer_pivot_recursion_matches_a_fraction_reference(s):
-    # the memo holds integer numerators over one denominator per entry; the
-    # output must still be the reference's reduced, nonzero Fractions
+    # reduce_index pushes each weight level's Fraction coefficients down in one
+    # loop; the output must still be the reference's reduced, nonzero Fractions
     for comb, stops in ((reduce_index(s), ("power", "ones")), (canonicalize(s), ("power",))):
         assert comb == fraction_pivot(as_index(s), stops), (s, stops)
         for c in comb.values():

@@ -16,6 +16,7 @@ values.  One pass over those rules pushes the coefficients down to the atoms.
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -191,8 +192,12 @@ class _Evaluator:
         if rule is None:
             kind, a, p, comp = node
             den, constant, leaves, children = _RULES[kind](self, a, p, comp)
-            tops = [sum(vec) for vec, _ in leaves] + [self.build(child) for child, _ in children]
-            rule = self.rules[node] = (den, constant, leaves, children, max(tops, default=0))
+            top = max([sum(vec) for vec, _ in leaves], default=0)
+            for child, _ in children:
+                weight = self.build(child)
+                if weight > top:
+                    top = weight
+            rule = self.rules[node] = (den, constant, leaves, children, top)
         return rule[4]
 
     def push(self, roots, den: int = 1) -> ClosedForm:
@@ -216,10 +221,14 @@ class _Evaluator:
                 constant += Fraction(num, d) * const
             g = gcd(num, d)
             num, d = num // g, d // g * rule_den
-            for vec, c in leaves:
-                _accumulate(leaf, vec, num * c, d)
-            for child, c in children:
-                _accumulate(total, child, num * c, d)
+            for into, edges in ((leaf, leaves), (total, children)):  # _accumulate, inline
+                for key, c in edges:
+                    n, e = into.get(key, (0, d))
+                    if e == d:
+                        into[key] = (n + num * c, d)
+                    else:
+                        g = gcd(e, d)
+                        into[key] = (n * (d // g) + num * c * (e // g), e // g * d)
         out = ClosedForm(constant, {}, self.z, self.m)
         out.terms = {(v,): Fraction(*leaf[v]) for v in sorted(leaf, key=sort_key) if leaf[v][0]}
         return out
@@ -241,7 +250,7 @@ class _Evaluator:
         if not comp:
             return 1, Fraction(1) / (a + 1 + self.z) ** p, (), ()
         prefix, last = comp[:-1], comp[-1]
-        pv = tuple(self.m * x for x in prefix)
+        pv = prefix if self.m == 1 else tuple(self.m * x for x in prefix)
         if p == 1 and a == 0:
             return 1, 0, [(pv + (self.m * last + 1,), 1)], ()
         if p == 1 and last > 1:
@@ -284,26 +293,36 @@ _RULES = {"step": _Evaluator._step, "sum": _Evaluator._sum, "power": _Evaluator.
 
 
 def closed_form(spec: SeriesSpec) -> ClosedForm:
-    """Full pipeline: exact closed form of the series described by `spec`."""
-    u = poly_to_qsym(spec.F)
-    ev = _Evaluator(spec.m, spec.z)
-    shapes: dict = {}  # node shape -> its coefficient summed over the canonical keys
-    for key, c1 in canonicalize(spec.s).items():
-        for shape, c in _root_shape(key):
-            shapes[shape] = shapes.get(shape, 0) + c1 * c
-    den_s = lcm(*(c.denominator for c in shapes.values()))
-    den_u = lcm(*(c.denominator for c in u.terms.values()))
-    nums_s = [(shape, c.numerator * (den_s // c.denominator)) for shape, c in shapes.items()]
-    roots = []  # each root node with its integer numerator over den_s * den_u
-    for comp, cu in u.terms.items():
-        bound = spec.m * sum(comp) + sum(spec.s)
-        nu = cu.numerator * (den_u // cu.denominator)
-        for shape, ns in nums_s:
-            weight = ev.build(shape + (comp,))
-            if weight > bound:
-                raise AssertionError(f"emitted weight {weight} exceeds bound {bound}")
-            roots.append((shape + (comp,), ns * nu))
-    return ev.push(roots, den_s * den_u)
+    """Full pipeline: exact closed form of the series described by `spec`.
+
+    Automatic cyclic garbage collection is paused while it runs and put back as found.
+    """
+    enabled = gc.isenabled()
+    gc.disable()  # the exact path forms no reference cycles, so the collector frees nothing
+    try:
+        u = poly_to_qsym(spec.F)
+        ev = _Evaluator(spec.m, spec.z)
+        shapes: dict = {}  # node shape -> its coefficient summed over the canonical keys
+        for key, c1 in canonicalize(spec.s).items():
+            for shape, c in _root_shape(key):
+                shapes[shape] = shapes.get(shape, 0) + c1 * c
+        den_s = lcm(*(c.denominator for c in shapes.values()))
+        den_u = lcm(*(c.denominator for c in u.terms.values()))
+        nums_s = [(shape, c.numerator * (den_s // c.denominator)) for shape, c in shapes.items()]
+        roots = []  # each root node with its integer numerator over den_s * den_u
+        for comp, cu in u.terms.items():
+            bound = spec.m * sum(comp) + sum(spec.s)
+            nu = cu.numerator * (den_u // cu.denominator)
+            for shape, ns in nums_s:
+                node = shape + (comp,)
+                weight = ev.build(node)
+                if weight > bound:
+                    raise AssertionError(f"emitted weight {weight} exceeds bound {bound}")
+                roots.append((node, ns * nu))
+        return ev.push(roots, den_s * den_u)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def index_value(index, comp, m: int, z) -> ClosedForm:

@@ -97,15 +97,16 @@ def classify(key: Index) -> tuple:
     ("ones", a, c) for a trailing run of c >= 3 ones; ("general", None, None)
     otherwise.
     """
-    key = _strip(key)
-    nz = [i for i, v in enumerate(key) if v]
-    if len(nz) == 1:
-        return ("power", nz[0], key[nz[0]])
-    if nz and all(key[i] == 1 for i in nz):
-        if len(nz) == 2:
-            return ("pair", nz[0], nz[1] - nz[0] - 1)
-        if nz == list(range(nz[0], len(key))):
-            return ("ones", nz[0], len(nz))
+    key = _strip(key)  # so its last entry, if any, is nonzero
+    n = len(key) - key.count(0)  # nonzero entries, counted by C-level tuple scans
+    if n == 1:
+        return ("power", len(key) - 1, key[-1])
+    if n and key.count(1) == n:
+        a = key.index(1)
+        if n == 2:
+            return ("pair", a, len(key) - a - 2)
+        if n == len(key) - a:
+            return ("ones", a, n)
     return ("general", None, None)
 
 

@@ -10,6 +10,7 @@ import math
 import pickle
 import random
 import sys
+import traceback
 import weakref
 from fractions import Fraction as F
 
@@ -606,13 +607,20 @@ class TestTermOrder:
 
 
 @contextlib.contextmanager
-def gc_disabled():
-    gc.collect()
-    gc.disable()
+def gc_enabled(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
     try:
         yield
     finally:
-        gc.enable()
+        (gc.enable if was else gc.disable)()
+
+
+@contextlib.contextmanager
+def gc_disabled():
+    gc.collect()
+    with gc_enabled(False):
+        yield
 
 
 class TestNoReferenceCycles:
@@ -621,8 +629,9 @@ class TestNoReferenceCycles:
     def test_exact_path_leaves_no_garbage(self):
         readme = ["--F", "x1", "--z", "0", "--binomial", "4,5", "--display", "reduced"]
         with gc_disabled():
-            closed_form(LADDER[2])
-            assert gc.collect() == 0
+            for spec in LADDER:
+                closed_form(spec)
+                assert gc.collect() == 0, spec
             assert cli.run(cli.parse_request(readme))[0] == 0
             assert gc.collect() == 0
 
@@ -633,6 +642,44 @@ class TestNoReferenceCycles:
         with gc_disabled():
             del ev
             assert ref() is None
+
+
+class TestCollectorPause:
+    """closed_form pauses automatic cyclic collection and puts back the state it found."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_put_back(self, enabled):
+        with gc_enabled(enabled):
+            assert closed_form(LADDER[0])
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_put_back_when_the_pipeline_raises(self, enabled, monkeypatch):
+        def failing(ev, a, p, comp):
+            raise ArithmeticError("a rule failed")
+
+        monkeypatch.setitem(engine._RULES, "step", failing)
+        with gc_enabled(enabled):
+            with pytest.raises(ArithmeticError, match="a rule failed"):
+                closed_form(LADDER[0])
+            assert gc.isenabled() is enabled
+
+    def test_no_automatic_collection_on_the_x1_8_rung(self):
+        # a collection starts inside closed_form when its frame is on the stack
+        code, inside = closed_form.__code__, []
+
+        def count(phase, info):
+            if phase == "start" and any(f.f_code is code for f, _ in traceback.walk_stack(None)):
+                inside.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert gc.isenabled()
+            closed_form(LADDER[4])
+        finally:
+            gc.callbacks.remove(count)
+        assert inside == []
 
 
 _RULE_1_2 = ReductionRule((1, 2), F(0), ((((3,),), F(1)),))

@@ -868,6 +868,7 @@ class TestLazyVerifier:
         import zetaform
 
         code = (
+            "import gc\n"
             "import sys\n"
             "sys.modules['mpmath'] = None\n"
             "before = set(sys.modules)\n"
@@ -875,6 +876,7 @@ class TestLazyVerifier:
             "x1 = zetaform.Polynomial.variable(1)\n"
             "spec = zetaform.SeriesSpec(x1, 1, 0, (4, 1, 1, 1, 1, 1))\n"
             "cf = zetaform.closed_form(spec)\n"
+            "assert gc.isenabled(), 'closed_form left the collector off'\n"
             "zetaform.default_reduction_table()\n"
             "assert 'zetaform.verify' not in sys.modules, 'the exact path loaded the verifier'\n"
             "loaded = set(sys.modules) - before\n"

@@ -254,6 +254,9 @@ class _Evaluator:
         if p == 1 and a == 0:
             return 1, 0, [(pv + (self.m * last + 1,), 1)], ()
         if p == 1 and last > 1:
+            if last > 2 and ("step", a, 1, prefix + (last - 1,)) not in self.rules:
+                for j in range(1, last - 1):  # bottom up, so a long chain recurses no deeper
+                    self.build(("step", a, 1, prefix + (j,)))
             den, at_zero, at_a = partial_fraction(self.m, 1, a).over_common_denominator
             leaves = [(pv + (self.m * (last - 1) + l,), c) for l, c in at_zero]
             return den, 0, leaves, [(("step", a, 1, prefix + (last - 1,)), at_a[0][1])]

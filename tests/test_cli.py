@@ -518,9 +518,11 @@ class TestExitCodes:
              "--input cannot be combined with --F/--s/--binomial"),
             (["--s", "0,2"], None, "--F is required (or use --input)"),
             (["--F", "x1", "--s", "0,x"], None, "cannot parse --s '0,x'"),
+            (["--F", "x1", "--m", "0", "--s", "0,2"], None, "m must be a positive integer"),
+            (["--F", "x1", "--s", "3,-1"], None, "exponents must be nonnegative integers: (3, -1)"),
         ],
         ids=["no-F", "binomial-k0", "format-pdf", "display-tex", "tolerance-abc",
-             "input-and-F", "no-F-flag", "s-not-int"],
+             "input-and-F", "no-F-flag", "s-not-int", "m-zero", "s-negative"],
     )
     def test_each_input_error(self, capsys, tmp_path, argv, record, message):
         argv = list(argv or [])

@@ -269,6 +269,19 @@ class TestPipeline:
             sys.setrecursionlimit(limit)
         assert got == want
 
+    def test_long_lowering_chain_recurses_shallowly(self):
+        # the p = 1 step lowers the last part one at a time; that chain is built bottom up,
+        # so the stack depth does not grow with the part
+        spec = SeriesSpec(Polynomial.variable(200), 1, 0, (0, 1, 1))
+        want = closed_form(spec)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            got = closed_form(spec)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want and len(got.terms) == 199
+
     @pytest.mark.parametrize("k", [3, 10, 300, 1200])
     def test_run_of_ones_telescopes(self, k):
         # sum_n 1/(n (n+1) ... (n+k-1)) = 1/((k-1) (k-1)!): a run of ones has no zeta terms
@@ -538,6 +551,34 @@ class TestClosedFormAlgebra:
             a * a
         with pytest.raises(TypeError, match="unsupported operand"):
             a**2
+
+    def test_never_equal_to_another_type(self):
+        a = cf(1, {})
+        assert not a == 1 and a != 1
+
+
+# each public input check, with a call that only it rejects (the message tells them apart)
+INPUT_CHECKS = {
+    "harmonic_value-a": (lambda: harmonic_value(-1, 1, 0), ValueError, "requires a >= 0 and ell"),
+    "harmonic_value-ell": (lambda: harmonic_value(2, 0, 0), ValueError, "requires a >= 0 and ell"),
+    "telescope-p0": (lambda: telescope_value(1, 0, (1,), 1, 0), ValueError, "requires p >= 1"),
+    "telescope-a0-p1": (lambda: telescope_value(0, 1, (1,), 1, 0), ValueError, "requires a >= 1"),
+    "pair-b": (lambda: pair_family_value(-1, (1,), 1, 0), ValueError, "requires b >= 0"),
+    "power-a": (lambda: power_family_value(-1, 2, (1,), 1, 0), ValueError, "requires a >= 0"),
+    "power-p": (lambda: power_family_value(0, 1, (1,), 1, 0), ValueError, "requires p >= 2"),
+    "spec-F": (lambda: SeriesSpec("x1", 1, 0, (0, 2)), TypeError, "F must be a Polynomial"),
+    "spec-m0": (lambda: SeriesSpec(X1, 0, 0, (0, 2)), ValueError, "m must be a positive integer"),
+    "spec-m-float": (lambda: SeriesSpec(X1, 1.0, 0, (0, 2)), ValueError, "m must be a positive"),
+    "record-extra": (lambda: SeriesSpec(X1, 1, 0, (0, 2), 5), TypeError, "takes the fields F, m, z, s"),
+    "record-missing": (lambda: SeriesSpec(X1, 1, 0), TypeError, "takes the fields F, m, z, s"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def in_order(form) -> bool:

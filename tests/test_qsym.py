@@ -304,3 +304,33 @@ class TestPolynomial:
 
     def test_strips_trailing_zero_exponents(self):
         assert Polynomial({(1, 0): 1}) == Polynomial.variable(1)
+
+
+# each public input check, with a call that only it rejects (the message tells them apart)
+INPUT_CHECKS = {
+    "quasi_shuffle-type": (lambda: quasi_shuffle(M((1,)), X[0]), TypeError, "expects two QSymExpr"),
+    "power_sum-0": (lambda: power_sum(0), ValueError, "power_sum requires k >= 1"),
+    "elementary-negative": (lambda: elementary(-1), ValueError, "elementary requires k >= 0"),
+    "complete-negative": (lambda: complete(-1), ValueError, "complete requires k >= 0"),
+    "monomial_sum-negative-n": (lambda: monomial_sum(-1, 1), ValueError, "requires n, k >= 0"),
+    "monomial_sum-negative-k": (lambda: monomial_sum(1, -1), ValueError, "requires n, k >= 0"),
+    "bell-negative": (lambda: bell_polynomial(-1, []), ValueError, "bell_polynomial requires k >= 0"),
+    "bell-few-args": (lambda: bell_polynomial(2, X[:1]), ValueError, "needs at least 2 arguments"),
+    "evaluate_finite-n0": (lambda: evaluate_finite(M((1,)), 0, 1, 0), ValueError, "requires n >= 1"),
+    "evaluate_finite-m0": (lambda: evaluate_finite(M((1,)), 1, 0, 0), ValueError, "requires m >= 1"),
+    "qsym-key": (lambda: QSymExpr({(1, 0): 1}), ValueError, r"parts must be positive integers: \(1, 0\)"),
+    "polynomial-key": (lambda: Polynomial({(1, -1): 1}), ValueError, r"nonnegative integers: \(1, -1\)"),
+    "variable-0": (lambda: Polynomial.variable(0), ValueError, "variables are indexed from 1"),
+    "evaluate-few-values": (lambda: X[1].evaluate([1]), ValueError, "not enough values supplied"),
+    "negative-power": (lambda: X[0] ** -1, ValueError, "exponent must be a nonnegative integer"),
+    "add-wrong-type": (lambda: X[0] + 1, TypeError, r"unsupported operand type\(s\) for \+"),
+    "sub-wrong-type": (lambda: X[0] - 1, TypeError, r"unsupported operand type\(s\) for -"),
+    "mul-wrong-type": (lambda: X[0] * 1.5, TypeError, r"unsupported operand type\(s\) for \*"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call()

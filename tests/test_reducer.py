@@ -301,3 +301,21 @@ def test_integer_pivot_recursion_matches_a_fraction_reference(s):
         for c in comb.values():
             assert type(c) is F and c != 0
             assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+# each public input check, with a call that only it rejects (the message tells them apart)
+INPUT_CHECKS = {
+    "index-negative": (lambda: as_index((3, -1)), r"nonnegative integers: \(3, -1\)"),
+    "index-float": (lambda: as_index((2, 1.5)), r"nonnegative integers: \(2, 1.5\)"),
+    "double_one-a": (lambda: expand_double_one(-1, 0), "expand_double_one requires a, b >= 0"),
+    "double_one-b": (lambda: expand_double_one(0, -1), "expand_double_one requires a, b >= 0"),
+    "ones_run-a": (lambda: expand_ones_run(-1, 0), "expand_ones_run requires a, c >= 0"),
+    "ones_run-c": (lambda: expand_ones_run(0, -1), "expand_ones_run requires a, c >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_check(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

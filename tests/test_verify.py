@@ -861,10 +861,12 @@ class TestLhsConstants:
 
 class TestLazyVerifier:
     def test_verifier_runs_with_mpmath_unimportable(self):
-        # the package needs no mpmath: with its import blocked, the exact pipeline, in a fresh
-        # interpreter, loads neither the verifier, the parser nor dataclasses (with the inspect
+        # the package needs no mpmath: with its import blocked, a bare import in a fresh
+        # interpreter loads no submodule, and each submodule name loads its module; the exact
+        # pipeline loads neither the verifier, the parser nor dataclasses (with the inspect
         # it imports), the parser loads on first use, and the verifier certifies from the API
-        # and from the command line, after which dataclasses and inspect are still not loaded
+        # and from the command line, after which dataclasses and inspect are still not loaded;
+        # last, every public name is its module's own object, listed by dir and bound by *
         import zetaform
 
         code = (
@@ -873,6 +875,12 @@ class TestLazyVerifier:
             "sys.modules['mpmath'] = None\n"
             "before = set(sys.modules)\n"
             "import zetaform\n"
+            "loaded = sorted(k for k in sys.modules if k.startswith('zetaform.'))\n"
+            "assert not loaded, f'a bare import loaded {loaded}'\n"
+            "def loads(*names):\n"
+            "    for m in names:\n"
+            "        assert getattr(zetaform, m) is sys.modules['zetaform.' + m], m\n"
+            "loads('qsym', 'reducer', 'engine')\n"
             "x1 = zetaform.Polynomial.variable(1)\n"
             "spec = zetaform.SeriesSpec(x1, 1, 0, (4, 1, 1, 1, 1, 1))\n"
             "cf = zetaform.closed_form(spec)\n"
@@ -882,6 +890,7 @@ class TestLazyVerifier:
             "loaded = set(sys.modules) - before\n"
             "unwanted = {'dataclasses', 'inspect', 'zetaform.expr', 'zetaform.verify'}\n"
             "assert not loaded & unwanted, f'the exact path loaded {sorted(loaded & unwanted)}'\n"
+            "loads('expr', 'verify')\n"
             "assert zetaform.parse_polynomial('x1') == x1\n"
             "report = zetaform.verify_identity(spec, cf, tol=1e-10, N=600)\n"
             "assert report.passed, report.message\n"
@@ -891,6 +900,18 @@ class TestLazyVerifier:
             "code = cli.main(flags.split())\n"
             "left = {'dataclasses', 'inspect'} & set(sys.modules)\n"
             "assert not left, f'the package loaded {sorted(left)}'\n"
+            "modules = [zetaform.qsym, zetaform.reducer, zetaform.engine, zetaform.expr, zetaform.verify]\n"
+            "for name in zetaform.__all__:\n"
+            "    value = getattr(zetaform, name)\n"
+            "    bound = {id(vars(m)[name]) for m in modules if name in vars(m)}\n"
+            "    assert bound == {id(value)}, name\n"
+            "    home = getattr(value, '__module__', '')\n"
+            "    assert not home.startswith('zetaform') or vars(sys.modules[home])[name] is value\n"
+            "assert not set(zetaform.__all__) - set(dir(zetaform)), 'dir(zetaform) misses names'\n"
+            "star = {}\n"
+            "exec('from zetaform import *', star)\n"
+            "assert set(star) - {'__builtins__'} == set(zetaform.__all__), 'import * differs'\n"
+            "assert len(zetaform.__all__) == 42\n"
             "sys.exit(code)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(zetaform.__file__).parents[1]))

@@ -10,7 +10,6 @@ that round-trips through ``closed_form_from_json``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -55,34 +54,29 @@ class RenderedIdentity(_Record):
     __slots__ = _fields = ("text",)
 
 
-_PARSER = argparse.ArgumentParser(  # once per process: building costs 3 parses
-    prog="zetaform",
-    description=(
-        "Rewrite series of harmonic numbers over shifted-integer "
-        "denominators as exact combinations of multiple Hurwitz zeta "
-        "values, optionally verifying the identity numerically."
-    ),
-)
-_PARSER.add_argument("--F", help="numerator polynomial in x1..x9, e.g. 'x1^2 - x2'")
-_PARSER.add_argument("--m", type=int, help="harmonic order (default 1)")
-_PARSER.add_argument("--z", help="rational shift in (-1, 0], e.g. -1/2")
-_PARSER.add_argument("--s", help="comma-separated denominator exponents, e.g. 0,1,1")
-_PARSER.add_argument(
-    "--binomial",
-    help="p,k shorthand for denominator n^p * C(n+k,k); implies a k! prefactor",
-)
-_PARSER.add_argument("--format", choices=OUTPUT_FORMATS)
-_PARSER.add_argument("--display", choices=DISPLAY_MODES)
-_PARSER.add_argument(
-    "--verify",
-    type=int,
-    metavar="N",
-    help="verify numerically: sum N terms directly, then the tail by "
-    "Euler-Maclaurin with a stated remainder",
-)
-_PARSER.add_argument("--tolerance", type=float)
-_PARSER.add_argument("--table", help="path to a reduction table JSON file")
-_PARSER.add_argument("--input", help="JSON file with one request record or a list")
+_HELP = """usage: zetaform [-h] --F F (--s S | --binomial P,K) [--m M] [--z Z] [options]
+       zetaform [-h] --input INPUT
+
+Rewrite series of harmonic numbers over shifted-integer denominators as exact
+combinations of multiple Hurwitz zeta values, optionally verifying the
+identity numerically.  A flag is --name value or --name=value, and a value may
+start with '-'.
+
+options:
+  -h, --help            show this help message and exit
+  --F F                 numerator polynomial in x1..x9, e.g. 'x1^2 - x2'
+  --m M                 harmonic order (default 1)
+  --z Z                 rational shift in (-1, 0], e.g. -1/2
+  --s S                 comma-separated denominator exponents, e.g. 0,1,1
+  --binomial P,K        denominator n^p * C(n+k,k); implies a k! prefactor
+  --format {text,latex,json}
+  --display {raw,t_values,reduced}
+  --verify N            verify numerically: sum N terms directly, then the
+                        tail by Euler-Maclaurin with a stated remainder
+  --tolerance TOL       the verification tolerance (default 1e-8)
+  --table TABLE         path to a reduction table JSON file
+  --input INPUT         JSON file of one request record or a list; no other flag"""
+_FLAGS = ("F", "m", "z", "s", "binomial", "format", "display", "verify", "tolerance", "table", "input")
 
 
 def _field(record: dict, name: str, what: str, *types, default=None):
@@ -175,42 +169,43 @@ def _request_from_record(record: dict) -> CliRequest:
     )
 
 
-def _join_dash_values(argv):
-    # argparse misreads values that start with '-' (e.g. --z -1/2); fold the
-    # affected flag/value pairs into --flag=value form
-    out, tokens = [], iter(argv)
-    for tok in tokens:
-        if tok in ("--z", "--F", "--s", "--binomial", "--tolerance"):
-            value = next(tokens, None)
-            tok = tok if value is None else f"{tok}={value}"
-        out.append(tok)
-    return out
-
-
 def _records(argv) -> tuple[list, bool]:
-    """The request records that argv names, and whether they came from --input."""
-    args = _PARSER.parse_args(_join_dash_values(list(argv)))
-    if args.input:
-        if args.F or args.s or args.binomial:
-            raise CliError("--input cannot be combined with --F/--s/--binomial")
+    """The request records that argv names, and whether they came from --input.
+
+    A flag is --name value or --name=value, the value taken as it stands.  m and verify become
+    integers and s and binomial integer lists, as in a record, so one validator serves both."""
+    record, tokens = {}, iter(argv)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            print(_HELP)
+            raise SystemExit(0)
+        name, eq, value = tok[2:].partition("=")
+        if tok[:2] != "--" or name not in _FLAGS:
+            raise CliError(f"unrecognized arguments: {tok}")
+        value = value if eq else next(tokens, None)
+        if value is None:
+            raise CliError(f"argument --{name}: expected one argument")
+        if name in ("m", "verify", "s", "binomial"):
+            try:
+                ints = [int(v) for v in value.split(",")]
+            except ValueError:
+                raise CliError(f"cannot parse --{name} {value!r}")
+            value = ints[0] if len(ints) == 1 and name in ("m", "verify") else ints
+        record[name] = value
+    path = record.pop("input", None)
+    if path is not None:
+        if record:
+            raise CliError(f"--input cannot be combined with {', '.join('--' + n for n in record)}")
         try:
-            with open(args.input, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise CliError(f"cannot read --input {args.input!r}: {exc.strerror or exc}")
+            raise CliError(f"cannot read --input {path!r}: {exc.strerror or exc}")
         except ValueError as exc:  # not UTF-8, or not JSON
-            raise CliError(f"cannot parse --input {args.input!r} as JSON: {exc}")
+            raise CliError(f"cannot parse --input {path!r} as JSON: {exc}")
         return (data if isinstance(data, list) else [data]), True
-    if not args.F:
+    if "F" not in record:
         raise CliError("--F is required (or use --input)")
-    record = {name: value for name, value in vars(args).items() if name != "input"}
-    for name in ("binomial", "s"):
-        text = record[name]
-        if text is not None:
-            try:
-                record[name] = [int(v) for v in text.split(",")]
-            except ValueError:
-                raise CliError(f"cannot parse --{name} {text!r}")
     return [record], False
 
 
@@ -354,14 +349,14 @@ def run(request: CliRequest) -> tuple[int, str]:
     """Execute one request: pipeline, optional verification, rendering."""
     if request.display_mode == "t_values" and request.spec.z != Fraction(-1, 2):
         raise CliError("t_values display requires shift z = -1/2")  # before any work
-    cf = closed_form(request.spec)
     table = None
-    if request.display_mode == "reduced":
+    if request.display_mode == "reduced":  # read before any work too
         path = request.reduction_table_path
         try:
             table = load_reduction_table(path) if path else default_reduction_table()
         except OSError as exc:
             raise CliError(f"cannot read --table {path!r}: {exc.strerror or exc}")
+    cf = closed_form(request.spec)
     report = None
     if request.verify_n is not None:
         report = verify_identity(
@@ -396,8 +391,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # CliError, ParseError, DivergentSeriesError, DeskLimitError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:  # argparse --help / bad flags
-        return int(exc.code or 0)
+    except SystemExit:  # --help
+        return 0
     worst = 0
     for i, record in enumerate(records):
         try:

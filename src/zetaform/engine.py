@@ -369,7 +369,7 @@ class ReductionRule(_Record):
 
 
 class ReductionTable(_Record):
-    """Reduction rules by source vector at one shift; no rule may reach its own source.
+    """Reduction rules, each keyed by its source, at one shift; no rule may reach its source.
 
     That lets apply_reductions follow each monomial to the end.  The check
     peels off rules whose terms hold no remaining source until none is left.
@@ -378,6 +378,9 @@ class ReductionTable(_Record):
     __slots__ = _fields = ("shift", "rules")
 
     def __post_init__(self):
+        for v, r in self.rules.items():
+            if r.source != v:
+                raise ValueError(f"reduction table: the rule filed under {v} has source {r.source}")
         reach = {v: {u for mono, _ in r.terms for u in mono} for v, r in self.rules.items()}
         left = set(reach)
         while left:

@@ -90,6 +90,16 @@ class TestParseRequest:
         flags = ["--F", "x1^2 - x2", f"--{name}", ",".join(map(str, values))]
         assert parse_request(["--input", str(path)]) == [parse_request(flags)]
 
+    def test_flags_and_record_give_equal_requests(self, tmp_path):
+        # every setting given: the flag's text and the record's JSON value make one request
+        record = {"F": "x1^2 - x2", "s": [0, 1, 1], "z": "-1/2", "m": 2, "verify": 600,
+                  "tolerance": 1e-9, "format": "json", "display": "reduced", "table": "t.json"}
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps(record))
+        flags = ["--F", "x1^2 - x2", "--s", "0,1,1", "--z", "-1/2", "--m", "2", "--verify", "600",
+                 "--tolerance", "1e-9", "--format", "json", "--display", "reduced", "--table=t.json"]
+        assert parse_request(["--input", str(path)]) == [parse_request(flags)]
+
 
 class TestRender:
     def test_text_plain(self):
@@ -379,8 +389,8 @@ class TestMain:
         assert "diverges" in err
 
     def test_parser_is_built_once(self, monkeypatch, capsys):
-        # requests share the parser built at import; --help, a bad flag and a
-        # value that starts with '-' behave as before
+        # no argparse parser is built at all: the CLI reads its flags itself, and --help, a
+        # bad flag and a value that starts with '-' behave as before
         def refuse(*args, **kwargs):
             raise AssertionError("a request built a new parser")
 
@@ -390,6 +400,15 @@ class TestMain:
         assert "usage: zetaform" in capsys.readouterr().out
         assert main(["--F", "x1", "--s", "0,2", "--bogus"]) == 2
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_lists_every_flag(self, capsys, flag):
+        assert main(["--F", "x1", flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: zetaform") and not captured.err
+        for name in ("F", "m", "z", "s", "binomial", "format", "display", "verify", "tolerance",
+                     "table", "input"):
+            assert f"\n  --{name} " in captured.out, name
 
 
 class TestExitCodes:
@@ -496,6 +515,33 @@ class TestExitCodes:
         line = self.assert_input_error(capsys, argv)
         assert line == "error: t_values display requires shift z = -1/2"
 
+    @pytest.mark.parametrize("raw", [None, b"[]"], ids=["missing", "malformed"])
+    def test_bad_table_does_no_work(self, capsys, monkeypatch, tmp_path, raw):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the table was read")
+
+        monkeypatch.setattr(cli, "closed_form", refuse)
+        monkeypatch.setattr(cli, "verify_identity", refuse)
+        path = tmp_path / "table.json"
+        if raw is not None:
+            path.write_bytes(raw)
+        argv = ["--F", "x1^12", "--binomial", "4,5", "--display", "reduced", "--verify", "600",
+                "--table", str(path)]
+        line = self.assert_input_error(capsys, argv)
+        assert "table" in line
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--m", "x"], ["--m", "1,2"], ["--verify", "x"], ["--tolerance", "abc"],
+         ["--format", "pdf"], ["--display", "tex"], ["--bogus"], ["--s"], ["x1"]],
+        ids=["m-x", "m-list", "verify-x", "tolerance-abc", "format-pdf", "display-tex", "bogus",
+             "trailing-s", "stray-x1"],
+    )
+    def test_bad_flag_is_one_error_line(self, capsys, extra):
+        # argv errors take the record path's one line, with no usage block
+        line = self.assert_input_error(capsys, self.ARGS + extra)
+        assert "usage" not in line
+
     @pytest.mark.parametrize("flag", ["--s", "--binomial"])
     @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
     def test_dash_leading_list_value(self, capsys, flag, joined):
@@ -514,15 +560,16 @@ class TestExitCodes:
              "record 0: unknown display mode 'tex'"),
             (None, {"F": "x1", "s": [0, 2], "tolerance": "abc"},
              "record 0: cannot parse tolerance='abc' as a number"),
-            (["--F", "x1"], {"F": "x1", "s": [0, 2]},
-             "--input cannot be combined with --F/--s/--binomial"),
+            (["--F", "x1"], {"F": "x1", "s": [0, 2]}, "--input cannot be combined with --F"),
+            (["--verify", "600", "--format", "json", "--m", "2"], {"F": "x1", "s": [0, 2]},
+             "--input cannot be combined with --verify, --format, --m"),
             (["--s", "0,2"], None, "--F is required (or use --input)"),
             (["--F", "x1", "--s", "0,x"], None, "cannot parse --s '0,x'"),
             (["--F", "x1", "--m", "0", "--s", "0,2"], None, "m must be a positive integer"),
             (["--F", "x1", "--s", "3,-1"], None, "exponents must be nonnegative integers: (3, -1)"),
         ],
         ids=["no-F", "binomial-k0", "format-pdf", "display-tex", "tolerance-abc",
-             "input-and-F", "no-F-flag", "s-not-int", "m-zero", "s-negative"],
+             "input-and-F", "input-and-verify", "no-F-flag", "s-not-int", "m-zero", "s-negative"],
     )
     def test_each_input_error(self, capsys, tmp_path, argv, record, message):
         argv = list(argv or [])

@@ -418,6 +418,12 @@ class TestReductionTable:
         with pytest.raises(ValueError, match="cycle"):
             ReductionTable(F(0), rules)
 
+    def test_rule_under_another_source_is_rejected(self):
+        # filed under (1, 2), this rule would rewrite zeta(1,2) = zeta(3) as zeta(4)/4
+        rules = {(1, 2): ReductionRule((1, 3), F(0), ((((4,),), F(1, 4)),))}
+        with pytest.raises(ValueError, match=r"under \(1, 2\) has source \(1, 3\)"):
+            ReductionTable(F(0), rules)
+
     def test_flagship_identity(self):
         spec = SeriesSpec(X1, 1, 0, (4, 1, 1, 1, 1, 1))
         total = closed_form(spec).scaled(math.factorial(5))

@@ -865,8 +865,9 @@ class TestLazyVerifier:
         # interpreter loads no submodule, and each submodule name loads its module; the exact
         # pipeline loads neither the verifier, the parser nor dataclasses (with the inspect
         # it imports), the parser loads on first use, and the verifier certifies from the API
-        # and from the command line, after which dataclasses and inspect are still not loaded;
-        # last, every public name is its module's own object, listed by dir and bound by *
+        # and from the command line (the CLI loads no argparse), after which dataclasses and
+        # inspect are still not loaded; last, every public name is its module's own object,
+        # listed by dir and bound by *
         import zetaform
 
         code = (
@@ -896,6 +897,7 @@ class TestLazyVerifier:
             "assert report.passed, report.message\n"
             "assert not hasattr(zetaform, 'no_such_name')\n"
             "from zetaform import cli\n"
+            "assert 'argparse' not in sys.modules, 'the CLI loaded argparse'\n"
             "flags = '--F x1 --z 0 --binomial 4,5 --verify 600 --format json'\n"
             "code = cli.main(flags.split())\n"
             "left = {'dataclasses', 'inspect'} & set(sys.modules)\n"
